@@ -22,7 +22,7 @@ from .algorithms import (
     mgda_run,
 )
 from .consensus import CommClock, average_projection, consensus_error, run_consensus
-from .oracles import OracleSpec, OracleState, exact_stacked_gradient, sample_biased_gradient
+from .oracles import OracleSpec, OracleState
 from .problems import (
     InnerObjective,
     LeastSquaresProblem,
@@ -72,8 +72,6 @@ __all__ = [
     "run_consensus",
     "OracleSpec",
     "OracleState",
-    "exact_stacked_gradient",
-    "sample_biased_gradient",
     "LeastSquaresProblem",
     "RobustLeastSquaresProblem",
     "SmoothnessProfile",

@@ -109,15 +109,21 @@ class RunRecord:
     meta: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
-    def as_arrays(self):
-        return {name: np.asarray(getattr(self, name))
-                for name in ("ks", "f_gap", "consensus_err_x", "consensus_err_y",
-                             "grad_norm_x", "grad_norm_y", "comm_rounds",
-                             "wall_time")}
+    def add(self, k, f_gap, cons_x, grad_x, cons_y=float("nan"), grad_y=float("nan"),
+            comm_rounds=0, t_start=None):
+        """Append one recorded iterate; the only writer of the trace columns.
 
-    @property
-    def final_f_gap(self):
-        return self.f_gap[-1]
+        ``t_start`` is a ``time.perf_counter`` reading when wall time is
+        measured; without it the wall-time column reads 0.
+        """
+        self.ks.append(k)
+        self.f_gap.append(f_gap)
+        self.consensus_err_x.append(cons_x)
+        self.consensus_err_y.append(cons_y)
+        self.grad_norm_x.append(grad_x)
+        self.grad_norm_y.append(grad_y)
+        self.comm_rounds.append(comm_rounds)
+        self.wall_time.append(0.0 if t_start is None else time.perf_counter() - t_start)
 
 
 def _check_finite(x, k, what):
@@ -125,15 +131,6 @@ def _check_finite(x, k, what):
         raise DivergenceError(
             f"non-finite {what} at iteration {k}; "
             "step size is too large for this instance")
-
-
-def _resolve_f_star(problem):
-    """Analytic optimum when available, else a long centralized solve."""
-    if hasattr(problem, "f_star"):
-        return problem.f_star, "analytic"
-    record, x = centralized_gd(problem, gamma=1.0 / problem.profile.L_g,
-                               iterations=20000, record_every=20000)
-    return problem.f(x), "oracle-estimate"
 
 
 def _prepare_start(x0, auto_project, record):
@@ -181,8 +178,8 @@ def dgd_run(problem, model, config, x0):
             raise ValueError(
                 f"theory mode requires gamma <= 1/L_g = {limit:.6g}, "
                 f"got {config.gamma}")
-    f_star, source = _resolve_f_star(problem)
-    record.meta.update(f_star=f_star, f_star_source=source,
+    f_star = problem.f_star
+    record.meta.update(f_star=f_star, f_star_source="analytic",
                        gamma=config.gamma, algorithm="dgd",
                        stochastic=config.oracle.sigma > 0)
     clock = CommClock()
@@ -193,15 +190,9 @@ def dgd_run(problem, model, config, x0):
 
     def observe(k, xs):
         xbar = xs.mean(axis=0)
-        record.ks.append(k)
-        record.f_gap.append(problem.f(xbar) - f_star)
-        record.consensus_err_x.append(consensus_error(xs))
-        record.consensus_err_y.append(float("nan"))
-        record.grad_norm_x.append(float(np.linalg.norm(problem.grad_f(xbar))))
-        record.grad_norm_y.append(float("nan"))
-        record.comm_rounds.append(clock.t0)
-        record.wall_time.append(
-            0.0 if t_start is None else time.perf_counter() - t_start)
+        record.add(k, problem.f(xbar) - f_star, consensus_error(xs),
+                   float(np.linalg.norm(problem.grad_f(xbar))),
+                   comm_rounds=clock.t0, t_start=t_start)
         if mean_traj is not None:
             mean_traj.append(xbar.copy())
 
@@ -260,15 +251,11 @@ def mgda_run(problem, model_x, model_y, config, x0, y0, budget=None):
     def observe(k, xs, ys):
         xbar, ybar = xs.mean(axis=0), ys.mean(axis=0)
         inner = problem.y_star_of(xbar)
-        record.ks.append(k)
-        record.f_gap.append(problem.phi(xbar, inner) - f_star)
-        record.consensus_err_x.append(consensus_error(xs))
-        record.consensus_err_y.append(consensus_error(ys))
-        record.grad_norm_x.append(float(np.linalg.norm(problem.grad_x(xbar, ybar))))
-        record.grad_norm_y.append(float(np.linalg.norm(problem.grad_y(xbar, ybar))))
-        record.comm_rounds.append(clock.t0)
-        record.wall_time.append(
-            0.0 if t_start is None else time.perf_counter() - t_start)
+        record.add(k, problem.phi(xbar, inner) - f_star, consensus_error(xs),
+                   float(np.linalg.norm(problem.grad_x(xbar, ybar))),
+                   cons_y=consensus_error(ys),
+                   grad_y=float(np.linalg.norm(problem.grad_y(xbar, ybar))),
+                   comm_rounds=clock.t0, t_start=t_start)
         record.extras.setdefault("inner_gap", []).append(
             problem.phi(xbar, inner) - problem.phi(xbar, ybar))
         if mean_traj is not None:
@@ -326,22 +313,15 @@ def _inner_drift_constant(problem, x_stack, y_stack, budget):
 def centralized_gd(problem, gamma, iterations, x0=None, record_every=1):
     """Plain gradient descent on the averaged objective (no communication)."""
     x = np.zeros(problem.d) if x0 is None else np.asarray(x0, dtype=float)
-    f_star, source = (problem.f_star, "analytic") if hasattr(problem, "f_star") \
-        else (min(problem.f(x), 0.0), "lower-bound")
+    f_star = problem.f_star
     record = RunRecord()
-    record.meta.update(f_star=f_star, f_star_source=source, gamma=gamma,
+    record.meta.update(f_star=f_star, f_star_source="analytic", gamma=gamma,
                        algorithm="centralized_gd", stochastic=False)
     traj = []
 
     def observe(k, xv):
-        record.ks.append(k)
-        record.f_gap.append(problem.f(xv) - f_star)
-        record.consensus_err_x.append(0.0)
-        record.consensus_err_y.append(float("nan"))
-        record.grad_norm_x.append(float(np.linalg.norm(problem.grad_f(xv))))
-        record.grad_norm_y.append(float("nan"))
-        record.comm_rounds.append(0)
-        record.wall_time.append(0.0)
+        record.add(k, problem.f(xv) - f_star, 0.0,
+                   float(np.linalg.norm(problem.grad_f(xv))))
         traj.append(xv.copy())
 
     for k in range(iterations):
@@ -367,14 +347,9 @@ def centralized_gda(problem, gamma_x, gamma_y, outer_iterations, inner_iteration
     traj = []
 
     def observe(k, xv, yv):
-        record.ks.append(k)
-        record.f_gap.append(problem.phi(xv, problem.y_star_of(xv)) - f_star)
-        record.consensus_err_x.append(0.0)
-        record.consensus_err_y.append(0.0)
-        record.grad_norm_x.append(float(np.linalg.norm(problem.grad_x(xv, yv))))
-        record.grad_norm_y.append(float(np.linalg.norm(problem.grad_y(xv, yv))))
-        record.comm_rounds.append(0)
-        record.wall_time.append(0.0)
+        record.add(k, problem.phi(xv, problem.y_star_of(xv)) - f_star, 0.0,
+                   float(np.linalg.norm(problem.grad_x(xv, yv))), cons_y=0.0,
+                   grad_y=float(np.linalg.norm(problem.grad_y(xv, yv))))
         traj.append((xv.copy(), yv.copy()))
 
     for k in range(outer_iterations):

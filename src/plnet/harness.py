@@ -53,17 +53,31 @@ def _fmt(x):
     return str(x)
 
 
-def load_config(path):
-    """Parse and validate a config file; returns the resolved dict."""
+def _read_config(path):
     try:
         with open(path, "rt", encoding="utf-8") as fh:
             raw = fh.read()
-        cfg = json.loads(raw)
+        return json.loads(raw)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    return resolve_config(cfg, source=str(path))
+
+
+def load_config(path):
+    """Parse and validate a config file; returns the resolved dict."""
+    return resolve_config(_read_config(path), source=str(path))
+
+
+def _raw_config(config_or_path):
+    """The unresolved config dict behind a path or dict, and its source label."""
+    if isinstance(config_or_path, (str, os.PathLike)):
+        return _read_config(config_or_path), str(config_or_path)
+    return config_or_path, "<config>"
+
+
+def _load(config_or_path):
+    return resolve_config(*_raw_config(config_or_path))
 
 
 def _require(cfg, key, source, section=None):
@@ -112,6 +126,9 @@ def resolve_config(cfg, source="<config>"):
         raise ConfigError(f"{source}: algorithm.kind: {akind} needs a robust_ls problem")
     algo.setdefault("record_every", 1)
     algo.setdefault("theory_auto", False)
+    if algo["theory_auto"] and akind not in ("dgd", "mgda"):
+        raise ConfigError(f"{source}: algorithm.theory_auto: budgets exist only "
+                          "for dgd and mgda runs")
     if algo["theory_auto"]:
         for key in ("eps", "delta_prime"):
             _require(out, key, source, "algorithm")
@@ -134,8 +151,11 @@ def resolve_config(cfg, source="<config>"):
             _require(out, "gamma_y", source, "algorithm")
         algo.setdefault("rounds_x", algo.get("rounds", 1))
         algo.setdefault("rounds_y", algo.get("rounds", 1))
-    if out.get("overlay_bounds") and akind != "dgd":
-        raise ConfigError(f"{source}: overlay_bounds: only supported for dgd runs")
+    if out.get("overlay_bounds"):
+        if akind != "dgd":
+            raise ConfigError(f"{source}: overlay_bounds: only supported for dgd runs")
+        for key in ("eps", "delta_prime"):
+            _require(out, key, source, "algorithm")
     oracle = out.setdefault("oracle", {})
     oracle.setdefault("delta", 0.0)
     oracle.setdefault("sigma", 0.0)
@@ -205,7 +225,7 @@ def _theory_budget(cfg, problem, model):
     the overlaid rate is 1 - gamma*mu, matching the run.
     """
     algo, oracle = cfg["algorithm"], cfg["oracle"]
-    if cfg["algorithm"]["kind"] in ("dgd", "centralized_gd"):
+    if algo["kind"] == "dgd":
         x0 = np.zeros(problem.d)
         f0_gap = problem.f(x0) - problem.f_star
         grad_norm = float(np.linalg.norm(problem.grad_stacked_at_opt()))
@@ -262,69 +282,100 @@ def _init_state(shape, mode, seed):
     return np.tile(rng.standard_normal(shape[1]), (shape[0], 1))
 
 
-def _single_run(cfg, problem, model, run_seed, budget):
-    algo = cfg["algorithm"]
-    oracle = OracleSpec(
-        delta=cfg["oracle"]["delta"], sigma=cfg["oracle"]["sigma"],
-        bias_mode=cfg["oracle"]["bias_mode"],
-        noise_mode=cfg["oracle"]["noise_mode"], seed=run_seed)
+def _settings(cfg, problem, model):
+    """Concrete algorithm settings and the theory budget for one config.
+
+    The budget is evaluated on the base instance when ``theory_auto`` or
+    ``overlay_bounds`` asks for it. With ``theory_auto`` the iteration and
+    round counts, and any step size the config leaves unset, come from it.
+    Returns ``(algorithm dict, budget or None)``; ``cfg`` is not modified.
+    """
+    algo = dict(cfg["algorithm"])
+    budget = None
+    if algo["theory_auto"] or cfg["overlay_bounds"]:
+        budget = _theory_budget(cfg, problem, model)
+    if not algo["theory_auto"]:
+        return algo, budget
+    if algo["kind"] == "dgd":
+        if budget.T is None:
+            raise ConfigError("theory_auto: consensus target unreachable (T is None)")
+        algo.update(iterations=budget.N, rounds=budget.T)
+        algo.setdefault("gamma", budget.gamma)
+        return algo, budget
+    counts = dict(outer_iterations=budget.N_x, inner_iterations=budget.N_y,
+                  rounds_x=budget.T_x, rounds_y=budget.T_y)
+    if None in counts.values():
+        raise ConfigError("theory_auto: saddle budget not usable for configuration")
+    algo.update(counts)
+    algo.setdefault("gamma_x", budget.gamma_x)
+    algo.setdefault("gamma_y", budget.gamma_y)
+    return algo, budget
+
+
+def _single_run(cfg, algo, problem, model, run_seed):
+    """One run of concrete settings ``algo`` on one instance; returns its record."""
+    oracle = OracleSpec(**dict(cfg["oracle"], seed=run_seed))
     measure = cfg["record_wall_time"]
     kind = algo["kind"]
-    if kind == "dgd":
-        n_iter = algo["iterations"] if not algo["theory_auto"] else budget.N
-        rounds = algo.get("rounds", 1) if not algo["theory_auto"] else budget.T
-        if rounds is None:
-            raise ConfigError("theory_auto: consensus target unreachable (T is None)")
-        gamma = algo["gamma"] if not algo["theory_auto"] \
-            else algo.get("gamma", budget.gamma)
-        config = algorithms.DGDConfig(
-            gamma=gamma, iterations=n_iter, rounds_schedule=rounds,
-            oracle=oracle, record_every=algo["record_every"],
-            measure_time=measure)
-        x0 = _init_state((problem.n, problem.d), cfg["init"], run_seed)
-        return algorithms.dgd_run(problem, model, config, x0)
     if kind == "centralized_gd":
         return algorithms.centralized_gd(
             problem, algo["gamma"], algo["iterations"],
-            record_every=algo["record_every"])
+            record_every=algo["record_every"])[0]
     if kind == "centralized_gda":
         return algorithms.centralized_gda(
             problem, algo["gamma_x"], algo["gamma_y"],
             algo["outer_iterations"], algo["inner_iterations"],
-            record_every=algo["record_every"])
-    n_outer = algo["outer_iterations"] if not algo["theory_auto"] else budget.N_x
-    n_inner = algo["inner_iterations"] if not algo["theory_auto"] else budget.N_y
-    rounds_x = algo.get("rounds_x", 1) if not algo["theory_auto"] else budget.T_x
-    rounds_y = algo.get("rounds_y", 1) if not algo["theory_auto"] else budget.T_y
-    if None in (n_outer, n_inner, rounds_x, rounds_y):
-        raise ConfigError("theory_auto: saddle budget not usable for configuration")
-    gamma_x = algo["gamma_x"] if not algo["theory_auto"] \
-        else algo.get("gamma_x", budget.gamma_x)
-    gamma_y = algo["gamma_y"] if not algo["theory_auto"] \
-        else algo.get("gamma_y", budget.gamma_y)
+            record_every=algo["record_every"])[0]
+    if kind == "dgd":
+        config = algorithms.DGDConfig(
+            gamma=algo["gamma"], iterations=algo["iterations"],
+            rounds_schedule=algo["rounds"], oracle=oracle,
+            record_every=algo["record_every"], measure_time=measure)
+        x0 = _init_state((problem.n, problem.d), cfg["init"], run_seed)
+        return algorithms.dgd_run(problem, model, config, x0)[0]
     config = algorithms.MGDAConfig(
-        gamma_x=gamma_x, gamma_y=gamma_y,
-        outer_iterations=n_outer, inner_iterations=n_inner,
-        rounds_x=rounds_x, rounds_y=rounds_y, oracle=oracle,
+        gamma_x=algo["gamma_x"], gamma_y=algo["gamma_y"],
+        outer_iterations=algo["outer_iterations"],
+        inner_iterations=algo["inner_iterations"],
+        rounds_x=algo["rounds_x"], rounds_y=algo["rounds_y"], oracle=oracle,
         record_every=algo["record_every"], measure_time=measure)
     x0 = _init_state((problem.n, problem.d_x), cfg["init"], run_seed)
     y0 = _init_state((problem.n, problem.d_y), cfg["init"], run_seed + 1)
-    record, (x, y) = algorithms.mgda_run(problem, model, model, config, x0, y0)
-    return record, (x, y)
+    return algorithms.mgda_run(problem, model, model, config, x0, y0)[0]
 
 
-def _trace_rows(run_id, seed, record, bounds):
-    rows = []
-    for idx, k in enumerate(record.ks):
-        rows.append([
-            run_id, seed, k, record.comm_rounds[idx],
-            record.f_gap[idx], record.consensus_err_x[idx],
-            record.consensus_err_y[idx], record.grad_norm_x[idx],
-            record.grad_norm_y[idx],
-            bounds[idx] if bounds is not None else None,
-            record.wall_time[idx],
-        ])
-    return rows
+def _execute(cfg):
+    """Build the instance and network of a resolved config and run every seed.
+
+    Returns ``(problem, model, budget, results)``; ``results`` lists
+    ``(run_id, seed, outcome)`` per seed, where ``outcome`` is the run's
+    RunRecord or the DivergenceError that ended it.
+    """
+    problem = _build_problem(cfg)
+    model = _build_model(cfg) if cfg["algorithm"]["kind"] in ("dgd", "mgda") else None
+    algo, budget = _settings(cfg, problem, model)
+    results = []
+    for idx, seed in enumerate(cfg["seeds"]):
+        run_id = f"{algo['kind']}-{idx:03d}"
+        prob_i = problem
+        if cfg["seed_scope"] == "problem-and-oracle":
+            prob_i = _build_problem(cfg, seed_override=seed)
+        try:
+            outcome = _single_run(cfg, algo, prob_i, model, seed)
+        except algorithms.DivergenceError as exc:
+            outcome = exc
+        results.append((run_id, seed, outcome))
+    return problem, model, budget, results
+
+
+def _write_csv(path, header, rows):
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "wt", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+    return path
 
 
 def run(config_or_path, output=None):
@@ -334,49 +385,35 @@ def run(config_or_path, output=None):
     ``(run_id, message)`` for runs that diverged (those contribute a single
     failure row with ``k = -1`` instead of a trace).
     """
-    cfg = load_config(config_or_path) if isinstance(config_or_path, (str, os.PathLike)) \
-        else resolve_config(config_or_path)
+    cfg = _load(config_or_path)
     out_base = output if output is not None else cfg["output"]
-    problem = _build_problem(cfg)
-    model = _build_model(cfg) if cfg["algorithm"]["kind"] in ("dgd", "mgda") else None
-    needs_budget = cfg["algorithm"]["theory_auto"] or cfg["overlay_bounds"]
-    budget = _theory_budget(cfg, problem, model) if needs_budget and model else None
+    problem, model, budget, results = _execute(cfg)
     rows = []
     run_meta = []
     failures = []
-    for idx, seed in enumerate(cfg["seeds"]):
-        run_id = f"{cfg['algorithm']['kind']}-{idx:03d}"
-        prob_i = problem
-        if cfg["seed_scope"] == "problem-and-oracle":
-            prob_i = _build_problem(cfg, seed_override=seed)
-        try:
-            record, _ = _single_run(cfg, prob_i, model, seed, budget)
-        except algorithms.DivergenceError as exc:
-            failures.append((run_id, str(exc)))
+    for run_id, seed, record in results:
+        if isinstance(record, algorithms.DivergenceError):
+            failures.append((run_id, str(record)))
             rows.append([run_id, seed, -1, 0, float("nan"), float("nan"),
                          float("nan"), float("nan"), float("nan"), None, 0.0])
             run_meta.append({"run_id": run_id, "seed": seed,
-                             "status": f"diverged: {exc}"})
+                             "status": f"diverged: {record}"})
             continue
-        bounds = None
-        if cfg["overlay_bounds"] and budget is not None:
+        bounds = [None] * len(record.ks)
+        if cfg["overlay_bounds"]:
             # bound trace only; violation flagging (seed-averaged for the
             # stochastic mode) is theory.overlay_bounds' job
-            ks = np.asarray(record.ks)
-            bounds = list(budget.rate ** ks * record.f_gap[0] + budget.floor)
-        rows.extend(_trace_rows(run_id, seed, record, bounds))
+            bounds = budget.rate ** np.asarray(record.ks) * record.f_gap[0] + budget.floor
+        rows.extend([run_id, seed, *cells] for cells in zip(
+            record.ks, record.comm_rounds, record.f_gap, record.consensus_err_x,
+            record.consensus_err_y, record.grad_norm_x, record.grad_norm_y,
+            bounds, record.wall_time))
         run_meta.append({"run_id": run_id, "seed": seed, "status": "ok",
                          "f_star_source": record.meta.get("f_star_source"),
                          "total_comm_rounds": record.meta.get("total_comm_rounds", 0)})
     rows.sort(key=lambda r: (r[0], r[2]))
-    csv_path = f"{out_base}.csv"
+    csv_path = _write_csv(f"{out_base}.csv", CSV_HEADER, rows)
     sidecar_path = f"{out_base}.meta.json"
-    os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
-    with open(csv_path, "wt", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
     sidecar = {
         "config": cfg,
         "constants": _constants(problem, model) if model else {"n": problem.n},
@@ -392,55 +429,47 @@ def run(config_or_path, output=None):
 AXIS_SECTIONS = ("problem", "graph", "algorithm", "oracle")
 
 
-def _set_axis(cfg, axis, value):
+def _axis_field(cfg, axis):
+    """``(section, key)`` of a numeric sweep axis in a resolved config."""
     if "." in axis:
         section, key = axis.split(".", 1)
         if section not in AXIS_SECTIONS or key not in cfg.get(section, {}):
             raise ConfigError(f"sweep axis {axis!r} not found in config")
-        if not isinstance(cfg[section][key], (int, float)):
-            raise ConfigError(f"sweep axis {axis!r} is not numeric")
-        cfg[section][key] = type(cfg[section][key])(value)
-        return
-    hits = [s for s in AXIS_SECTIONS if axis in cfg.get(s, {})]
-    if not hits:
-        raise ConfigError(f"sweep axis {axis!r} not found in config")
-    if len(hits) > 1:
-        raise ConfigError(f"sweep axis {axis!r} is ambiguous across {hits}; "
-                          "use a dotted path")
-    section = hits[0]
-    if not isinstance(cfg[section][axis], (int, float)):
+    else:
+        hits = [s for s in AXIS_SECTIONS if axis in cfg.get(s, {})]
+        if not hits:
+            raise ConfigError(f"sweep axis {axis!r} not found in config")
+        if len(hits) > 1:
+            raise ConfigError(f"sweep axis {axis!r} is ambiguous across {hits}; "
+                              "use a dotted path")
+        section, key = hits[0], axis
+    if not isinstance(cfg[section][key], (int, float)):
         raise ConfigError(f"sweep axis {axis!r} is not numeric")
-    cfg[section][axis] = type(cfg[section][axis])(value)
+    return section, key
 
 
 def sweep(config_or_path, axis, values, output=None):
     """Run the config once per axis value; write one summary row per run.
 
     Returns ``(csv_path, failures)``. The axis is a numeric config field,
-    named bare (searched across sections) or as ``section.key``.
+    named bare (searched across sections) or as ``section.key``. Each value
+    is written into the config as given and the result resolved afresh, so
+    defaults derived from the axis (MGDA ``rounds_x``/``rounds_y`` from
+    ``rounds``) follow it.
     """
-    base = load_config(config_or_path) if isinstance(config_or_path, (str, os.PathLike)) \
-        else resolve_config(config_or_path)
+    raw, source = _raw_config(config_or_path)
+    base = resolve_config(raw, source)
+    section, key = _axis_field(base, axis)
     out_base = output if output is not None else base["output"]
     rows = []
     failures = []
     for value in values:
-        cfg = json.loads(json.dumps(base))
-        _set_axis(cfg, axis, value)
-        cfg = resolve_config(cfg)
-        problem = _build_problem(cfg)
-        model = _build_model(cfg) if cfg["algorithm"]["kind"] in ("dgd", "mgda") else None
-        budget = _theory_budget(cfg, problem, model) \
-            if cfg["algorithm"]["theory_auto"] and model else None
-        for idx, seed in enumerate(cfg["seeds"]):
-            run_id = f"{cfg['algorithm']['kind']}-{idx:03d}"
-            prob_i = problem
-            if cfg["seed_scope"] == "problem-and-oracle":
-                prob_i = _build_problem(cfg, seed_override=seed)
-            try:
-                record, _ = _single_run(cfg, prob_i, model, seed, budget)
-            except algorithms.DivergenceError as exc:
-                failures.append((f"{axis}={value}", run_id, str(exc)))
+        swept = json.loads(json.dumps(raw))
+        swept.setdefault(section, {})[key] = type(base[section][key])(value)
+        _, _, _, results = _execute(resolve_config(swept, source))
+        for run_id, seed, record in results:
+            if isinstance(record, algorithms.DivergenceError):
+                failures.append((f"{axis}={value}", run_id, str(record)))
                 rows.append([axis, str(value), run_id, seed, float("nan"),
                              float("nan"), float("nan"), 0, 0.0])
                 continue
@@ -450,14 +479,7 @@ def sweep(config_or_path, axis, values, output=None):
                 record.meta.get("total_comm_rounds", 0),
                 record.wall_time[-1],
             ])
-    csv_path = f"{out_base}.sweep.csv"
-    os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
-    with open(csv_path, "wt", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_HEADER)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    return csv_path, failures
+    return _write_csv(f"{out_base}.sweep.csv", SWEEP_HEADER, rows), failures
 
 
 def validate(config_or_path):
@@ -468,8 +490,7 @@ def validate(config_or_path):
     """
     checks = []
     try:
-        cfg = load_config(config_or_path) if isinstance(config_or_path, (str, os.PathLike)) \
-            else resolve_config(config_or_path)
+        cfg = _load(config_or_path)
         checks.append(("config", True, "parsed and resolved"))
     except ConfigError as exc:
         return [("config", False, str(exc))], False
@@ -518,8 +539,7 @@ def validate(config_or_path):
 
 def theory_report(config_or_path):
     """Evaluate the budget for a config; returns (budget, constants dict)."""
-    cfg = load_config(config_or_path) if isinstance(config_or_path, (str, os.PathLike)) \
-        else resolve_config(config_or_path)
+    cfg = _load(config_or_path)
     if cfg["algorithm"]["kind"] not in ("dgd", "mgda"):
         raise ConfigError("theory budgets apply to the decentralized algorithms")
     for key in ("eps", "delta_prime"):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OracleSpec", "OracleState", "exact_stacked_gradient", "sample_biased_gradient"]
+__all__ = ["OracleSpec", "OracleState", "perturb_gradient"]
 
 BIAS_MODES = ("fixed-direction", "gradient-aligned", "zero")
 NOISE_MODES = ("gaussian-isotropic", "zero")
@@ -67,24 +67,13 @@ class OracleState:
             self.bias_dir = None
 
 
-def exact_stacked_gradient(problem, x):
-    """Stacked gradient with row ``i`` equal to node ``i``'s own gradient."""
-    return problem.grad_stacked(x)
-
-
-def sample_biased_gradient(problem, x, spec, state):
-    """One oracle call: exact stacked gradient plus bias plus noise.
+def perturb_gradient(grad, spec, state):
+    """One oracle call: a spec's bias and noise on an exact stacked gradient.
 
     The bias norm is at most ``spec.delta`` deterministically; the noise is
     isotropic Gaussian scaled so its expected squared norm equals
     ``spec.sigma**2``. Identical seeds reproduce identical streams.
     """
-    grad = problem.grad_stacked(x)
-    return perturb_gradient(grad, spec, state)
-
-
-def perturb_gradient(grad, spec, state):
-    """Apply a spec's bias and noise to an already-computed stacked gradient."""
     if spec.exact:
         return grad
     if state.shape != grad.shape:

@@ -219,9 +219,6 @@ class LeastSquaresProblem:
         r = np.einsum("nij,nj->ni", self.A, x_stack) - self.y0
         return np.einsum("nij,ni->nj", self.A, r)
 
-    def hessian(self):
-        return self._normal
-
     # analytic solution -------------------------------------------------------
 
     @property

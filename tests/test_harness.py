@@ -282,3 +282,71 @@ def test_cli_sweep(tmp_path, capsys):
     path = write_config(tmp_path, minimal_config(tmp_path))
     assert cli.main(["sweep", path, "--axis", "sigma",
                      "--values", "0,0.2"]) == 0
+
+
+@pytest.mark.parametrize("kind", ["centralized_gd", "centralized_gda"])
+def test_theory_auto_rejected_for_centralized_runs(tmp_path, kind):
+    cfg = {
+        "problem": {"kind": "robust_ls", "n": 2, "d_x": 2, "d_y": 2},
+        "algorithm": {"kind": kind, "theory_auto": True, "eps": 1e-3,
+                      "delta_prime": 1e-3, "eps_y": 1e-3, "delta_prime_y": 1e-3},
+        "output": str(tmp_path / "central"),
+    }
+    with pytest.raises(ConfigError, match="algorithm.theory_auto"):
+        harness.resolve_config(cfg)
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+
+
+def test_overlay_bounds_requires_eps_and_delta_prime(tmp_path):
+    cfg = minimal_config(tmp_path, overlay_bounds=True)
+    with pytest.raises(ConfigError, match="algorithm.eps"):
+        harness.resolve_config(cfg)
+    cfg["algorithm"]["eps"] = 1e-8
+    with pytest.raises(ConfigError, match="algorithm.delta_prime"):
+        harness.resolve_config(cfg)
+    del cfg["algorithm"]["eps"]
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+
+
+def test_sweep_rows_equal_final_rows_of_run(tmp_path):
+    # a sweep row summarizes the run of the config with the axis value set
+    # before defaults are filled: MGDA "rounds" drives rounds_x and rounds_y
+    dgd = {
+        "problem": {"kind": "least_squares", "n": 5, "d": 3, "seed": 2},
+        "graph": {"kind": "static", "topology": "ring"},
+        "algorithm": {"kind": "dgd", "gamma": 0.02, "iterations": 30,
+                      "rounds": 1, "record_every": 7},
+        "oracle": {"sigma": 0.2},
+        "seeds": [0, 1],
+    }
+    mgda = {
+        "problem": {"kind": "robust_ls", "n": 4, "d_x": 2, "d_y": 2,
+                    "alpha": 2.0, "seed": 3},
+        "graph": {"kind": "static", "topology": "ring"},
+        "algorithm": {"kind": "mgda", "gamma_x": 0.01, "gamma_y": 0.01,
+                      "outer_iterations": 20, "inner_iterations": 3,
+                      "rounds": 2, "record_every": 6},
+        "seeds": [0, 1],
+    }
+    for name, cfg in (("dgd", dgd), ("mgda", mgda)):
+        cfg = dict(cfg, output=str(tmp_path / name))
+        sweep_path, failures = harness.sweep(cfg, "rounds", [1, 3])
+        assert not failures
+        rows = read_rows(sweep_path)
+        assert len(rows) == 2 * 2
+        for value in (1, 3):
+            single = json.loads(json.dumps(cfg))
+            single["algorithm"]["rounds"] = value
+            single["output"] = str(tmp_path / f"{name}-{value}")
+            csv_path, _, _ = harness.run(single)
+            last = {}
+            for row in read_rows(csv_path):
+                last[row["run_id"]] = row
+            summaries = [r for r in rows if r["value"] == str(value)]
+            assert len(summaries) == len(last)
+            for summary in summaries:
+                final = last[summary["run_id"]]
+                assert summary["final_f_gap"] == final["f_gap"]
+                assert summary["final_consensus_err_x"] == final["consensus_err_x"]
+                assert summary["final_consensus_err_y"] == final["consensus_err_y"]
+                assert summary["total_comm_rounds"] == final["comm_rounds"]
