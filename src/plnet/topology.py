@@ -17,7 +17,10 @@ on edges, zero off the edge set, and the complementary mass on the
 diagonal. These matrices are doubly stochastic and nonnegative, and over
 any window of ``tau`` rounds they contract the distance to consensus by a
 factor ``1 - lam`` that :func:`estimate_lambda` measures from the spectrum
-of the window products.
+of the window products. For the periodic kinds (``static``,
+``tau-connected``) one period of windows covers every window, so ``lam``
+is exact; for ``per-step-connected`` it is estimated from sampled windows
+and is not a bound.
 """
 
 import math
@@ -148,13 +151,6 @@ class GraphSequence:
             return frozenset(_random_connected_edges(self.n, self._degree, rng))
         return self._batches[k % len(self._batches)]
 
-    def degrees_at(self, k):
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges_at(k):
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
 
 def make_graph_sequence(n, kind, **params):
     """Build a graph sequence of the requested kind.
@@ -224,6 +220,12 @@ def make_graph_sequence(n, kind, **params):
     raise ValueError(f"unknown graph sequence kind {kind!r}")
 
 
+def _endpoints(edges):
+    """Endpoint index arrays ``(i, j)`` of an edge set."""
+    ends = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
+
+
 def metropolis_matrix(seq, k):
     """Metropolis mixing matrix of ``seq`` at round ``k``.
 
@@ -234,10 +236,10 @@ def metropolis_matrix(seq, k):
     if k < 0:
         raise ValueError("time index must be >= 0")
     n = seq.n
-    deg = seq.degrees_at(k)
+    i, j = _endpoints(seq.edges_at(k))
+    deg = np.bincount(np.concatenate((i, j)), minlength=n)
     w = np.zeros((n, n))
-    for i, j in seq.edges_at(k):
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 
@@ -247,16 +249,16 @@ class MixingModel:
 
     Wraps a :class:`GraphSequence` and serves the Metropolis matrix for any
     round through :meth:`matrix_at` (cached over the sequence period). The
-    per-window contraction factor ``lam`` is measured lazily by
-    :func:`estimate_lambda` unless supplied.
+    per-window contraction factor ``lam`` is measured lazily, on first use,
+    by :func:`estimate_lambda`: exactly for periodic sequences, as a sampled
+    estimate for aperiodic ones.
     """
 
-    def __init__(self, seq, lam=None, probe_horizon=None):
+    def __init__(self, seq):
         self.seq = seq
         self.n = seq.n
         self.tau = seq.tau
-        self._lam = lam
-        self._probe_horizon = probe_horizon
+        self._lam = None
         self._cache = {}
 
     def matrix_at(self, k):
@@ -270,28 +272,29 @@ class MixingModel:
     @property
     def lam(self):
         if self._lam is None:
-            self._lam = estimate_lambda(self, self.tau, self._probe_horizon)
+            self._lam = estimate_lambda(self)
         return self._lam
 
 
-def estimate_lambda(model, tau=None, horizon=None):
+def estimate_lambda(model, horizon=None):
     """Measure the per-window contraction factor of a mixing sequence.
 
-    For every probed window end ``k`` the product
-    ``W(k) W(k-1) ... W(k-tau+1)`` is formed and the largest singular value
+    For every probed window start ``s`` the product
+    ``W(s+tau-1) ... W(s+1) W(s)`` is formed and the largest singular value
     of (product - uniform averaging matrix) is taken. The returned factor is
-    one minus the worst such value. For the periodic sequences produced by
-    :func:`make_graph_sequence` a probe of one period is exact; the default
-    horizon of ``10 * tau`` windows covers it.
+    one minus the worst such value. A periodic sequence repeats its windows
+    with its period, so probing the starts ``0 .. period-1`` covers every
+    window and the factor is exact. An aperiodic sequence is probed on its
+    first ``horizon`` windows; the factor is then a sampled estimate, not a
+    bound.
 
     Parameters
     ----------
     model : MixingModel
-        The mixing sequence to probe.
-    tau : int, optional
-        Window length; defaults to the sequence's own ``tau``.
+        The mixing sequence to probe; its ``tau`` is the window length.
     horizon : int, optional
-        Number of consecutive windows to probe (>= 1).
+        Number of windows to probe on an aperiodic sequence (>= 1, default
+        ``10 * tau``). Periodic sequences ignore it.
 
     Returns
     -------
@@ -304,25 +307,20 @@ def estimate_lambda(model, tau=None, horizon=None):
         If any probed window has a singular value within ``1e-12`` of 1
         (e.g. a disconnected static graph, whose matrix is the identity).
     """
-    tau = model.tau if tau is None else int(tau)
-    horizon = 10 * tau if horizon is None else int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    tau = model.tau
+    starts = model.seq.period
+    if starts is None:
+        starts = 10 * tau if horizon is None else int(horizon)
+        if starts < 1:
+            raise ValueError("horizon must be >= 1")
     n = model.n
     avg = np.full((n, n), 1.0 / n)
     worst = 0.0
-    window = None
-    for k in range(tau - 1 + horizon):
-        w = model.matrix_at(k)
-        window = w if window is None else w @ window
-        if k >= tau - 1:
-            sigma = np.linalg.svd(window - avg, compute_uv=False)[0]
-            worst = max(worst, sigma)
-            # slide: rebuild from scratch to keep the product exact
-            window = None
-            for back in range(tau - 1, 0, -1):
-                w_b = model.matrix_at(k - back + 1)
-                window = w_b if window is None else w_b @ window
+    for s in range(starts):
+        window = model.matrix_at(s)
+        for k in range(s + 1, s + tau):
+            window = model.matrix_at(k) @ window
+        worst = max(worst, np.linalg.svd(window - avg, compute_uv=False)[0])
     if worst >= 1.0 - CONTRACTION_TOL:
         raise NonContractiveSequenceError(
             f"window singular value {worst:.17g} reaches 1: "
@@ -355,14 +353,10 @@ def validate_mixing(w, seq, k):
     n = seq.n
     if w.shape != (n, n):
         raise ValueError(f"matrix shape {w.shape} does not match n={n}")
-    edges = seq.edges_at(k)
-    off_pattern = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and w[i, j] != 0.0:
-                a, b = (i, j) if i < j else (j, i)
-                if (a, b) not in edges:
-                    off_pattern.append((i, j))
+    i, j = _endpoints(seq.edges_at(k))
+    allowed = np.eye(n, dtype=bool)
+    allowed[i, j] = allowed[j, i] = True
+    off_pattern = [(int(a), int(b)) for a, b in np.argwhere((w != 0.0) & ~allowed)]
     row_err = float(np.abs(w.sum(axis=1) - 1.0).max())
     col_err = float(np.abs(w.sum(axis=0) - 1.0).max())
     min_entry = float(w.min())

@@ -350,3 +350,48 @@ def test_sweep_rows_equal_final_rows_of_run(tmp_path):
                 assert summary["final_consensus_err_x"] == final["consensus_err_x"]
                 assert summary["final_consensus_err_y"] == final["consensus_err_y"]
                 assert summary["total_comm_rounds"] == final["comm_rounds"]
+
+
+def test_theory_budget_refused_on_aperiodic_graphs(tmp_path):
+    # a per-step-connected lam comes from sampled windows, so it bounds nothing
+    graph = {"kind": "per-step-connected", "degree": 2, "seed": 1}
+    auto = minimal_config(tmp_path, graph=graph, algorithm={
+        "theory_auto": True, "eps": 1e-6, "delta_prime": 1e-8})
+    overlay = minimal_config(tmp_path, graph=graph, overlay_bounds=True,
+                             algorithm={"eps": 1e-6, "delta_prime": 1e-8})
+    for cfg in (auto, overlay):
+        with pytest.raises(ConfigError, match="graph.kind"):
+            harness.run(cfg)
+        with pytest.raises(ConfigError, match="graph.kind"):
+            harness.theory_report(cfg)
+    assert cli.main(["theory", write_config(tmp_path, auto)]) == 2
+    # without a budget the graph still runs
+    plain = minimal_config(tmp_path, graph=graph)
+    assert not harness.run(plain)[2]
+
+
+def test_mgda_random_starts_use_their_own_streams(tmp_path, monkeypatch):
+    starts = []
+    original = harness.algorithms.mgda_run
+
+    def capture(problem, model_x, model_y, config, x0, y0):
+        starts.append((x0, y0))
+        return original(problem, model_x, model_y, config, x0, y0)
+
+    monkeypatch.setattr(harness.algorithms, "mgda_run", capture)
+    cfg = {
+        "problem": {"kind": "robust_ls", "n": 3, "d_x": 2, "d_y": 2,
+                    "alpha": 2.0, "seed": 1},
+        "algorithm": {"kind": "mgda", "gamma_x": 0.05, "gamma_y": 0.05,
+                      "outer_iterations": 1, "inner_iterations": 1},
+        "seeds": [0, 1, 2],
+        "init": "random",
+        "output": str(tmp_path / "starts"),
+    }
+    harness.run(cfg)
+    assert len(starts) == 3
+    xs = [x0[0] for x0, _ in starts]
+    ys = [y0[0] for _, y0 in starts]
+    for y in ys:
+        assert not any(np.array_equal(y, x) for x in xs)
+    assert all(not np.array_equal(a, b) for i, a in enumerate(ys) for b in ys[i + 1:])

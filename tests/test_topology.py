@@ -127,6 +127,48 @@ def test_estimate_lambda_matches_svd_oracle(topology, n):
     assert estimate_lambda(model) == pytest.approx(1.0 - sigma, abs=1e-10)
 
 
+def _window_oracle(seq):
+    """1 - worst singular value over the ``tau`` cyclic windows, brute force."""
+    n, tau = seq.n, seq.tau
+    avg = np.full((n, n), 1.0 / n)
+    sigmas = []
+    for start in range(tau):
+        window = np.eye(n)
+        for k in range(start, start + tau):
+            window = metropolis_matrix(seq, k) @ window
+        sigmas.append(np.linalg.svd(window - avg, compute_uv=False)[0])
+    return 1.0 - max(sigmas)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, None])
+@pytest.mark.parametrize("n,tau,topology,seed", [(10, 4, "random", 1),
+                                                 (6, 3, "ring", 0),
+                                                 (9, 2, "random", 2)])
+def test_estimate_lambda_covers_every_window_of_a_period(n, tau, topology, seed,
+                                                         horizon):
+    # a probe shorter than the period would miss windows and overstate lam
+    seq = make_graph_sequence(n, "tau-connected", tau=tau, topology=topology,
+                              degree=4, seed=seed)
+    lam = estimate_lambda(MixingModel(seq), horizon=horizon)
+    assert lam == pytest.approx(_window_oracle(seq), abs=1e-12)
+
+
+def test_metropolis_matrix_reads_the_edge_set_once(monkeypatch):
+    calls = []
+    original = GraphSequence.edges_at
+
+    def counting(self, k):
+        calls.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(GraphSequence, "edges_at", counting)
+    for seq in (make_graph_sequence(8, "static", topology="ring"),
+                make_graph_sequence(8, "per-step-connected", degree=3, seed=2)):
+        calls.clear()
+        metropolis_matrix(seq, 5)
+        assert calls == [5]
+
+
 def test_estimate_lambda_disconnected_raises():
     seq = make_graph_sequence(2, "static", edges=[])
     with pytest.raises(NonContractiveSequenceError):
