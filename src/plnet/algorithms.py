@@ -51,8 +51,6 @@ class DGDConfig:
     record_every: int = 1
     auto_project: bool = True
     theory_mode: bool = False
-    store_mean_trajectory: bool = False
-    measure_time: bool = False
 
     def rounds_at(self, k):
         if np.isscalar(self.rounds_schedule):
@@ -84,8 +82,6 @@ class MGDAConfig:
     oracle: OracleSpec = OracleSpec()
     record_every: int = 1
     auto_project: bool = True
-    store_mean_trajectory: bool = False
-    measure_time: bool = False
 
     def __post_init__(self):
         if min(self.gamma_x, self.gamma_y) <= 0:
@@ -96,7 +92,12 @@ class MGDAConfig:
 
 @dataclass
 class RunRecord:
-    """Per-iteration trace of one run plus bookkeeping metadata."""
+    """Per-iteration trace of one run plus bookkeeping metadata.
+
+    Every column gains one entry per recorded iterate. ``xbar``/``ybar``
+    hold the averaged iterates (``ybar`` is None for minimization runs) and
+    ``wall_time`` the seconds since the record was created.
+    """
 
     ks: list = field(default_factory=list)
     f_gap: list = field(default_factory=list)
@@ -106,24 +107,40 @@ class RunRecord:
     grad_norm_y: list = field(default_factory=list)
     comm_rounds: list = field(default_factory=list)
     wall_time: list = field(default_factory=list)
+    xbar: list = field(default_factory=list)
+    ybar: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
+    started: float = field(default_factory=time.perf_counter, repr=False, compare=False)
 
-    def add(self, k, f_gap, cons_x, grad_x, cons_y=float("nan"), grad_y=float("nan"),
-            comm_rounds=0, t_start=None):
-        """Append one recorded iterate; the only writer of the trace columns.
 
-        ``t_start`` is a ``time.perf_counter`` reading when wall time is
-        measured; without it the wall-time column reads 0.
-        """
-        self.ks.append(k)
-        self.f_gap.append(f_gap)
-        self.consensus_err_x.append(cons_x)
-        self.consensus_err_y.append(cons_y)
-        self.grad_norm_x.append(grad_x)
-        self.grad_norm_y.append(grad_y)
-        self.comm_rounds.append(comm_rounds)
-        self.wall_time.append(0.0 if t_start is None else time.perf_counter() - t_start)
+def _record(record, problem, k, xs, ys=None, comm_rounds=0):
+    """Append the averaged iterate of the stacked state ``xs`` (and ``ys``).
+
+    The only writer of the trace columns. Gaps are measured against
+    ``record.meta["f_star"]``; a centralized runner passes its iterate as a
+    one-row stack, whose consensus error is 0 and whose mean is the iterate.
+    """
+    xbar = xs.mean(axis=0)
+    record.ks.append(k)
+    record.consensus_err_x.append(consensus_error(xs))
+    record.comm_rounds.append(comm_rounds)
+    record.xbar.append(xbar)
+    if ys is None:
+        record.f_gap.append(problem.f(xbar) - record.meta["f_star"])
+        record.grad_norm_x.append(float(np.linalg.norm(problem.grad_f(xbar))))
+        record.consensus_err_y.append(float("nan"))
+        record.grad_norm_y.append(float("nan"))
+        record.ybar.append(None)
+    else:
+        ybar = ys.mean(axis=0)
+        record.f_gap.append(problem.phi(xbar, problem.y_star_of(xbar))
+                            - record.meta["f_star"])
+        record.grad_norm_x.append(float(np.linalg.norm(problem.grad_x(xbar, ybar))))
+        record.consensus_err_y.append(consensus_error(ys))
+        record.grad_norm_y.append(float(np.linalg.norm(problem.grad_y(xbar, ybar))))
+        record.ybar.append(ybar)
+    record.wall_time.append(time.perf_counter() - record.started)
 
 
 def _check_finite(x, k, what):
@@ -178,36 +195,22 @@ def dgd_run(problem, model, config, x0):
             raise ValueError(
                 f"theory mode requires gamma <= 1/L_g = {limit:.6g}, "
                 f"got {config.gamma}")
-    f_star = problem.f_star
-    record.meta.update(f_star=f_star, f_star_source="analytic",
+    record.meta.update(f_star=problem.f_star, f_star_source="analytic",
                        gamma=config.gamma, algorithm="dgd",
                        stochastic=config.oracle.sigma > 0)
     clock = CommClock()
     state = OracleState(config.oracle, (n, d), stream=0)
     max_cons = consensus_error(x)
-    mean_traj = [] if config.store_mean_trajectory else None
-    t_start = time.perf_counter() if config.measure_time else None
-
-    def observe(k, xs):
-        xbar = xs.mean(axis=0)
-        record.add(k, problem.f(xbar) - f_star, consensus_error(xs),
-                   float(np.linalg.norm(problem.grad_f(xbar))),
-                   comm_rounds=clock.t0, t_start=t_start)
-        if mean_traj is not None:
-            mean_traj.append(xbar.copy())
-
     for k in range(config.iterations):
         if k % config.record_every == 0:
-            observe(k, x)
+            _record(record, problem, k, x, comm_rounds=clock.t0)
         grad = perturb_gradient(problem.grad_stacked(x), config.oracle, state)
         z = x - config.gamma * grad
         x = run_consensus(z, config.rounds_at(k), model, clock)
         _check_finite(x, k + 1, "iterate")
         max_cons = max(max_cons, consensus_error(x))
-    observe(config.iterations, x)
+    _record(record, problem, config.iterations, x, comm_rounds=clock.t0)
     record.extras["max_consensus_err_x"] = max_cons
-    if mean_traj is not None:
-        record.extras["mean_trajectory"] = np.asarray(mean_traj)
     record.meta["total_comm_rounds"] = clock.t0
     return record, x
 
@@ -220,10 +223,11 @@ def mgda_run(problem, model_x, model_y, config, x0, y0, budget=None):
     x-state takes one descent step at the refreshed y and gossips. A single
     global clock orders x- and y-communication.
 
-    When ``budget`` (a theory.SaddleBudget) is given, the per-outer
-    consensus-drift constant of the inner loop is recomputed online and the
-    realized maximum recorded, along with any outer iterations where the
-    inner loop missed its target gap.
+    When ``budget`` (a theory.SaddleBudget) is given, the run also tracks
+    the invariants the budget relies on: the worst consensus error of every
+    x- and y-state, the per-outer consensus-drift constant of the inner
+    loop (recomputed online, with its realized maximum), and any outer
+    iterations where the inner loop missed its target gap.
 
     Returns
     -------
@@ -233,104 +237,77 @@ def mgda_run(problem, model_x, model_y, config, x0, y0, budget=None):
     record = RunRecord()
     x = _prepare_start(np.asarray(x0, dtype=float), config.auto_project, record)
     y = _prepare_start(np.asarray(y0, dtype=float), config.auto_project, record)
-    n = x.shape[0]
-    f_star = problem.phi_star
-    record.meta.update(f_star=f_star, f_star_source="analytic",
+    record.meta.update(f_star=problem.phi_star, f_star_source="analytic",
                        gamma_x=config.gamma_x, gamma_y=config.gamma_y,
                        algorithm="mgda", stochastic=config.oracle.sigma > 0)
     clock = CommClock()
     state_x = OracleState(config.oracle, x.shape, stream=0)
     state_y = OracleState(config.oracle, y.shape, stream=1)
-    max_cons_x = consensus_error(x)
-    max_cons_y = consensus_error(y)
-    mean_traj = [] if config.store_mean_trajectory else None
-    t_start = time.perf_counter() if config.measure_time else None
-    d_xy_values = []
-    inner_misses = []
-
-    def observe(k, xs, ys):
-        xbar, ybar = xs.mean(axis=0), ys.mean(axis=0)
-        inner = problem.y_star_of(xbar)
-        record.add(k, problem.phi(xbar, inner) - f_star, consensus_error(xs),
-                   float(np.linalg.norm(problem.grad_x(xbar, ybar))),
-                   cons_y=consensus_error(ys),
-                   grad_y=float(np.linalg.norm(problem.grad_y(xbar, ybar))),
-                   comm_rounds=clock.t0, t_start=t_start)
-        record.extras.setdefault("inner_gap", []).append(
-            problem.phi(xbar, inner) - problem.phi(xbar, ybar))
-        if mean_traj is not None:
-            mean_traj.append((xbar.copy(), ybar.copy()))
-
+    max_cons_x = max_cons_y = 0.0
+    drift, misses = [], []
     for k in range(config.outer_iterations):
         if k % config.record_every == 0:
-            observe(k, x, y)
-        if budget is not None:
-            d_xy_values.append(_inner_drift_constant(problem, x, y, budget))
-        y_hat = y
+            _record(record, problem, k, x, y, comm_rounds=clock.t0)
+        ys = [y]
         for _ in range(config.inner_iterations):
-            grad_y = perturb_gradient(problem.grad_y_stacked(x, y_hat),
+            grad_y = perturb_gradient(problem.grad_y_stacked(x, ys[-1]),
                                       config.oracle, state_y)
-            z_y = y_hat + config.gamma_y * grad_y
-            y_hat = run_consensus(z_y, config.rounds_y, model_y, clock)
-            max_cons_y = max(max_cons_y, consensus_error(y_hat))
-        y = y_hat
-        _check_finite(y, k, "inner iterate")
-        if budget is not None and budget.inner_target is not None:
-            xbar, ybar = x.mean(axis=0), y.mean(axis=0)
-            gap = problem.phi(xbar, problem.y_star_of(xbar)) - problem.phi(xbar, ybar)
-            if gap > budget.inner_target:
-                inner_misses.append(k)
+            z_y = ys[-1] + config.gamma_y * grad_y
+            ys.append(run_consensus(z_y, config.rounds_y, model_y, clock))
+        _check_finite(ys[-1], k, "inner iterate")
+        if budget is not None:
+            # states entering this outer iteration; the final pair is added last
+            drift.append(_inner_drift_constant(problem, x, y, budget))
+            if (budget.inner_target is not None
+                    and _inner_gap(problem, x, ys[-1]) > budget.inner_target):
+                misses.append(k)
+            max_cons_x = max(max_cons_x, consensus_error(x))
+            max_cons_y = max([max_cons_y, *map(consensus_error, ys[:-1])])
+        y = ys[-1]
         grad_x = perturb_gradient(problem.grad_x_stacked(x, y),
                                   config.oracle, state_x)
         z_x = x - config.gamma_x * grad_x
         x = run_consensus(z_x, config.rounds_x, model_x, clock)
         _check_finite(x, k + 1, "iterate")
-        max_cons_x = max(max_cons_x, consensus_error(x))
-    observe(config.outer_iterations, x, y)
-    record.extras["max_consensus_err_x"] = max_cons_x
-    record.extras["max_consensus_err_y"] = max_cons_y
-    if d_xy_values:
-        record.extras["inner_drift_constants"] = d_xy_values
-        record.extras["inner_drift_max"] = max(d_xy_values)
-    if inner_misses:
-        record.extras["inner_target_misses"] = inner_misses
-    if mean_traj is not None:
-        record.extras["mean_trajectory"] = mean_traj
+    _record(record, problem, config.outer_iterations, x, y, comm_rounds=clock.t0)
+    if budget is not None:
+        record.extras.update(max_consensus_err_x=max(max_cons_x, consensus_error(x)),
+                             max_consensus_err_y=max(max_cons_y, consensus_error(y)),
+                             inner_drift_constants=drift,
+                             inner_drift_max=max(drift, default=None))
+        if misses:
+            record.extras["inner_target_misses"] = misses
     record.meta["total_comm_rounds"] = clock.t0
     return record, (x, y)
+
+
+def _inner_gap(problem, x_stack, y_stack):
+    """Inner maximization gap ``phi(xbar, y*(xbar)) - phi(xbar, ybar)``."""
+    xbar = x_stack.mean(axis=0)
+    return (problem.phi(xbar, problem.y_star_of(xbar))
+            - problem.phi(xbar, y_stack.mean(axis=0)))
 
 
 def _inner_drift_constant(problem, x_stack, y_stack, budget):
     """Online value of the inner-loop drift constant at the current outer point."""
     xbar = x_stack.mean(axis=0)
-    ybar = y_stack.mean(axis=0)
     grad_norm = float(np.linalg.norm(problem.grad_y_stacked_at_inner_opt(xbar)))
-    inner_gap_stacked = problem.n * (problem.phi(xbar, problem.y_star_of(xbar))
-                                     - problem.phi(xbar, ybar))
+    inner_gap_stacked = problem.n * _inner_gap(problem, x_stack, y_stack)
     return budget.inner_drift(grad_norm, max(inner_gap_stacked, 0.0))
 
 
 def centralized_gd(problem, gamma, iterations, x0=None, record_every=1):
     """Plain gradient descent on the averaged objective (no communication)."""
     x = np.zeros(problem.d) if x0 is None else np.asarray(x0, dtype=float)
-    f_star = problem.f_star
     record = RunRecord()
-    record.meta.update(f_star=f_star, f_star_source="analytic", gamma=gamma,
+    record.meta.update(f_star=problem.f_star, f_star_source="analytic", gamma=gamma,
                        algorithm="centralized_gd", stochastic=False)
-    traj = []
-
-    def observe(k, xv):
-        record.add(k, problem.f(xv) - f_star, 0.0,
-                   float(np.linalg.norm(problem.grad_f(xv))))
-        traj.append(xv.copy())
-
     for k in range(iterations):
         if k % record_every == 0:
-            observe(k, x)
+            _record(record, problem, k, x[None])
         x = x - gamma * problem.grad_f(x)
         _check_finite(x, k + 1, "iterate")
-    observe(iterations, x)
-    record.extras["trajectory"] = np.asarray(traj)
+    _record(record, problem, iterations, x[None])
     return record, x
 
 
@@ -339,27 +316,17 @@ def centralized_gda(problem, gamma_x, gamma_y, outer_iterations, inner_iteration
     """Multi-step descent ascent on the averaged saddle objective."""
     x = np.zeros(problem.d_x) if x0 is None else np.asarray(x0, dtype=float)
     y = np.zeros(problem.d_y) if y0 is None else np.asarray(y0, dtype=float)
-    f_star = problem.phi_star
     record = RunRecord()
-    record.meta.update(f_star=f_star, f_star_source="analytic",
+    record.meta.update(f_star=problem.phi_star, f_star_source="analytic",
                        gamma_x=gamma_x, gamma_y=gamma_y,
                        algorithm="centralized_gda", stochastic=False)
-    traj = []
-
-    def observe(k, xv, yv):
-        record.add(k, problem.phi(xv, problem.y_star_of(xv)) - f_star, 0.0,
-                   float(np.linalg.norm(problem.grad_x(xv, yv))), cons_y=0.0,
-                   grad_y=float(np.linalg.norm(problem.grad_y(xv, yv))))
-        traj.append((xv.copy(), yv.copy()))
-
     for k in range(outer_iterations):
         if k % record_every == 0:
-            observe(k, x, y)
+            _record(record, problem, k, x[None], y[None])
         for _ in range(inner_iterations):
             y = y + gamma_y * problem.grad_y(x, y)
         _check_finite(y, k, "inner iterate")
         x = x - gamma_x * problem.grad_x(x, y)
         _check_finite(x, k + 1, "iterate")
-    observe(outer_iterations, x, y)
-    record.extras["trajectory"] = traj
+    _record(record, problem, outer_iterations, x[None], y[None])
     return record, (x, y)

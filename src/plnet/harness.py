@@ -6,8 +6,8 @@ problem, the communication graph, the algorithm, the oracle and the seeds
 to run. Results land in a CSV trace (one row per recorded iteration per
 run) plus a JSON sidecar with the resolved config, the instance constants
 and the evaluated theory budget. Reruns of the same config are
-byte-identical; wall-clock measurement is off by default (the column is
-written as 0) precisely so that holds, and can be enabled explicitly.
+byte-identical: every run measures its wall time, but the column is
+written as 0 unless ``record_wall_time`` asks for the measured values.
 
 Seeds drive the oracle noise stream of each run; with
 ``seed_scope = "problem-and-oracle"`` they re-draw the problem data too
@@ -203,7 +203,13 @@ def _build_model(cfg):
 
 
 def _constants(problem, model):
-    out = {"tau": model.tau, "lam": model.lam, "n": problem.n}
+    """Instance and network constants for the sidecar.
+
+    ``lam_kind`` is ``"exact"`` when one full period of windows was probed
+    and ``"sampled"`` on aperiodic sequences, where ``lam`` bounds nothing.
+    """
+    out = {"tau": model.tau, "lam": model.lam, "n": problem.n,
+           "lam_kind": "sampled" if model.seq.period is None else "exact"}
     if problem.kind == "robust_ls":
         prof = problem.saddle_profile
         out.update(L_xx_g=prof.L_xx_g, L_xy_g=prof.L_xy_g,
@@ -318,7 +324,6 @@ def _settings(cfg, problem, model):
 def _single_run(cfg, algo, problem, model, run_seed):
     """One run of concrete settings ``algo`` on one instance; returns its record."""
     oracle = OracleSpec(**dict(cfg["oracle"], seed=run_seed))
-    measure = cfg["record_wall_time"]
     kind = algo["kind"]
     if kind == "centralized_gd":
         return algorithms.centralized_gd(
@@ -333,7 +338,7 @@ def _single_run(cfg, algo, problem, model, run_seed):
         config = algorithms.DGDConfig(
             gamma=algo["gamma"], iterations=algo["iterations"],
             rounds_schedule=algo["rounds"], oracle=oracle,
-            record_every=algo["record_every"], measure_time=measure)
+            record_every=algo["record_every"])
         x0 = _init_state((problem.n, problem.d), cfg["init"], [run_seed, 97])
         return algorithms.dgd_run(problem, model, config, x0)[0]
     config = algorithms.MGDAConfig(
@@ -341,7 +346,7 @@ def _single_run(cfg, algo, problem, model, run_seed):
         outer_iterations=algo["outer_iterations"],
         inner_iterations=algo["inner_iterations"],
         rounds_x=algo["rounds_x"], rounds_y=algo["rounds_y"], oracle=oracle,
-        record_every=algo["record_every"], measure_time=measure)
+        record_every=algo["record_every"])
     x0 = _init_state((problem.n, problem.d_x), cfg["init"], [run_seed, 97])
     y0 = _init_state((problem.n, problem.d_y), cfg["init"], [run_seed, 98])
     return algorithms.mgda_run(problem, model, model, config, x0, y0)[0]
@@ -369,6 +374,13 @@ def _execute(cfg):
             outcome = exc
         results.append((run_id, seed, outcome))
     return problem, model, budget, results
+
+
+def _wall_times(cfg, record):
+    """The record's wall-time column as published: measured only on request."""
+    if cfg["record_wall_time"]:
+        return record.wall_time
+    return [0.0] * len(record.wall_time)
 
 
 def _write_csv(path, header, rows):
@@ -410,7 +422,7 @@ def run(config_or_path, output=None):
         rows.extend([run_id, seed, *cells] for cells in zip(
             record.ks, record.comm_rounds, record.f_gap, record.consensus_err_x,
             record.consensus_err_y, record.grad_norm_x, record.grad_norm_y,
-            bounds, record.wall_time))
+            bounds, _wall_times(cfg, record)))
         run_meta.append({"run_id": run_id, "seed": seed, "status": "ok",
                          "f_star_source": record.meta.get("f_star_source"),
                          "total_comm_rounds": record.meta.get("total_comm_rounds", 0)})
@@ -480,7 +492,7 @@ def sweep(config_or_path, axis, values, output=None):
                 axis, str(value), run_id, seed, record.f_gap[-1],
                 record.consensus_err_x[-1], record.consensus_err_y[-1],
                 record.meta.get("total_comm_rounds", 0),
-                record.wall_time[-1],
+                _wall_times(base, record)[-1],
             ])
     return _write_csv(f"{out_base}.sweep.csv", SWEEP_HEADER, rows), failures
 
@@ -523,8 +535,10 @@ def validate(config_or_path):
                        "doubly stochastic with correct zero pattern"
                        if not bad else f"failed at rounds {bad}"))
         lam = model.lam
-        checks.append(("contraction", bool(0.0 < lam <= 1.0),
-                       f"contraction factor {lam:.6g}"))
+        detail = f"contraction factor {lam:.6g}"
+        if model.seq.period is None:
+            detail += " (sampled estimate, not a bound)"
+        checks.append(("contraction", bool(0.0 < lam <= 1.0), detail))
     except topology.NonContractiveSequenceError as exc:
         checks.append(("contraction", False, str(exc)))
     except ValueError as exc:

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 EIG_RELATIVE_TOL = 1e-10
+MU_CLAMP_RELATIVE_TOL = 1e-12
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -248,6 +249,11 @@ class LeastSquaresProblem:
             mu = _smallest_nonzero_eig(self._normal)
             if mu is None:
                 raise ValueError("objective is identically constant; no PL constant")
+            # mu <= L_g always holds; at d = 1 they are equal and eigenvalue
+            # rounding can put mu an ULP above L_g
+            L_g = sum(per_node) / len(per_node)
+            if L_g < mu <= L_g * (1.0 + MU_CLAMP_RELATIVE_TOL):
+                mu = L_g
             self._profile = SmoothnessProfile(
                 L_per_node=per_node, mu=mu, mu_unnormalized=mu * self.n)
         return self._profile

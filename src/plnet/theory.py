@@ -290,15 +290,13 @@ class SaddleBudget:
 def budget_saddle(profile, mixing, eps_x, eps_y, delta_prime_x, delta_prime_y,
                   delta=0.0, sigma=0.0, F_gap0=None, G_gap0=None,
                   grad_F_at_opt=None, grad_G_at_opt=None,
-                  mode="deterministic", d_xy_values=None):
+                  mode="deterministic"):
     """Budget for multi-step gradient descent ascent.
 
     Gap inputs are stacked-scale: ``F_gap0`` bounds the initial
     gap of the max-function summed over nodes, ``G_gap0`` the inner
     maximization gap summed over nodes. Missing inputs yield a budget with
     ``None`` placeholders flagged unusable for auto-configuration.
-    ``d_xy_values`` (realized per-outer inner drift constants) override the
-    ``G_gap0``-based bound for ``D_Y``.
     """
     if min(eps_x, eps_y) <= 0:
         raise ValueError("accuracy targets must be positive")
@@ -361,10 +359,7 @@ def budget_saddle(profile, mixing, eps_x, eps_y, delta_prime_x, delta_prime_y,
         t_x, notes_x = rounds_for_target(d_x_const, delta_prime_x,
                                          mixing.tau, mixing.lam)
         notes.extend(notes_x)
-    if d_xy_values:
-        d_y_const = max(d_xy_values)
-        notes.append("D_Y taken from realized per-outer-iteration values")
-    elif G_gap0 is not None and grad_G_at_opt is not None:
+    if G_gap0 is not None and grad_G_at_opt is not None:
         d_y_const = budget.inner_drift(grad_G_at_opt, G_gap0)
     if d_y_const is not None:
         t_y, notes_y = rounds_for_target(d_y_const, delta_prime_y,

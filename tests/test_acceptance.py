@@ -187,11 +187,10 @@ def test_criterion_6_full_graph_equivalence():
         problem, prof = build_least_squares(6, 3, seed=77)
         model = MixingModel(make_graph_sequence(6, "static", topology="complete"))
         config = DGDConfig(gamma=1.0 / prof.L_g, iterations=100,
-                           rounds_schedule=1, store_mean_trajectory=True)
+                           rounds_schedule=1)
         record, _ = dgd_run(problem, model, config, np.zeros((6, 3)))
         central, _ = centralized_gd(problem, 1.0 / prof.L_g, 100)
-        for k, (xbar, x) in enumerate(zip(record.extras["mean_trajectory"],
-                                          central.extras["trajectory"])):
+        for k, (xbar, x) in enumerate(zip(record.xbar, central.xbar)):
             assert np.linalg.norm(xbar - x) <= 1e-10, k
 
 

@@ -21,6 +21,7 @@ from plnet import (
     mgda_run,
     run_consensus,
 )
+from plnet import algorithms
 from plnet.oracles import OracleState, perturb_gradient
 
 
@@ -74,12 +75,10 @@ def test_dgd_noise_floor_quick():
 
 def test_full_graph_matches_centralized_trajectory():
     problem, prof = build_least_squares(5, 3, seed=6)
-    config = DGDConfig(gamma=1.0 / prof.L_g, iterations=60, rounds_schedule=1,
-                       store_mean_trajectory=True)
+    config = DGDConfig(gamma=1.0 / prof.L_g, iterations=60, rounds_schedule=1)
     record, _ = dgd_run(problem, complete_model(5), config, np.zeros((5, 3)))
     central, _ = centralized_gd(problem, 1.0 / prof.L_g, 60)
-    for xbar, x in zip(record.extras["mean_trajectory"],
-                       central.extras["trajectory"]):
+    for xbar, x in zip(record.xbar, central.xbar):
         assert np.linalg.norm(xbar - x) <= 1e-10
 
 
@@ -174,24 +173,41 @@ def test_mgda_zero_coupling_reduces_to_dgd():
     model = MixingModel(make_graph_sequence(4, "static", topology="ring"))
     spec = OracleSpec(delta=0.05, sigma=0.3, seed=16)
     dgd_config = DGDConfig(gamma=0.02, iterations=30, rounds_schedule=4,
-                           oracle=spec, store_mean_trajectory=True)
+                           oracle=spec)
     rec_dgd, _ = dgd_run(ls, model, dgd_config, np.zeros((4, 3)))
     mgda_config = MGDAConfig(gamma_x=0.02, gamma_y=0.02, outer_iterations=30,
                              inner_iterations=2, rounds_x=4, rounds_y=4,
-                             oracle=spec, store_mean_trajectory=True)
+                             oracle=spec)
     rec_mgda, _ = mgda_run(saddle, model, model, mgda_config,
                            np.zeros((4, 3)), np.zeros((4, 2)))
-    for xbar_dgd, (xbar_mgda, _) in zip(rec_dgd.extras["mean_trajectory"],
-                                        rec_mgda.extras["mean_trajectory"]):
+    for xbar_dgd, xbar_mgda in zip(rec_dgd.xbar, rec_mgda.xbar):
         assert np.linalg.norm(xbar_dgd - xbar_mgda) <= 1e-12
     # with an exact oracle the inner gradient is identically zero and the
     # adversarial block never moves
     exact_cfg = MGDAConfig(gamma_x=0.02, gamma_y=0.02, outer_iterations=10,
-                           inner_iterations=2, rounds_x=4, rounds_y=4,
-                           store_mean_trajectory=True)
+                           inner_iterations=2, rounds_x=4, rounds_y=4)
     rec_exact, (_, y_final) = mgda_run(saddle, model, model, exact_cfg,
                                        np.zeros((4, 3)), np.zeros((4, 2)))
     np.testing.assert_array_equal(y_final, np.zeros((4, 2)))
+
+
+def test_mgda_without_budget_skips_per_inner_step_consensus_errors(monkeypatch):
+    # the invariant bookkeeping runs only under a budget, so the number of
+    # consensus_error calls does not grow with the inner iteration count
+    problem, _ = build_robust_ls(4, 2, 2, alpha=2.0, seed=9)
+    model = MixingModel(make_graph_sequence(4, "static", topology="ring"))
+    calls = []
+    original = algorithms.consensus_error
+    monkeypatch.setattr(algorithms, "consensus_error",
+                        lambda x: calls.append(1) or original(x))
+    counts = []
+    for inner in (1, 10):
+        calls.clear()
+        config = MGDAConfig(gamma_x=0.01, gamma_y=0.01, outer_iterations=20,
+                            inner_iterations=inner, record_every=5)
+        mgda_run(problem, model, model, config, np.zeros((4, 2)), np.zeros((4, 2)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_inner_loop_contraction_bound():

@@ -98,12 +98,18 @@ def test_bound_column_present_iff_overlay(tmp_path):
 
 
 def test_wall_time_zero_by_default_measured_on_request(tmp_path):
-    csv_path, _, _ = harness.run(write_config(tmp_path, minimal_config(tmp_path)))
+    path = write_config(tmp_path, minimal_config(tmp_path))
+    csv_path, _, _ = harness.run(path)
     assert all(float(r["wall_time_s"]) == 0.0 for r in read_rows(csv_path))
+    sweep_path, _ = harness.sweep(path, "sigma", [0.0, 0.1])
+    assert all(float(r["wall_time_s"]) == 0.0 for r in read_rows(sweep_path))
     cfg = minimal_config(tmp_path, record_wall_time=True,
                          algorithm={"iterations": 200})
-    csv_path2, _, _ = harness.run(write_config(tmp_path, cfg, "c2.json"))
+    path2 = write_config(tmp_path, cfg, "c2.json")
+    csv_path2, _, _ = harness.run(path2)
     assert float(read_rows(csv_path2)[-1]["wall_time_s"]) > 0.0
+    sweep_path2, _ = harness.sweep(path2, "sigma", [0.0, 0.1])
+    assert all(float(r["wall_time_s"]) > 0.0 for r in read_rows(sweep_path2))
 
 
 def test_mgda_run_via_harness(tmp_path):
@@ -368,6 +374,25 @@ def test_theory_budget_refused_on_aperiodic_graphs(tmp_path):
     # without a budget the graph still runs
     plain = minimal_config(tmp_path, graph=graph)
     assert not harness.run(plain)[2]
+
+
+def test_sampled_lam_is_labelled_in_sidecar_and_validate(tmp_path):
+    # a periodic sequence's lam is exact; an aperiodic one's is a sample
+    cases = [({"kind": "static", "topology": "ring"}, "exact"),
+             ({"kind": "per-step-connected", "degree": 2, "seed": 1}, "sampled")]
+    for graph, kind in cases:
+        cfg = minimal_config(tmp_path, problem={"n": 4}, graph=graph)
+        _, sidecar, _ = harness.run(cfg)
+        constants = json.loads(open(sidecar).read())["constants"]
+        assert constants["lam_kind"] == kind
+        checks, ok = harness.validate(cfg)
+        assert ok, checks
+        detail = dict((name, detail) for name, _, detail in checks)["contraction"]
+        lam = f"contraction factor {constants['lam']:.6g}"
+        if kind == "exact":
+            assert detail == lam
+        else:
+            assert detail.startswith(lam) and "sampled estimate, not a bound" in detail
 
 
 def test_mgda_random_starts_use_their_own_streams(tmp_path, monkeypatch):

@@ -31,6 +31,19 @@ def test_rank_deficient_sum_uses_smallest_nonzero_eig():
     assert problem.profile.mu == pytest.approx(0.5)
 
 
+def test_one_dimensional_instances_build_with_mu_equal_to_L_g():
+    # at d = 1 mu and L_g are the same number; rounding used to put mu one
+    # ULP above L_g, and the profile check then refused the instance
+    problem, prof = build_least_squares(3, 1, seed=0)
+    assert prof.mu == prof.L_g
+    assert prof.mu_unnormalized == prof.mu * 3
+    for n in range(1, 13):
+        for seed in range(40):
+            _, prof = build_least_squares(n, 1, seed=seed)
+            assert prof.mu <= prof.L_g
+            assert prof.mu == pytest.approx(prof.L_g, rel=1e-12)
+
+
 def test_minimizer_matches_long_run_gd_oracle():
     problem, prof = build_least_squares(3, 3, seed=21)
     _, x_gd = centralized_gd(problem, gamma=1.0 / prof.L_g, iterations=8000,

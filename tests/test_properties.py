@@ -1,10 +1,20 @@
-"""Property tests of Metropolis mixing and gossip over arbitrary edge sets."""
+"""Property tests of Metropolis mixing and gossip over arbitrary edge sets,
+and of the monotonicity of the minimization budgets."""
+
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plnet import MixingModel, make_graph_sequence, metropolis_matrix
+from plnet import (
+    MixingModel,
+    budget_min_deterministic,
+    budget_min_stochastic,
+    build_least_squares,
+    make_graph_sequence,
+    metropolis_matrix,
+)
 from plnet.consensus import CommClock, average_projection, run_consensus
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -65,3 +75,60 @@ def test_gossip_preserves_the_mean(graph, rounds, d, seed):
     out = run_consensus(z, rounds, model, CommClock())
     drift = np.abs(average_projection(out) - average_projection(z)).max()
     assert drift <= 1e-12 * (1 + rounds) * np.abs(z).max()
+
+
+@st.composite
+def budget_instances(draw):
+    """``(profile, mixing, f0_gap, grad_norm)`` of a least-squares instance, d >= 2."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(2, 4))
+    problem, profile = build_least_squares(n, d, seed=draw(st.integers(0, 2**16)))
+    mixing = SimpleNamespace(tau=draw(st.integers(1, 4)), lam=draw(st.floats(0.01, 1.0)))
+    f0_gap = problem.f(np.zeros(d)) - problem.f_star
+    grad_norm = float(np.linalg.norm(problem.grad_stacked_at_opt()))
+    return profile, mixing, max(f0_gap, 0.0), grad_norm
+
+
+def ordered(values):
+    return st.tuples(values, values).map(sorted)
+
+
+def _budgets(instance, eps, delta_prime, delta, sigma):
+    profile, mixing, f0_gap, grad_norm = instance
+    return (budget_min_deterministic(profile, mixing, eps, delta_prime, delta,
+                                     f0_gap, grad_norm),
+            budget_min_stochastic(profile, mixing, eps, delta_prime, delta, sigma,
+                                  f0_gap, grad_norm))
+
+
+EPS = st.floats(1e-10, 1.0)
+DELTA_PRIME = st.floats(1e-12, 0.1)
+NOISE = st.floats(0.0, 1.0)
+
+
+@PROPERTY_SETTINGS
+@given(budget_instances(), ordered(EPS), DELTA_PRIME, NOISE, NOISE)
+def test_budget_iterations_nonincreasing_in_eps(instance, eps, delta_prime, delta, sigma):
+    tight = _budgets(instance, eps[0], delta_prime, delta, sigma)
+    loose = _budgets(instance, eps[1], delta_prime, delta, sigma)
+    for b_tight, b_loose in zip(tight, loose):
+        assert b_loose.N <= b_tight.N
+
+
+@PROPERTY_SETTINGS
+@given(budget_instances(), EPS, ordered(DELTA_PRIME), NOISE, NOISE)
+def test_budget_rounds_nonincreasing_in_delta_prime(instance, eps, delta_prime, delta, sigma):
+    tight = _budgets(instance, eps, delta_prime[0], delta, sigma)
+    loose = _budgets(instance, eps, delta_prime[1], delta, sigma)
+    for b_tight, b_loose in zip(tight, loose):
+        assert b_loose.T <= b_tight.T
+
+
+@PROPERTY_SETTINGS
+@given(budget_instances(), EPS, DELTA_PRIME, ordered(NOISE), ordered(NOISE))
+def test_budget_floor_nondecreasing_in_delta_and_sigma(instance, eps, delta_prime,
+                                                       delta, sigma):
+    low = _budgets(instance, eps, delta_prime, delta[0], sigma[0])
+    for high in (_budgets(instance, eps, delta_prime, delta[1], sigma[0]),
+                 _budgets(instance, eps, delta_prime, delta[0], sigma[1])):
+        for b_low, b_high in zip(low, high):
+            assert b_high.floor >= b_low.floor
