@@ -107,21 +107,26 @@ def _random_connected_edges(n, degree, rng):
     """Random connected graph: random recursive tree plus extra random edges.
 
     The result has roughly ``n * degree / 2`` edges (capped at the complete
-    graph), and is connected by construction.
+    graph), and is connected by construction. Node ``order[idx]`` joins a
+    uniform earlier node; extra edges are uniform node pairs, skipping
+    self-loops and repeats, in draw order until the target count. The draws
+    are made in batches, which read the generator's stream exactly as one
+    draw at a time does, and edges are inserted in that order.
     """
     if n == 1:
         return set()
     order = rng.permutation(n)
-    edges = set()
-    for idx in range(1, n):
-        parent = order[rng.integers(0, idx)]
-        a, b = int(order[idx]), int(parent)
-        edges.add((min(a, b), max(a, b)))
+    parents = order[rng.integers(0, np.arange(1, n))]
+    edges = set(zip(np.minimum(order[1:], parents).tolist(),
+                    np.maximum(order[1:], parents).tolist()))
     target = min(n * (n - 1) // 2, max(n - 1, math.ceil(n * degree / 2)))
     while len(edges) < target:
-        a, b = rng.integers(0, n, size=2)
-        if a != b:
-            edges.add((min(int(a), int(b)), max(int(a), int(b))))
+        pairs = rng.integers(0, n, size=(target - len(edges) + 16, 2))
+        for a, b in zip(*pairs.T.tolist()):
+            if a != b:
+                edges.add((min(a, b), max(a, b)))
+                if len(edges) == target:
+                    break
     return edges
 
 

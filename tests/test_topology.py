@@ -169,6 +169,35 @@ def test_metropolis_matrix_reads_the_edge_set_once(monkeypatch):
         assert calls == [5]
 
 
+def _one_draw_at_a_time(n, degree, rng):
+    """Reference random connected graph, drawing one number or pair at a time."""
+    if n == 1:
+        return set()
+    order = rng.permutation(n)
+    edges = set()
+    for idx in range(1, n):
+        a, b = int(order[idx]), int(order[rng.integers(0, idx)])
+        edges.add((min(a, b), max(a, b)))
+    target = min(n * (n - 1) // 2, max(n - 1, -(-n * degree // 2)))
+    while len(edges) < target:
+        a, b = rng.integers(0, n, size=2)
+        if a != b:
+            edges.add((min(int(a), int(b)), max(int(a), int(b))))
+    return edges
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 200])
+@pytest.mark.parametrize("degree", [1, 4, 9, 50])
+def test_random_edges_match_one_draw_at_a_time(n, degree):
+    # batched draws must give the same graphs, inserted in the same order
+    for seed in range(3):
+        seq = make_graph_sequence(n, "per-step-connected", degree=degree, seed=seed)
+        for k in range(3):
+            expected = frozenset(_one_draw_at_a_time(
+                n, degree, np.random.default_rng([seed, k])))
+            assert list(seq.edges_at(k)) == list(expected)
+
+
 def test_estimate_lambda_disconnected_raises():
     seq = make_graph_sequence(2, "static", edges=[])
     with pytest.raises(NonContractiveSequenceError):
