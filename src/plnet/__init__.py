@@ -52,6 +52,7 @@ from .topology import (
     estimate_lambda,
     make_graph_sequence,
     metropolis_matrix,
+    metropolis_weights,
     validate_mixing,
 )
 
@@ -95,6 +96,7 @@ __all__ = [
     "NonContractiveSequenceError",
     "make_graph_sequence",
     "metropolis_matrix",
+    "metropolis_weights",
     "estimate_lambda",
     "validate_mixing",
 ]

@@ -4,14 +4,32 @@ Stacked states, the averaging projection, and the gossip subroutine.
 A stacked state is a plain ``(n, d)`` float array whose row ``i`` is node
 ``i``'s copy of the parameter vector. The consensus set is the subspace of
 states with all rows equal; projecting onto it replaces every row by the
-column-wise mean. Gossip multiplies the state by one mixing matrix per
-round, advancing a global communication clock so that time-varying
-sequences stay aligned across calls.
+column-wise mean. Gossip applies one round of Metropolis mixing at a time,
+advancing a global communication clock so that time-varying sequences stay
+aligned across calls.
+
+A round costs what its graph costs. On small graphs, and on dense ones, it
+multiplies the state by the dense ``(n, n)`` mixing matrix. On large sparse
+graphs it moves data along the round's edges only,
+``z_i + sum_e w_e (z_j - z_i)``, in ``O(|E_t| d)`` time and without ever
+forming an ``(n, n)`` matrix. Which path a round takes depends only on ``n``
+and the round's edge count, through the crossover constants below; the two
+paths agree to a few ULP.
 """
 
 import numpy as np
 
 __all__ = ["CommClock", "average_projection", "consensus_error", "run_consensus"]
+
+# Crossover between the dense product ``W @ z`` and the edge-list round,
+# measured once with d = 8 and one BLAS thread on a 2-vCPU x86-64 VM. Below
+# EDGE_MIN_NODES nodes the dense matrix stays in cache and wins (n = 300
+# ring: 44 us dense, 52 us edge list). Above it the edge list, about 0.12 us
+# per edge, wins while a round has at most EDGE_MAX_FILL * n**2 edges
+# (n = 1000: about 1 ms dense; edge list 129 us on a ring, 715 us at mean
+# degree 12, 1.2 ms at mean degree 20).
+EDGE_MIN_NODES = 400
+EDGE_MAX_FILL = 1 / 128
 
 
 class CommClock:
@@ -52,6 +70,21 @@ def consensus_error(x):
     return float(np.linalg.norm(x - x.mean(axis=0, keepdims=True)))
 
 
+def _edge_round(z, i, j, w):
+    """One gossip round ``z_i + sum_e w_e (z_j - z_i)`` over edge arrays.
+
+    Every edge ``(i[e], j[e])`` moves ``w[e] (z_j - z_i)`` into row ``i`` and
+    its negative into row ``j``; ``np.bincount`` sums the moves over the
+    flattened ``(node, column)`` indices.
+    """
+    n, d = z.shape
+    moves = w[:, None] * (z.take(j, axis=0) - z.take(i, axis=0))
+    index = (np.concatenate((i, j))[:, None] * d + np.arange(d)).ravel()
+    delta = np.bincount(index, weights=np.concatenate((moves, -moves)).ravel(),
+                        minlength=n * d)
+    return z + delta.reshape(n, d)
+
+
 def run_consensus(z0, rounds, model, clock):
     """Run ``rounds`` gossip rounds starting from the clock's current time.
 
@@ -60,6 +93,11 @@ def run_consensus(z0, rounds, model, clock):
     mean invariant, so the projection of the output equals the projection
     of the input up to floating point.
 
+    A round on at least ``EDGE_MIN_NODES`` nodes with at most
+    ``EDGE_MAX_FILL * n**2`` edges is applied from the model's edge weights
+    (:meth:`~plnet.topology.MixingModel.weights_at`); every other round
+    multiplies by :meth:`~plnet.topology.MixingModel.matrix_at`.
+
     Parameters
     ----------
     z0 : ndarray
@@ -67,7 +105,7 @@ def run_consensus(z0, rounds, model, clock):
     rounds : int
         Number of communication rounds; 0 returns ``z0`` unchanged.
     model : topology.MixingModel
-        Source of mixing matrices.
+        Source of mixing weights.
     clock : CommClock
         Global round cursor, advanced in place.
     """
@@ -76,8 +114,14 @@ def run_consensus(z0, rounds, model, clock):
     if rounds == 0:
         return z0
     z = np.asarray(z0, dtype=float)
+    large = model.n >= EDGE_MIN_NODES
     t0 = clock.t0
-    for k in range(rounds):
-        z = model.matrix_at(t0 + k) @ z
+    for t in range(t0, t0 + rounds):
+        if large:
+            i, j, w = model.weights_at(t)
+            if len(w) <= EDGE_MAX_FILL * model.n ** 2:
+                z = _edge_round(z, i, j, w)
+                continue
+        z = model.matrix_at(t) @ z
     clock.advance(rounds)
     return z

@@ -35,6 +35,7 @@ __all__ = [
     "NonContractiveSequenceError",
     "make_graph_sequence",
     "metropolis_matrix",
+    "metropolis_weights",
     "estimate_lambda",
     "validate_mixing",
 ]
@@ -226,9 +227,24 @@ def make_graph_sequence(n, kind, **params):
 
 
 def _endpoints(edges):
-    """Endpoint index arrays ``(i, j)`` of an edge set."""
-    ends = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
-    return ends[:, 0], ends[:, 1]
+    """Endpoint index arrays ``(i, j)`` of an edge set, each contiguous."""
+    ends = np.array(list(edges), dtype=np.intp).reshape(-1, 2).T.copy()
+    return ends[0], ends[1]
+
+
+def metropolis_weights(seq, k):
+    """Metropolis weights of ``seq`` at round ``k`` as edge arrays ``(i, j, w)``.
+
+    Edge ``(i[e], j[e])`` carries weight ``w[e] = 1 / (1 + max(deg_i, deg_j))``
+    in both directions; the diagonal holds the remaining mass of each row.
+    This is the only place the weight formula lives: :func:`metropolis_matrix`
+    scatters these arrays into a dense matrix.
+    """
+    if k < 0:
+        raise ValueError("time index must be >= 0")
+    i, j = _endpoints(seq.edges_at(k))
+    deg = np.bincount(np.concatenate((i, j)), minlength=seq.n)
+    return i, j, 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
 
 
 def metropolis_matrix(seq, k):
@@ -238,13 +254,9 @@ def metropolis_matrix(seq, k):
     elsewhere; each diagonal entry absorbs the remaining mass so that rows
     and columns sum to one.
     """
-    if k < 0:
-        raise ValueError("time index must be >= 0")
-    n = seq.n
-    i, j = _endpoints(seq.edges_at(k))
-    deg = np.bincount(np.concatenate((i, j)), minlength=n)
-    w = np.zeros((n, n))
-    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    i, j, weights = metropolis_weights(seq, k)
+    w = np.zeros((seq.n, seq.n))
+    w[i, j] = w[j, i] = weights
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 
@@ -252,8 +264,9 @@ def metropolis_matrix(seq, k):
 class MixingModel:
     """A mixing-matrix sequence with its contraction parameters.
 
-    Wraps a :class:`GraphSequence` and serves the Metropolis matrix for any
-    round through :meth:`matrix_at` (cached over the sequence period). The
+    Wraps a :class:`GraphSequence` and serves the Metropolis weights of any
+    round, as a dense matrix through :meth:`matrix_at` or as edge arrays
+    through :meth:`weights_at`, each cached over the sequence period. The
     per-window contraction factor ``lam`` is measured lazily, on first use,
     by :func:`estimate_lambda`: exactly for periodic sequences, as a sampled
     estimate for aperiodic ones.
@@ -265,6 +278,11 @@ class MixingModel:
         self.tau = seq.tau
         self._lam = None
         self._cache = {}
+        self._weights = {}
+
+    # matrix_at and weights_at repeat one cache pattern inline: matrix_at is
+    # called once per dense gossip round, where a shared helper call costs
+    # several percent on small graphs
 
     def matrix_at(self, k):
         if self.seq.period is not None:
@@ -273,6 +291,14 @@ class MixingModel:
                 self._cache[key] = metropolis_matrix(self.seq, key)
             return self._cache[key]
         return metropolis_matrix(self.seq, k)
+
+    def weights_at(self, k):
+        if self.seq.period is not None:
+            key = k % self.seq.period
+            if key not in self._weights:
+                self._weights[key] = metropolis_weights(self.seq, key)
+            return self._weights[key]
+        return metropolis_weights(self.seq, k)
 
     @property
     def lam(self):
@@ -286,12 +312,13 @@ def estimate_lambda(model, horizon=None):
 
     For every probed window start ``s`` the product
     ``W(s+tau-1) ... W(s+1) W(s)`` is formed and the largest singular value
-    of (product - uniform averaging matrix) is taken. The returned factor is
-    one minus the worst such value. A periodic sequence repeats its windows
-    with its period, so probing the starts ``0 .. period-1`` covers every
-    window and the factor is exact. An aperiodic sequence is probed on its
-    first ``horizon`` windows; the factor is then a sampled estimate, not a
-    bound.
+    of (product - uniform averaging matrix) is taken; for ``tau = 1`` the
+    window is one symmetric matrix, so this is its largest absolute
+    eigenvalue. The returned factor is one minus the worst such value. A
+    periodic sequence repeats its windows with its period, so probing the
+    starts ``0 .. period-1`` covers every window and the factor is exact. An
+    aperiodic sequence is probed on its first ``horizon`` windows; the factor
+    is then a sampled estimate, not a bound.
 
     Parameters
     ----------
@@ -325,7 +352,13 @@ def estimate_lambda(model, horizon=None):
         window = model.matrix_at(s)
         for k in range(s + 1, s + tau):
             window = model.matrix_at(k) @ window
-        worst = max(worst, np.linalg.svd(window - avg, compute_uv=False)[0])
+        if tau == 1:
+            # one symmetric Metropolis matrix: its singular values are the
+            # absolute eigenvalues, which eigvalsh finds about 3x faster
+            top = np.abs(np.linalg.eigvalsh(window - avg)).max()
+        else:
+            top = np.linalg.svd(window - avg, compute_uv=False)[0]
+        worst = max(worst, top)
     if worst >= 1.0 - CONTRACTION_TOL:
         raise NonContractiveSequenceError(
             f"window singular value {worst:.17g} reaches 1: "

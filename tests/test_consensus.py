@@ -3,12 +3,17 @@ import pytest
 
 from plnet import (
     CommClock,
+    DGDConfig,
     MixingModel,
     average_projection,
+    build_least_squares,
+    consensus,
     consensus_error,
+    dgd_run,
     estimate_lambda,
     make_graph_sequence,
     run_consensus,
+    topology,
 )
 
 
@@ -124,3 +129,35 @@ def test_matrix_sequences_bit_identical_across_runs():
               for k in range(8)]
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a, b)
+
+
+def test_per_step_gossip_above_the_crossover_builds_no_dense_matrix(monkeypatch):
+    n = consensus.EDGE_MIN_NODES
+
+    def refuse(seq, k):
+        raise AssertionError(f"dense Metropolis matrix built for round {k}")
+
+    monkeypatch.setattr(topology, "metropolis_matrix", refuse)
+    problem, profile = build_least_squares(n, 2, seed=0)
+    model = MixingModel(make_graph_sequence(n, "per-step-connected", degree=4, seed=1))
+    config = DGDConfig(gamma=1.0 / profile.L_g, iterations=3, rounds_schedule=2)
+    record, _ = dgd_run(problem, model, config, np.zeros((n, 2)))
+    assert record.meta["total_comm_rounds"] == 6
+    assert record.f_gap[-1] < record.f_gap[0]
+
+
+def test_complete_graph_above_the_crossover_stays_dense(monkeypatch):
+    n = consensus.EDGE_MIN_NODES
+    model = MixingModel(make_graph_sequence(n, "static", topology="complete"))
+    served = []
+    original = MixingModel.matrix_at
+
+    def counting(self, k):
+        served.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(MixingModel, "matrix_at", counting)
+    z = np.random.default_rng(7).standard_normal((n, 2))
+    out = run_consensus(z, 4, model, CommClock(3))
+    assert served == [3, 4, 5, 6]
+    np.testing.assert_allclose(out, average_projection(z), rtol=0, atol=1e-12)

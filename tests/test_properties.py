@@ -1,9 +1,11 @@
 """Property tests of Metropolis mixing and gossip over arbitrary edge sets,
-and of the monotonicity of the minimization budgets."""
+of the edge-list gossip round against the dense product, and of the
+monotonicity of the minimization budgets."""
 
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from plnet import (
     budget_min_deterministic,
     budget_min_stochastic,
     build_least_squares,
+    consensus,
     make_graph_sequence,
     metropolis_matrix,
 )
@@ -75,6 +78,58 @@ def test_gossip_preserves_the_mean(graph, rounds, d, seed):
     out = run_consensus(z, rounds, model, CommClock())
     drift = np.abs(average_projection(out) - average_projection(z)).max()
     assert drift <= 1e-12 * (1 + rounds) * np.abs(z).max()
+
+
+@st.composite
+def mixing_models(draw):
+    """A mixing model of any sequence kind on 1 to 30 nodes.
+
+    ``static`` draws any edge set (so empty graphs and isolated nodes);
+    ``tau-connected`` and ``per-step-connected`` draw random graphs.
+    """
+    kind = draw(st.sampled_from(["static", "tau-connected", "per-step-connected"]))
+    if kind == "static":
+        n, edges = draw(edge_sets())
+        return MixingModel(make_graph_sequence(n, kind, edges=edges))
+    n = draw(st.integers(1, 30))
+    graph = {"degree": draw(st.integers(1, 8)), "seed": draw(st.integers(0, 2**16))}
+    if kind == "tau-connected":
+        graph.update(tau=draw(st.integers(1, 4)), topology="random")
+    return MixingModel(make_graph_sequence(n, kind, **graph))
+
+
+def _dense_gossip(z, rounds, model, t0):
+    for t in range(t0, t0 + rounds):
+        z = metropolis_matrix(model.seq, t) @ z
+    return z
+
+
+@PROPERTY_SETTINGS
+@given(mixing_models(), st.integers(0, 8), st.integers(0, 20), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_edge_list_round_matches_the_dense_product(model, rounds, t0, d, seed):
+    z = np.random.default_rng(seed).standard_normal((model.n, d))
+
+    def refuse(self, k):
+        raise AssertionError("the edge path asked for a dense matrix")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(consensus, "EDGE_MIN_NODES", 0)
+        patch.setattr(consensus, "EDGE_MAX_FILL", 1.0)
+        patch.setattr(MixingModel, "matrix_at", refuse)
+        out = run_consensus(z, rounds, model, CommClock(t0))
+    scale = np.abs(z).max()
+    assert np.abs(out - _dense_gossip(z, rounds, model, t0)).max() <= 1e-12 * scale
+    assert np.abs(out.mean(axis=0) - z.mean(axis=0)).max() <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(mixing_models(), st.integers(0, 8), st.integers(0, 20), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_gossip_below_the_crossover_is_the_dense_product(model, rounds, t0, d, seed):
+    z = np.random.default_rng(seed).standard_normal((model.n, d))
+    out = run_consensus(z, rounds, model, CommClock(t0))
+    np.testing.assert_array_equal(out, _dense_gossip(z, rounds, model, t0))
 
 
 @st.composite
