@@ -247,14 +247,15 @@ def metropolis_weights(seq, k):
     return i, j, 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
 
 
-def metropolis_matrix(seq, k):
+def metropolis_matrix(seq, k, weights=None):
     """Metropolis mixing matrix of ``seq`` at round ``k``.
 
     Off-diagonal entries are ``1 / (1 + max(deg_i, deg_j))`` on edges and 0
     elsewhere; each diagonal entry absorbs the remaining mass so that rows
-    and columns sum to one.
+    and columns sum to one. ``weights``, when given, are the round's edge
+    arrays from :func:`metropolis_weights`, which are then not rebuilt.
     """
-    i, j, weights = metropolis_weights(seq, k)
+    i, j, weights = metropolis_weights(seq, k) if weights is None else weights
     w = np.zeros((seq.n, seq.n))
     w[i, j] = w[j, i] = weights
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
@@ -279,10 +280,13 @@ class MixingModel:
         self._lam = None
         self._cache = {}
         self._weights = {}
+        self._latest = (None, None)
 
     # matrix_at and weights_at repeat one cache pattern inline: matrix_at is
     # called once per dense gossip round, where a shared helper call costs
-    # several percent on small graphs
+    # several percent on small graphs. An aperiodic sequence keeps only its
+    # latest round's weights, so a round whose edge count gossip reads
+    # through weights_at builds its graph once when it then turns out dense.
 
     def matrix_at(self, k):
         if self.seq.period is not None:
@@ -290,7 +294,7 @@ class MixingModel:
             if key not in self._cache:
                 self._cache[key] = metropolis_matrix(self.seq, key)
             return self._cache[key]
-        return metropolis_matrix(self.seq, k)
+        return metropolis_matrix(self.seq, k, self.weights_at(k))
 
     def weights_at(self, k):
         if self.seq.period is not None:
@@ -298,7 +302,9 @@ class MixingModel:
             if key not in self._weights:
                 self._weights[key] = metropolis_weights(self.seq, key)
             return self._weights[key]
-        return metropolis_weights(self.seq, k)
+        if self._latest[0] != k:
+            self._latest = (k, metropolis_weights(self.seq, k))
+        return self._latest[1]
 
     @property
     def lam(self):

@@ -161,3 +161,30 @@ def test_complete_graph_above_the_crossover_stays_dense(monkeypatch):
     out = run_consensus(z, 4, model, CommClock(3))
     assert served == [3, 4, 5, 6]
     np.testing.assert_allclose(out, average_projection(z), rtol=0, atol=1e-12)
+
+
+def test_dense_per_step_round_above_the_crossover_builds_its_graph_once(monkeypatch):
+    n = consensus.EDGE_MIN_NODES
+    model = MixingModel(make_graph_sequence(n, "per-step-connected", degree=8, seed=1))
+    built, served = [], []
+    edges_at, matrix_at = topology.GraphSequence.edges_at, MixingModel.matrix_at
+
+    def counting_edges(self, k):
+        built.append(k)
+        return edges_at(self, k)
+
+    def counting_matrix(self, k):
+        served.append(k)
+        return matrix_at(self, k)
+
+    monkeypatch.setattr(topology.GraphSequence, "edges_at", counting_edges)
+    monkeypatch.setattr(MixingModel, "matrix_at", counting_matrix)
+    z = np.random.default_rng(3).standard_normal((n, 2))
+    out = run_consensus(z, 5, model, CommClock(2))
+    assert built == served == [2, 3, 4, 5, 6]
+    expected = z
+    for k in range(2, 7):
+        # every round is too dense for the edge list
+        assert len(topology.metropolis_weights(model.seq, k)[2]) > consensus.EDGE_MAX_FILL * n ** 2
+        expected = topology.metropolis_matrix(model.seq, k) @ expected
+    np.testing.assert_array_equal(out, expected)

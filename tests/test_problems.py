@@ -207,3 +207,37 @@ def test_saddle_smoothness_formula_consistency():
     assert prof.L_x == pytest.approx(prof.L_xx_g + prof.L_xy_g / prof.mu_y,
                                      abs=1e-12)
     assert prof.mu_x_unnormalized == pytest.approx(3 * prof.mu_x, abs=1e-12)
+
+
+class _Untouchable:
+    """Stands in for a raw data array; any use of it raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"raw data read through .{name}")
+
+    def __getitem__(self, key):
+        raise AssertionError("raw data indexed")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("raw data converted to an array")
+
+
+def test_stacked_gradients_use_only_the_per_node_blocks():
+    ls, _ = build_least_squares(5, 3, d_i=4, seed=42)
+    saddle, _ = build_robust_ls(5, 2, 3, d_i=4, alpha=1.5, seed=42)
+    rng = np.random.default_rng(43)
+    x, xs, ys = (rng.standard_normal(shape) for shape in ((5, 3), (5, 2), (5, 3)))
+    before = (ls.grad_stacked(x), saddle.grad_x_stacked(xs, ys),
+              saddle.grad_y_stacked(xs, ys))
+    ls.A = ls.y0 = _Untouchable()
+    saddle.A = saddle.B = saddle.y0 = _Untouchable()
+    after = (ls.grad_stacked(x), saddle.grad_x_stacked(xs, ys),
+             saddle.grad_y_stacked(xs, ys))
+    for old, new in zip(before, after):
+        np.testing.assert_array_equal(new, old)
+    with pytest.raises(ValueError):
+        ls.grad_stacked(np.zeros((5, 2)))
+    # widths that only add up, x and y swapped, are refused as well
+    for grad in (saddle.grad_x_stacked, saddle.grad_y_stacked):
+        with pytest.raises(ValueError):
+            grad(ys, xs)

@@ -1,16 +1,19 @@
 """Property tests of Metropolis mixing and gossip over arbitrary edge sets,
-of the edge-list gossip round against the dense product, and of the
-monotonicity of the minimization budgets."""
+of the edge-list gossip round against the dense product, of the monotonicity
+of the minimization budgets, and of the per-node block form of the stacked
+gradients against the per-node definitions."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plnet import (
+    LeastSquaresProblem,
     MixingModel,
+    RobustLeastSquaresProblem,
     budget_min_deterministic,
     budget_min_stochastic,
     build_least_squares,
@@ -187,3 +190,64 @@ def test_budget_floor_nondecreasing_in_delta_and_sigma(instance, eps, delta_prim
                  _budgets(instance, eps, delta_prime, delta[0], sigma[1])):
         for b_low, b_high in zip(low, high):
             assert b_high.floor >= b_low.floor
+
+
+# shapes (n, d_x, d_y, d_i), alpha, data scale, seed
+GRADIENT_SHAPES = st.tuples(st.integers(1, 8), st.integers(1, 5), st.integers(1, 5),
+                            st.integers(1, 8))
+ALPHAS = st.one_of(st.just(1.0 + 1e-12), st.floats(1.0 + 1e-9, 10.0))
+SCALES = st.sampled_from([1e-3, 1.0, 1e3])
+GRADIENT_RTOL = 1e-12
+
+
+def _row_scales(A, B, y0, x, y, alpha):
+    """Per-row size of the terms that enter a node gradient: the yardstick
+    for the rounding difference between the two forms."""
+    a = np.linalg.norm(A, axis=(1, 2))
+    b = np.linalg.norm(B, axis=(1, 2))
+    return (a + b) * (a * np.linalg.norm(x, axis=1) + np.linalg.norm(y0, axis=1)
+                      + alpha * b * np.linalg.norm(y, axis=1))
+
+
+def _assert_rows_close(actual, expected, scales):
+    for row, ref, scale in zip(actual, expected, scales):
+        assert np.abs(row - ref).max() <= GRADIENT_RTOL * scale
+
+
+@PROPERTY_SETTINGS
+@given(GRADIENT_SHAPES, ALPHAS, SCALES, st.integers(0, 2**32 - 1))
+@example((1, 3, 2, 4), 2.0, 1.0, 0)     # one node
+@example((4, 1, 1, 3), 2.0, 1.0, 1)     # d = 1
+@example((3, 5, 4, 2), 2.0, 1.0, 2)     # d_i < d
+@example((3, 2, 3, 8), 2.0, 1e3, 3)     # d_i > d
+@example((5, 2, 2, 6), 1.0 + 1e-12, 1.0, 4)  # alpha close to 1
+def test_stacked_gradients_match_the_node_definitions(shape, alpha, scale, seed):
+    n, d_x, d_y, d_i = shape
+    rng = np.random.default_rng(seed)
+    A = scale * rng.standard_normal((n, d_i, d_x))
+    B = scale * rng.standard_normal((n, d_i, d_y))
+    y0 = scale * rng.standard_normal((n, d_i))
+    x, y = rng.standard_normal((n, d_x)), rng.standard_normal((n, d_y))
+    ls = LeastSquaresProblem(A, y0)
+    saddle = RobustLeastSquaresProblem(A, B, y0, alpha)
+
+    ls_scales = _row_scales(A, np.zeros_like(B), y0, x, np.zeros_like(y), alpha)
+    _assert_rows_close(ls.grad_stacked(x),
+                       [ls.node_grad(i, x[i]) for i in range(n)], ls_scales)
+    scales = _row_scales(A, B, y0, x, y, alpha)
+    _assert_rows_close(saddle.grad_x_stacked(x, y),
+                       [saddle.node_grad_x(i, x[i], y[i]) for i in range(n)], scales)
+    _assert_rows_close(saddle.grad_y_stacked(x, y),
+                       [saddle.node_grad_y(i, x[i], y[i]) for i in range(n)], scales)
+
+    # at a consensual state the row mean is the gradient of the average
+    xc, yc = np.tile(x[0], (n, 1)), np.tile(y[0], (n, 1))
+    ls_mean_scale = _row_scales(A, np.zeros_like(B), y0, xc, np.zeros_like(yc),
+                                alpha).mean()
+    mean_scale = _row_scales(A, B, y0, xc, yc, alpha).mean()
+    _assert_rows_close([ls.grad_stacked(xc).mean(axis=0)], [ls.grad_f(x[0])],
+                       [ls_mean_scale])
+    _assert_rows_close([saddle.grad_x_stacked(xc, yc).mean(axis=0)],
+                       [saddle.grad_x(x[0], y[0])], [mean_scale])
+    _assert_rows_close([saddle.grad_y_stacked(xc, yc).mean(axis=0)],
+                       [saddle.grad_y(x[0], y[0])], [mean_scale])
