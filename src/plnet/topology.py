@@ -12,6 +12,11 @@ round ``k``. Three kinds are supported:
   graph into ``tau`` edge batches, so the union of edges over any ``tau``
   consecutive rounds is connected.
 
+Every edge set, from its construction to the Metropolis weights, is held
+as a pair of endpoint arrays ``(i, j)``: contiguous, read-only ``intp``
+arrays with ``i < j`` on every edge, sorted by ``(i, j)``. Code that sums
+over edges therefore sums in one fixed order.
+
 Mixing matrices use Metropolis weights: entry ``1 / (1 + max(deg_i, deg_j))``
 on edges, zero off the edge set, and the complementary mass on the
 diagonal. These matrices are doubly stochastic and nonnegative, and over
@@ -48,59 +53,83 @@ class NonContractiveSequenceError(ValueError):
     """Raised when a probed window of mixing matrices does not contract."""
 
 
+def _frozen(i, j):
+    """Contiguous read-only ``intp`` endpoint arrays ``(i, j)``.
+
+    Edge arrays are shared by every round of a periodic sequence and every
+    model built on it, so no caller may write into them.
+    """
+    i = np.ascontiguousarray(i, dtype=np.intp)
+    j = np.ascontiguousarray(j, dtype=np.intp)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def _from_keys(n, keys):
+    """Endpoint arrays of sorted, distinct edge keys ``i * n + j`` (i < j)."""
+    return _frozen(keys // n, keys % n)
+
+
 def _canonical_edges(n, edges):
-    """Normalize an edge iterable to a frozenset of (i, j) with i < j."""
-    out = set()
-    for a, b in edges:
-        a, b = int(a), int(b)
-        if a == b:
-            raise ValueError(f"self-loop ({a},{a}) is not allowed")
-        i, j = (a, b) if a < b else (b, a)
-        if not 0 <= i < j < n:
-            raise ValueError(f"edge ({a},{b}) out of range for n={n}")
-        out.add((i, j))
-    return frozenset(out)
+    """Check an edge list from outside and return its canonical arrays.
+
+    ``edges`` is an iterable of node pairs in either orientation, repeats
+    allowed. Raises ``ValueError`` on the first self-loop or out-of-range
+    pair, in input order.
+    """
+    pairs = np.array(list(edges), dtype=np.intp)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be a list of (i, j) node pairs")
+    a, b = pairs.T
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    bad = (a == b) | (i < 0) | (j >= n)
+    if bad.any():
+        x, y = (int(v) for v in pairs[np.argmax(bad)])
+        if x == y:
+            raise ValueError(f"self-loop ({x},{x}) is not allowed")
+        raise ValueError(f"edge ({x},{y}) out of range for n={n}")
+    return _from_keys(n, np.unique(i * n + j))
 
 
-def _is_connected(n, edges):
-    """BFS connectivity check on an undirected edge set."""
-    if n <= 1:
-        return True
-    adj = {i: [] for i in range(n)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
+def _is_connected(n, i, j):
+    """Connectivity of the edge arrays ``(i, j)`` on ``n`` nodes.
+
+    Each node's label starts as its own index and repeatedly drops to the
+    smallest label among itself and its neighbours, then to its label's
+    label. Labels never leave a component and stop changing once every
+    component carries the index of its smallest node, so the graph is
+    connected exactly when every label ends at 0.
+    """
+    label = np.arange(n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, i, label[j])
+        np.minimum.at(low, j, label[i])
+        low = low[low]
+        if np.array_equal(low, label):
+            return not label.any()
+        label = low
 
 
-def _base_edges(n, topology, degree=None, rng=None):
-    """Edge set of a named base topology on n nodes."""
+def _base_edges(n, topology, degree, rng):
+    """Canonical endpoint arrays of a named base topology on n nodes."""
+    nodes = np.arange(n)
     if topology == "complete":
-        return {(i, j) for i in range(n) for j in range(i + 1, n)}
-    if topology == "ring":
-        if n == 1:
-            return set()
-        if n == 2:
-            return {(0, 1)}
-        return {(i, (i + 1) % n) if i + 1 < n else (0, n - 1) for i in range(n)}
-    if topology == "path":
-        return {(i, i + 1) for i in range(n - 1)}
+        return _frozen(*np.triu_indices(n, 1))
+    if topology in ("path", "ring"):
+        keys = nodes[:-1] * (n + 1) + 1  # (v, v + 1)
+        if topology == "ring" and n > 2:
+            keys = np.append(keys, n - 1)  # (0, n - 1)
+        return _from_keys(n, np.sort(keys))
     if topology == "star":
-        return {(0, i) for i in range(1, n)}
+        return _from_keys(n, nodes[1:])
     if topology == "empty":
-        return set()
+        return _from_keys(n, nodes[:0])
     if topology == "random":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        return _random_connected_edges(n, degree if degree is not None else 4, rng)
+        return _random_connected_edges(n, 4 if degree is None else degree, rng)
     raise ValueError(f"unknown topology {topology!r}")
 
 
@@ -112,33 +141,37 @@ def _random_connected_edges(n, degree, rng):
     uniform earlier node; extra edges are uniform node pairs, skipping
     self-loops and repeats, in draw order until the target count. The draws
     are made in batches, which read the generator's stream exactly as one
-    draw at a time does, and edges are inserted in that order.
+    draw at a time does, so the edge set is the one that reading gives.
+    Edges are handled as sorted keys ``i * n + j``; a batch keeps the first
+    draw of each new key and, of those, as many as the target still needs.
     """
-    if n == 1:
-        return set()
     order = rng.permutation(n)
     parents = order[rng.integers(0, np.arange(1, n))]
-    edges = set(zip(np.minimum(order[1:], parents).tolist(),
-                    np.maximum(order[1:], parents).tolist()))
+    keys = np.sort(np.minimum(order[1:], parents) * n
+                   + np.maximum(order[1:], parents))
     target = min(n * (n - 1) // 2, max(n - 1, math.ceil(n * degree / 2)))
-    while len(edges) < target:
-        pairs = rng.integers(0, n, size=(target - len(edges) + 16, 2))
-        for a, b in zip(*pairs.T.tolist()):
-            if a != b:
-                edges.add((min(a, b), max(a, b)))
-                if len(edges) == target:
-                    break
-    return edges
+    while len(keys) < target:
+        a, b = rng.integers(0, n, size=(target - len(keys) + 16, 2)).T
+        drawn = (np.minimum(a, b) * n + np.maximum(a, b))[a != b]
+        distinct, first = np.unique(drawn, return_index=True)
+        known = keys[np.minimum(np.searchsorted(keys, distinct), len(keys) - 1)]
+        first = np.sort(first[known != distinct])[:target - len(keys)]
+        keys = np.sort(np.concatenate((keys, drawn[first])))
+    return _from_keys(n, keys)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphSequence:
     """Time-indexed undirected edge sets on ``n`` fixed nodes.
 
-    ``edges_at(k)`` returns the edge set active during communication round
-    ``k``. ``period`` is the length of the repeating cycle of edge sets
+    ``edges_at(k)`` returns the edges active during communication round
+    ``k`` as endpoint arrays ``(i, j)``: contiguous, read-only ``intp``
+    arrays with ``i < j`` everywhere, sorted by ``(i, j)``, one entry per
+    edge. Periodic sequences return the same cached arrays at every round
+    of a residue class; ``per-step-connected`` builds fresh ones on every
+    call. ``period`` is the length of the repeating cycle of edge sets
     (``None`` for aperiodic random sequences); it lets mixing matrices be
-    cached.
+    cached. Sequences compare by identity.
     """
 
     n: int
@@ -154,8 +187,16 @@ class GraphSequence:
             raise ValueError("time index must be >= 0")
         if self.kind == "per-step-connected":
             rng = np.random.default_rng([self._seed, k])
-            return frozenset(_random_connected_edges(self.n, self._degree, rng))
+            return _random_connected_edges(self.n, self._degree, rng)
         return self._batches[k % len(self._batches)]
+
+
+def _base_graph(n, params, topology):
+    """Endpoint arrays of a sequence's base graph: explicit or named."""
+    if "edges" in params:
+        return _canonical_edges(n, params["edges"])
+    rng = np.random.default_rng(params.get("seed", 0))
+    return _base_edges(n, params.get("topology", topology), params.get("degree"), rng)
 
 
 def make_graph_sequence(n, kind, **params):
@@ -169,10 +210,11 @@ def make_graph_sequence(n, kind, **params):
         One of ``"static"``, ``"per-step-connected"``, ``"tau-connected"``.
     **params
         Kind-specific parameters. ``static``: ``topology`` (name or explicit
-        ``edges`` list), optional ``degree`` and ``seed`` for
+        ``edges`` list of node pairs), optional ``degree`` and ``seed`` for
         ``topology="random"``. ``per-step-connected``: ``degree``, ``seed``.
         ``tau-connected``: ``tau`` plus the base topology parameters; the base
-        graph is split into ``tau`` rotating edge batches.
+        graph's edges, sorted by ``(i, j)``, are dealt round-robin into
+        ``tau`` rotating batches.
 
     Returns
     -------
@@ -181,22 +223,15 @@ def make_graph_sequence(n, kind, **params):
     Raises
     ------
     ValueError
-        If ``n < 1``, the topology is unknown, or a ``tau-connected``
-        request has a disconnected base graph (its union can then never be
-        connected within ``tau`` steps).
+        If ``n < 1``, the topology is unknown, an explicit edge is a
+        self-loop or names a node outside ``0 .. n-1``, or a
+        ``tau-connected`` request has a disconnected base graph (its union
+        can then never be connected within ``tau`` steps).
     """
     if n < 1:
         raise ValueError("node count must be >= 1")
     if kind == "static":
-        if "edges" in params:
-            edges = _canonical_edges(n, params["edges"])
-        else:
-            rng = np.random.default_rng(params.get("seed", 0))
-            edges = _canonical_edges(
-                n,
-                _base_edges(n, params.get("topology", "complete"),
-                            params.get("degree"), rng),
-            )
+        edges = _base_graph(n, params, "complete")
         return GraphSequence(n=n, kind=kind, tau=1, period=1, _batches=(edges,))
     if kind == "per-step-connected":
         seed = params.get("seed", 0)
@@ -207,29 +242,14 @@ def make_graph_sequence(n, kind, **params):
         tau = int(params.get("tau", 1))
         if tau < 1:
             raise ValueError("tau must be >= 1")
-        rng = np.random.default_rng(params.get("seed", 0))
-        base = sorted(_canonical_edges(
-            n,
-            params.get("edges",
-                       _base_edges(n, params.get("topology", "ring"),
-                                   params.get("degree"), rng)),
-        ))
-        if not _is_connected(n, base):
+        i, j = _base_graph(n, params, "ring")
+        if not _is_connected(n, i, j):
             raise ValueError(
                 "tau-connected schedule cannot cover a connected union: "
                 "base graph is disconnected")
-        batches = tuple(
-            frozenset(e for idx, e in enumerate(base) if idx % tau == b)
-            for b in range(tau)
-        )
+        batches = tuple(_frozen(i[b::tau], j[b::tau]) for b in range(tau))
         return GraphSequence(n=n, kind=kind, tau=tau, period=tau, _batches=batches)
     raise ValueError(f"unknown graph sequence kind {kind!r}")
-
-
-def _endpoints(edges):
-    """Endpoint index arrays ``(i, j)`` of an edge set, each contiguous."""
-    ends = np.array(list(edges), dtype=np.intp).reshape(-1, 2).T.copy()
-    return ends[0], ends[1]
 
 
 def metropolis_weights(seq, k):
@@ -242,7 +262,7 @@ def metropolis_weights(seq, k):
     """
     if k < 0:
         raise ValueError("time index must be >= 0")
-    i, j = _endpoints(seq.edges_at(k))
+    i, j = seq.edges_at(k)
     deg = np.bincount(np.concatenate((i, j)), minlength=seq.n)
     return i, j, 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
 
@@ -397,7 +417,7 @@ def validate_mixing(w, seq, k):
     n = seq.n
     if w.shape != (n, n):
         raise ValueError(f"matrix shape {w.shape} does not match n={n}")
-    i, j = _endpoints(seq.edges_at(k))
+    i, j = seq.edges_at(k)
     allowed = np.eye(n, dtype=bool)
     allowed[i, j] = allowed[j, i] = True
     off_pattern = [(int(a), int(b)) for a, b in np.argwhere((w != 0.0) & ~allowed)]

@@ -40,3 +40,9 @@ def bfs_connected(n, edges):
                     nxt.append(v)
         frontier = nxt
     return len(seen) == n
+
+
+def edge_list(edges):
+    """Edge endpoint arrays ``(i, j)`` as a list of ``(int, int)`` pairs."""
+    i, j = edges
+    return list(zip(i.tolist(), j.tolist()))

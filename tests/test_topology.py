@@ -12,20 +12,20 @@ from plnet import (
 )
 from plnet.consensus import average_projection
 
-from helpers import bfs_connected
+from helpers import bfs_connected, edge_list
 
 
 def test_complete_graph_edges():
     seq = make_graph_sequence(3, "static", topology="complete")
     expected = {(0, 1), (0, 2), (1, 2)}
     for k in range(5):
-        assert seq.edges_at(k) == expected
+        assert set(edge_list(seq.edges_at(k))) == expected
 
 
 def test_single_node_empty_graph():
     seq = make_graph_sequence(1, "static", topology="empty")
-    assert seq.edges_at(0) == frozenset()
-    assert seq.edges_at(7) == frozenset()
+    assert edge_list(seq.edges_at(0)) == []
+    assert edge_list(seq.edges_at(7)) == []
 
 
 def test_rotating_ring_windows_connected():
@@ -35,18 +35,18 @@ def test_rotating_ring_windows_connected():
     for k in range(horizon):
         union = set()
         for j in range(3):
-            union |= seq.edges_at(k + j)
+            union |= set(edge_list(seq.edges_at(k + j)))
         assert bfs_connected(6, union)
     # single batches are not connected (the decomposition is nontrivial)
-    assert not bfs_connected(6, seq.edges_at(0))
+    assert not bfs_connected(6, edge_list(seq.edges_at(0)))
 
 
 def test_per_step_connected_every_round():
     seq = make_graph_sequence(7, "per-step-connected", degree=3, seed=2)
     for k in range(20):
-        assert bfs_connected(7, seq.edges_at(k))
+        assert bfs_connected(7, edge_list(seq.edges_at(k)))
     # deterministic per round
-    assert seq.edges_at(4) == seq.edges_at(4)
+    assert edge_list(seq.edges_at(4)) == edge_list(seq.edges_at(4))
 
 
 def test_rejects_zero_nodes():
@@ -64,6 +64,46 @@ def test_rejects_self_loop_and_bad_edges():
         make_graph_sequence(3, "static", edges=[(1, 1)])
     with pytest.raises(ValueError):
         make_graph_sequence(3, "static", edges=[(0, 3)])
+
+
+def test_explicit_edges_are_checked_and_made_canonical():
+    with pytest.raises(ValueError, match="self-loop"):
+        make_graph_sequence(4, "static", edges=[(0, 1), (2, 2)])
+    with pytest.raises(ValueError, match="out of range"):
+        make_graph_sequence(4, "static", edges=[(0, 1), (3, 4)])
+    with pytest.raises(ValueError, match="out of range"):
+        make_graph_sequence(4, "static", edges=[(-1, 2)])
+    seq = make_graph_sequence(4, "static", edges=[(3, 1), (0, 2), (1, 3), (2, 0), (0, 1)])
+    i, j = seq.edges_at(0)
+    np.testing.assert_array_equal(i, [0, 0, 1])
+    np.testing.assert_array_equal(j, [1, 2, 3])
+
+
+@pytest.mark.parametrize("kind,graph", [
+    ("static", {"topology": "ring"}),
+    ("static", {"edges": [(2, 0), (1, 3)]}),
+    ("tau-connected", {"tau": 3, "topology": "random", "seed": 1}),
+    ("per-step-connected", {"degree": 3, "seed": 2}),
+])
+def test_edge_arrays_are_canonical_and_read_only(kind, graph):
+    seq = make_graph_sequence(9, kind, **graph)
+    for k in range(4):
+        i, j = seq.edges_at(k)
+        for ends in (i, j):
+            assert ends.dtype == np.intp and ends.flags.c_contiguous
+            assert not ends.flags.writeable
+            with pytest.raises(ValueError):
+                ends[0] = 5
+        assert (i < j).all()
+        assert edge_list((i, j)) == sorted(edge_list((i, j)))
+        assert len(set(edge_list((i, j)))) == len(i)
+
+
+def test_periodic_sequences_serve_their_cached_edge_arrays():
+    static = make_graph_sequence(5, "static", topology="ring")
+    assert all(a is b for a, b in zip(static.edges_at(0), static.edges_at(7)))
+    rotating = make_graph_sequence(6, "tau-connected", tau=3, topology="ring")
+    assert all(a is b for a, b in zip(rotating.edges_at(1), rotating.edges_at(4)))
 
 
 def test_metropolis_complete_three_nodes():
@@ -186,16 +226,15 @@ def _one_draw_at_a_time(n, degree, rng):
     return edges
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 200])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 200, 1000])
 @pytest.mark.parametrize("degree", [1, 4, 9, 50])
 def test_random_edges_match_one_draw_at_a_time(n, degree):
-    # batched draws must give the same graphs, inserted in the same order
+    # batched draws must give the same graphs, returned sorted by (i, j)
     for seed in range(3):
         seq = make_graph_sequence(n, "per-step-connected", degree=degree, seed=seed)
         for k in range(3):
-            expected = frozenset(_one_draw_at_a_time(
-                n, degree, np.random.default_rng([seed, k])))
-            assert list(seq.edges_at(k)) == list(expected)
+            expected = _one_draw_at_a_time(n, degree, np.random.default_rng([seed, k]))
+            assert edge_list(seq.edges_at(k)) == sorted(expected)
 
 
 def test_estimate_lambda_disconnected_raises():
