@@ -16,6 +16,7 @@ import numpy as np
 
 from .consensus import CommClock, average_projection, consensus_error, run_consensus
 from .oracles import OracleSpec, OracleState, perturb_gradient
+from .problems import row_norms
 
 __all__ = [
     "DGDConfig",
@@ -94,9 +95,11 @@ class MGDAConfig:
 class RunRecord:
     """Per-iteration trace of one run plus bookkeeping metadata.
 
-    Every column gains one entry per recorded iterate. ``xbar``/``ybar``
-    hold the averaged iterates (``ybar`` is None for minimization runs) and
-    ``wall_time`` the seconds since the record was created.
+    Every column holds one entry per recorded iterate. ``xbar``/``ybar``
+    hold the averaged iterates (``ybar`` entries are None for minimization
+    runs) and ``wall_time`` the seconds from the record's creation to the
+    moment each iterate was recorded. The gap and gradient-norm columns are
+    evaluated once, when the run ends, from the stacked averages.
     """
 
     ks: list = field(default_factory=list)
@@ -114,33 +117,47 @@ class RunRecord:
     started: float = field(default_factory=time.perf_counter, repr=False, compare=False)
 
 
-def _record(record, problem, k, xs, ys=None, comm_rounds=0):
+def _record(record, k, xs, ys=None, comm_rounds=0):
     """Append the averaged iterate of the stacked state ``xs`` (and ``ys``).
 
-    The only writer of the trace columns. Gaps are measured against
-    ``record.meta["f_star"]``; a centralized runner passes its iterate as a
-    one-row stack, whose consensus error is 0 and whose mean is the iterate.
+    Records the round clock, the row averages and the consensus errors
+    ``||xs - xbar||`` (and ``||ys - ybar||``); :func:`_evaluate` fills the
+    remaining columns when the run ends. A centralized runner passes its
+    iterate as a one-row stack, whose consensus error is 0 and whose mean
+    is the iterate.
     """
     xbar = xs.mean(axis=0)
     record.ks.append(k)
-    record.consensus_err_x.append(consensus_error(xs))
     record.comm_rounds.append(comm_rounds)
     record.xbar.append(xbar)
-    if ys is None:
-        record.f_gap.append(problem.f(xbar) - record.meta["f_star"])
-        record.grad_norm_x.append(float(np.linalg.norm(problem.grad_f(xbar))))
-        record.consensus_err_y.append(float("nan"))
-        record.grad_norm_y.append(float("nan"))
-        record.ybar.append(None)
-    else:
+    record.consensus_err_x.append(float(np.linalg.norm(xs - xbar)))
+    if ys is not None:
         ybar = ys.mean(axis=0)
-        record.f_gap.append(problem.phi(xbar, problem.y_star_of(xbar))
-                            - record.meta["f_star"])
-        record.grad_norm_x.append(float(np.linalg.norm(problem.grad_x(xbar, ybar))))
-        record.consensus_err_y.append(consensus_error(ys))
-        record.grad_norm_y.append(float(np.linalg.norm(problem.grad_y(xbar, ybar))))
         record.ybar.append(ybar)
+        record.consensus_err_y.append(float(np.linalg.norm(ys - ybar)))
     record.wall_time.append(time.perf_counter() - record.started)
+
+
+def _evaluate(record, problem):
+    """Fill the gap and gradient-norm columns from the recorded averages.
+
+    One batched problem call per column on the stacked ``(R, d)`` averages;
+    gaps are measured against ``record.meta["f_star"]``. Minimization runs
+    get NaN saddle columns and None ``ybar`` entries.
+    """
+    xbars = np.array(record.xbar)
+    f_star = record.meta["f_star"]
+    if not record.ybar:
+        record.f_gap = (problem.f(xbars) - f_star).tolist()
+        record.grad_norm_x = row_norms(problem.grad_f(xbars)).tolist()
+        record.consensus_err_y = [float("nan")] * len(record.ks)
+        record.grad_norm_y = [float("nan")] * len(record.ks)
+        record.ybar = [None] * len(record.ks)
+        return
+    ybars = np.array(record.ybar)
+    record.f_gap = (problem.phi(xbars, problem.y_star_of(xbars)) - f_star).tolist()
+    record.grad_norm_x = row_norms(problem.grad_x(xbars, ybars)).tolist()
+    record.grad_norm_y = row_norms(problem.grad_y(xbars, ybars)).tolist()
 
 
 def _check_finite(x, k, what):
@@ -200,17 +217,19 @@ def dgd_run(problem, model, config, x0):
                        stochastic=config.oracle.sigma > 0)
     clock = CommClock()
     state = OracleState(config.oracle, (n, d), stream=0)
-    max_cons = consensus_error(x)
+    skipped_cons = 0.0  # worst consensus error among unrecorded iterates
     for k in range(config.iterations):
         if k % config.record_every == 0:
-            _record(record, problem, k, x, comm_rounds=clock.t0)
+            _record(record, k, x, comm_rounds=clock.t0)
+        else:
+            skipped_cons = max(skipped_cons, consensus_error(x))
         grad = perturb_gradient(problem.grad_stacked(x), config.oracle, state)
         z = x - config.gamma * grad
         x = run_consensus(z, config.rounds_at(k), model, clock)
         _check_finite(x, k + 1, "iterate")
-        max_cons = max(max_cons, consensus_error(x))
-    _record(record, problem, config.iterations, x, comm_rounds=clock.t0)
-    record.extras["max_consensus_err_x"] = max_cons
+    _record(record, config.iterations, x, comm_rounds=clock.t0)
+    _evaluate(record, problem)
+    record.extras["max_consensus_err_x"] = max(skipped_cons, *record.consensus_err_x)
     record.meta["total_comm_rounds"] = clock.t0
     return record, x
 
@@ -247,7 +266,7 @@ def mgda_run(problem, model_x, model_y, config, x0, y0, budget=None):
     drift, misses = [], []
     for k in range(config.outer_iterations):
         if k % config.record_every == 0:
-            _record(record, problem, k, x, y, comm_rounds=clock.t0)
+            _record(record, k, x, y, comm_rounds=clock.t0)
         ys = [y]
         for _ in range(config.inner_iterations):
             grad_y = perturb_gradient(problem.grad_y_stacked(x, ys[-1]),
@@ -269,7 +288,8 @@ def mgda_run(problem, model_x, model_y, config, x0, y0, budget=None):
         z_x = x - config.gamma_x * grad_x
         x = run_consensus(z_x, config.rounds_x, model_x, clock)
         _check_finite(x, k + 1, "iterate")
-    _record(record, problem, config.outer_iterations, x, y, comm_rounds=clock.t0)
+    _record(record, config.outer_iterations, x, y, comm_rounds=clock.t0)
+    _evaluate(record, problem)
     if budget is not None:
         record.extras.update(max_consensus_err_x=max(max_cons_x, consensus_error(x)),
                              max_consensus_err_y=max(max_cons_y, consensus_error(y)),
@@ -304,10 +324,11 @@ def centralized_gd(problem, gamma, iterations, x0=None, record_every=1):
                        algorithm="centralized_gd", stochastic=False)
     for k in range(iterations):
         if k % record_every == 0:
-            _record(record, problem, k, x[None])
+            _record(record, k, x[None])
         x = x - gamma * problem.grad_f(x)
         _check_finite(x, k + 1, "iterate")
-    _record(record, problem, iterations, x[None])
+    _record(record, iterations, x[None])
+    _evaluate(record, problem)
     return record, x
 
 
@@ -322,11 +343,12 @@ def centralized_gda(problem, gamma_x, gamma_y, outer_iterations, inner_iteration
                        algorithm="centralized_gda", stochastic=False)
     for k in range(outer_iterations):
         if k % record_every == 0:
-            _record(record, problem, k, x[None], y[None])
+            _record(record, k, x[None], y[None])
         for _ in range(inner_iterations):
             y = y + gamma_y * problem.grad_y(x, y)
         _check_finite(y, k, "inner iterate")
         x = x - gamma_x * problem.grad_x(x, y)
         _check_finite(x, k + 1, "iterate")
-    _record(record, problem, outer_iterations, x[None], y[None])
+    _record(record, outer_iterations, x[None], y[None])
+    _evaluate(record, problem)
     return record, (x, y)

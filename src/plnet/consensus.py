@@ -70,16 +70,16 @@ def consensus_error(x):
     return float(np.linalg.norm(x - x.mean(axis=0, keepdims=True)))
 
 
-def _edge_round(z, i, j, w):
+def _edge_round(z, i, j, w, index):
     """One gossip round ``z_i + sum_e w_e (z_j - z_i)`` over edge arrays.
 
     Every edge ``(i[e], j[e])`` moves ``w[e] (z_j - z_i)`` into row ``i`` and
     its negative into row ``j``; ``np.bincount`` sums the moves over the
-    flattened ``(node, column)`` indices.
+    flattened ``(node, column)`` ``index`` of the endpoints
+    (:meth:`~plnet.topology.MixingModel._edge_index`).
     """
     n, d = z.shape
     moves = w[:, None] * (z.take(j, axis=0) - z.take(i, axis=0))
-    index = (np.concatenate((i, j))[:, None] * d + np.arange(d)).ravel()
     delta = np.bincount(index, weights=np.concatenate((moves, -moves)).ravel(),
                         minlength=n * d)
     return z + delta.reshape(n, d)
@@ -120,7 +120,7 @@ def run_consensus(z0, rounds, model, clock):
         if large:
             i, j, w = model.weights_at(t)
             if len(w) <= EDGE_MAX_FILL * model.n ** 2:
-                z = _edge_round(z, i, j, w)
+                z = _edge_round(z, i, j, w, model._edge_index(t, z.shape[1]))
                 continue
         z = model.matrix_at(t) @ z
     clock.advance(rounds)

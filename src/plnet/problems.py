@@ -29,6 +29,14 @@ A stacked gradient is then one batched matrix product whose cost does not
 depend on the number of data rows ``d_i``. Objective values, averaged
 gradients and per-node gradients stay on the raw data: a Gram-form value
 would cancel badly in ``f - f*``.
+
+Objective values and averaged gradients (``f``, ``grad_f``, ``phi``,
+``grad_x``, ``grad_y``) and ``y_star_of`` broadcast over leading axes: an
+``(R, d)`` stack of points gives ``R`` values or an ``(R, d)`` stack of
+gradients, each equal bit for bit to the call on its row (``y_star_of``
+only while ``d_y`` is small; see there), while a single point keeps giving
+a Python float from ``f`` and ``phi``. The runners use this to evaluate a
+whole trace in one call per column.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +56,7 @@ __all__ = [
     "analytic_saddle",
     "inner_objective",
     "pl_qg_report",
+    "row_norms",
 ]
 
 EIG_RELATIVE_TOL = 1e-10
@@ -77,6 +86,22 @@ def _range_distance_sq(h, v):
     mask = eigvals > top * EIG_RELATIVE_TOL
     coords = eigvecs[:, mask].T @ v
     return float(coords @ coords)
+
+
+def _value(v):
+    """A Python float for one point; the array of values for a batch."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def row_norms(g):
+    """Euclidean norms of ``g`` along its last axis.
+
+    Each norm is summed as ``np.linalg.norm`` sums a single vector, by a
+    BLAS dot, so entry ``r`` equals ``np.linalg.norm(g[r])`` bit for bit
+    (``np.linalg.norm(g, axis=-1)`` can differ from it by an ULP).
+    """
+    g = np.asarray(g, dtype=float)
+    return np.sqrt(np.matmul(g[..., None, :], g[..., :, None]))[..., 0, 0]
 
 
 def _affine_rows(state, blocks, shift):
@@ -225,13 +250,15 @@ class LeastSquaresProblem:
 
     # objective and gradients -------------------------------------------------
 
+    def _residual(self, x):
+        return np.einsum("nij,...j->...ni", self.A, x) - self.y0
+
     def f(self, x):
-        r = np.einsum("nij,j->ni", self.A, x) - self.y0
-        return 0.5 * float(np.sum(r * r)) / self.n
+        r = self._residual(x)
+        return _value(0.5 * np.sum(r * r, axis=(-2, -1)) / self.n)
 
     def grad_f(self, x):
-        r = np.einsum("nij,j->ni", self.A, x) - self.y0
-        return np.einsum("nij,ni->j", self.A, r) / self.n
+        return np.einsum("nij,...ni->...j", self.A, self._residual(x)) / self.n
 
     def node_value(self, i, x):
         r = self.A[i] @ x - self.y0[i]
@@ -334,23 +361,24 @@ class RobustLeastSquaresProblem:
     # objective and gradients -------------------------------------------------
 
     def _residual(self, x, y):
-        return (np.einsum("nij,j->ni", self.A, x) - self.y0
-                - np.einsum("nij,j->ni", self.B, y))
+        return (np.einsum("nij,...j->...ni", self.A, x) - self.y0
+                - np.einsum("nij,...j->...ni", self.B, y))
 
     def phi(self, x, y):
         r = self._residual(x, y)
-        by = np.einsum("nij,j->ni", self.B, y)
-        return 0.5 * float(np.sum(r * r) - self.alpha * np.sum(by * by)) / self.n
+        by = np.einsum("nij,...j->...ni", self.B, y)
+        return _value(0.5 * (np.sum(r * r, axis=(-2, -1))
+                             - self.alpha * np.sum(by * by, axis=(-2, -1))) / self.n)
 
     def grad_x(self, x, y):
         r = self._residual(x, y)
-        return np.einsum("nij,ni->j", self.A, r) / self.n
+        return np.einsum("nij,...ni->...j", self.A, r) / self.n
 
     def grad_y(self, x, y):
         r = self._residual(x, y)
-        by = np.einsum("nij,j->ni", self.B, y)
-        return -(np.einsum("nij,ni->j", self.B, r)
-                 + self.alpha * np.einsum("nij,ni->j", self.B, by)) / self.n
+        by = np.einsum("nij,...j->...ni", self.B, y)
+        return -(np.einsum("nij,...ni->...j", self.B, r)
+                 + self.alpha * np.einsum("nij,...ni->...j", self.B, by)) / self.n
 
     def node_grad_x(self, i, x, y):
         return self.A[i].T @ (self.A[i] @ x - self.y0[i] - self.B[i] @ y)
@@ -377,10 +405,20 @@ class RobustLeastSquaresProblem:
     # inner maximization and the max-function ---------------------------------
 
     def y_star_of(self, x):
-        """Maximizer of phi(x, .), minimum-norm when the system is singular."""
-        rhs = self.b_vec - self.SAB.T @ x
-        sol, *_ = np.linalg.lstsq((self.alpha - 1.0) * self.SB, rhs, rcond=None)
-        return sol
+        """Maximizer of phi(x, .), minimum-norm when the system is singular.
+
+        A stack of points is solved as one least-squares system with one
+        right-hand side per point. LAPACK may round that solve differently
+        from a one-point solve once ``d_y`` is large (from 8 on with
+        OpenBLAS 0.3.31), so there the rows match the per-point maximizers
+        to rounding only. The result is C-contiguous: ``einsum`` can round a
+        strided operand differently, so ``phi`` of a transposed solution
+        would not match the per-point values.
+        """
+        rhs = self.b_vec - (self.SAB.T @ np.asarray(x)[..., None])[..., 0]
+        sol, *_ = np.linalg.lstsq((self.alpha - 1.0) * self.SB,
+                                  rhs.reshape(-1, self.d_y).T, rcond=None)
+        return np.ascontiguousarray(sol.T).reshape(rhs.shape)
 
     def f_of_max(self, x):
         """Value of the max-function f(x) = max_y phi(x, y)."""

@@ -300,13 +300,15 @@ class MixingModel:
         self._lam = None
         self._cache = {}
         self._weights = {}
+        self._index = {}
         self._latest = (None, None)
 
-    # matrix_at and weights_at repeat one cache pattern inline: matrix_at is
-    # called once per dense gossip round, where a shared helper call costs
-    # several percent on small graphs. An aperiodic sequence keeps only its
-    # latest round's weights, so a round whose edge count gossip reads
-    # through weights_at builds its graph once when it then turns out dense.
+    # matrix_at, weights_at and _edge_index repeat one cache pattern inline:
+    # matrix_at is called once per dense gossip round, where a shared helper
+    # call costs several percent on small graphs. An aperiodic sequence keeps
+    # only its latest round's weights, so a round whose edge count gossip
+    # reads through weights_at builds its graph once when it then turns out
+    # dense.
 
     def matrix_at(self, k):
         if self.seq.period is not None:
@@ -326,11 +328,30 @@ class MixingModel:
             self._latest = (k, metropolis_weights(self.seq, k))
         return self._latest[1]
 
+    def _edge_index(self, k, d):
+        """Flattened ``(node, column)`` index of round ``k``'s edge endpoints.
+
+        Entry ``e * d + c`` of the ``i``-then-``j`` endpoint list is
+        ``node * d + c``, the ``np.bincount`` index edge-list gossip sums its
+        moves over. Periodic sequences cache it by round residue and ``d``;
+        aperiodic rounds build their own.
+        """
+        if self.seq.period is None:
+            return _flat_index(*self.weights_at(k)[:2], d)
+        key = (k % self.seq.period, d)
+        if key not in self._index:
+            self._index[key] = _flat_index(*self.weights_at(key[0])[:2], d)
+        return self._index[key]
+
     @property
     def lam(self):
         if self._lam is None:
             self._lam = estimate_lambda(self)
         return self._lam
+
+
+def _flat_index(i, j, d):
+    return (np.concatenate((i, j))[:, None] * d + np.arange(d)).ravel()
 
 
 def estimate_lambda(model, horizon=None):

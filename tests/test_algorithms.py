@@ -301,3 +301,129 @@ def test_mgda_budget_tracking_validates_inner_drift():
     assert record.extras["inner_drift_max"] <= budget.D_Y * (1.0 + 1e-9)
     assert record.extras["max_consensus_err_y"] <= np.sqrt(1e-8)
     assert "inner_target_misses" not in record.extras
+
+
+def _recorder_evaluating_each_row(problem):
+    """A ``_record`` that evaluates every column when the row is recorded.
+
+    Runs that use it measure each recorded point one call at a time, with
+    ``consensus_error`` and ``np.linalg.norm`` of single vectors; they are
+    the reference the once-per-run evaluation must reproduce bit for bit.
+    """
+    def record_row(record, k, xs, ys=None, comm_rounds=0):
+        xbar = xs.mean(axis=0)
+        f_star = record.meta["f_star"]
+        record.ks.append(k)
+        record.comm_rounds.append(comm_rounds)
+        record.xbar.append(xbar)
+        record.consensus_err_x.append(consensus_error(xs))
+        if ys is None:
+            record.f_gap.append(problem.f(xbar) - f_star)
+            record.grad_norm_x.append(float(np.linalg.norm(problem.grad_f(xbar))))
+            record.consensus_err_y.append(float("nan"))
+            record.grad_norm_y.append(float("nan"))
+            record.ybar.append(None)
+            return
+        ybar = ys.mean(axis=0)
+        record.ybar.append(ybar)
+        record.f_gap.append(problem.phi(xbar, problem.y_star_of(xbar)) - f_star)
+        record.grad_norm_x.append(float(np.linalg.norm(problem.grad_x(xbar, ybar))))
+        record.consensus_err_y.append(consensus_error(ys))
+        record.grad_norm_y.append(float(np.linalg.norm(problem.grad_y(xbar, ybar))))
+
+    return record_row
+
+
+TRACE_COLUMNS = ("ks", "comm_rounds", "f_gap", "consensus_err_x", "consensus_err_y",
+                 "grad_norm_x", "grad_norm_y", "xbar", "ybar")
+
+
+def _assert_trace_matches_per_row_reference(monkeypatch, problem, run):
+    record = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(algorithms, "_record", _recorder_evaluating_each_row(problem))
+        patch.setattr(algorithms, "_evaluate", lambda record, problem: None)
+        reference = run()
+    for column in TRACE_COLUMNS:
+        got, want = getattr(record, column), getattr(reference, column)
+        assert len(got) == len(want), column
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b, err_msg=column)
+            assert type(a) is type(b), column
+    return record
+
+
+def _gossip_outputs(monkeypatch):
+    """Collect every state ``run_consensus`` returns to the runners."""
+    outputs = []
+    original = algorithms.run_consensus
+
+    def collecting(*args):
+        outputs.append(original(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(algorithms, "run_consensus", collecting)
+    return outputs
+
+
+@pytest.mark.parametrize("record_every", [1, 3, 13])
+def test_dgd_trace_equals_per_row_evaluation(monkeypatch, record_every):
+    problem, prof = build_least_squares(6, 3, d_i=4, seed=31)
+    model = MixingModel(make_graph_sequence(6, "static", topology="path"))
+    config = DGDConfig(gamma=0.5 / prof.L_g, iterations=12, rounds_schedule=1,
+                       oracle=OracleSpec(delta=0.05, sigma=0.05, seed=4),
+                       record_every=record_every)
+    x0 = np.zeros((6, 3))
+
+    def run():
+        return dgd_run(problem, model, config, x0)[0]
+
+    record = _assert_trace_matches_per_row_reference(monkeypatch, problem, run)
+    expected_ks = [*range(0, 12, record_every), 12]
+    assert record.ks == expected_ks
+    iterates = _gossip_outputs(monkeypatch)
+    record = run()
+    assert len(iterates) == 12
+    worst = max(consensus_error(x) for x in [x0, *iterates])
+    assert worst > 0.0
+    assert record.extras["max_consensus_err_x"] == worst
+
+
+@pytest.mark.parametrize("with_budget", [False, True])
+def test_mgda_trace_equals_per_row_evaluation(monkeypatch, with_budget):
+    from plnet import budget_saddle
+    problem, prof = build_robust_ls(5, 3, 2, d_i=4, alpha=2.0, seed=23)
+    model = MixingModel(make_graph_sequence(5, "static", topology="ring"))
+    budget = None
+    if with_budget:
+        x0 = np.zeros(3)
+        budget = budget_saddle(
+            prof, model, eps_x=1e-3, eps_y=1e-3,
+            delta_prime_x=1e-6, delta_prime_y=1e-6,
+            F_gap0=problem.n * (problem.f_of_max(x0) - problem.phi_star),
+            G_gap0=problem.n * (problem.phi(x0, problem.y_star_of(x0))
+                                - problem.phi(x0, np.zeros(2))),
+            grad_F_at_opt=float(np.linalg.norm(problem.grad_x_stacked_at_saddle())),
+            grad_G_at_opt=float(np.linalg.norm(problem.grad_y_stacked_at_inner_opt(x0))))
+    config = MGDAConfig(gamma_x=0.02, gamma_y=0.05, outer_iterations=9,
+                        inner_iterations=3, rounds_x=1, rounds_y=1,
+                        oracle=OracleSpec(delta=0.05, sigma=0.05, seed=6),
+                        record_every=2)
+
+    def run():
+        return mgda_run(problem, model, model, config, np.zeros((5, 3)),
+                        np.zeros((5, 2)), budget=budget)[0]
+
+    record = _assert_trace_matches_per_row_reference(monkeypatch, problem, run)
+    assert record.ks == [0, 2, 4, 6, 8, 9]
+    assert ("max_consensus_err_x" in record.extras) == with_budget
+
+
+def test_centralized_traces_equal_per_row_evaluation(monkeypatch):
+    ls, prof = build_least_squares(4, 3, seed=5)
+    _assert_trace_matches_per_row_reference(
+        monkeypatch, ls, lambda: centralized_gd(ls, 0.5 / prof.L_g, 10, record_every=3)[0])
+    saddle, _ = build_robust_ls(4, 2, 3, d_i=5, alpha=2.0, seed=8)
+    _assert_trace_matches_per_row_reference(
+        monkeypatch, saddle,
+        lambda: centralized_gda(saddle, 0.02, 0.05, 7, 4, record_every=2)[0])

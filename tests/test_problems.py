@@ -12,6 +12,7 @@ from plnet import (
     inner_objective,
     pl_qg_report,
 )
+from plnet.problems import row_norms
 
 from helpers import central_diff, rel_err
 
@@ -241,3 +242,57 @@ def test_stacked_gradients_use_only_the_per_node_blocks():
     for grad in (saddle.grad_x_stacked, saddle.grad_y_stacked):
         with pytest.raises(ValueError):
             grad(ys, xs)
+
+
+def _per_point(fn, *stacks):
+    return np.array([fn(*rows) for rows in zip(*stacks)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(20, 4, 2, 4), (10, 2, 2, 6), (5, 3, 4, 2)])
+def test_batched_evaluation_equals_per_point_calls(seed, shape):
+    n, d_x, d_y, d_i = shape
+    rng = np.random.default_rng(seed)
+    ls, _ = build_least_squares(n, d_x, d_i=d_i, seed=seed)
+    saddle, _ = build_robust_ls(n, d_x, d_y, d_i=d_i, alpha=2.0, seed=seed)
+    xs = 3.0 * rng.standard_normal((60, d_x))
+    ys = 3.0 * rng.standard_normal((60, d_y))
+    cases = [(ls.f, (xs,)), (ls.grad_f, (xs,)), (saddle.phi, (xs, ys)),
+             (saddle.grad_x, (xs, ys)), (saddle.grad_y, (xs, ys)),
+             (saddle.y_star_of, (xs,))]
+    for fn, stacks in cases:
+        np.testing.assert_array_equal(fn(*stacks), _per_point(fn, *stacks),
+                                      err_msg=fn.__name__)
+        # one row is a batch of one, not a single point
+        np.testing.assert_array_equal(fn(*(s[:1] for s in stacks)),
+                                      _per_point(fn, *(s[:1] for s in stacks)))
+    # the max-function value at the batched inner maximizers, as a trace
+    # measures saddle gaps
+    np.testing.assert_array_equal(
+        saddle.phi(xs, saddle.y_star_of(xs)),
+        _per_point(lambda x: saddle.phi(x, saddle.y_star_of(x)), xs))
+    grads = saddle.grad_y(xs, ys)
+    np.testing.assert_array_equal(row_norms(grads),
+                                  [np.linalg.norm(g) for g in grads])
+    assert type(ls.f(xs[0])) is float
+    assert type(saddle.phi(xs[0], ys[0])) is float
+    # a single point is still one flat sum over all nodes' residuals
+    for x, y in zip(xs[:10], ys[:10]):
+        by = np.einsum("nij,j->ni", saddle.B, y)
+        r = np.einsum("nij,j->ni", saddle.A, x) - saddle.y0 - by
+        assert saddle.phi(x, y) == 0.5 * float(
+            np.sum(r * r) - saddle.alpha * np.sum(by * by)) / n
+        r = np.einsum("nij,j->ni", ls.A, x) - ls.y0
+        assert ls.f(x) == 0.5 * float(np.sum(r * r)) / n
+    assert ls.f(xs).shape == saddle.phi(xs, ys).shape == (60,)
+
+
+def test_batched_inner_maximizers_at_large_d_y_agree_to_rounding():
+    # LAPACK may round a solve with many right-hand sides differently from
+    # a solve with one (with OpenBLAS 0.3.31's SkylakeX kernels the two part
+    # from d_y = 8 on); the batched maximizers then agree with the per-point
+    # ones to rounding only
+    saddle, _ = build_robust_ls(7, 3, 9, d_i=12, alpha=2.0, seed=4)
+    xs = np.random.default_rng(4).standard_normal((50, 3))
+    np.testing.assert_allclose(saddle.y_star_of(xs),
+                               _per_point(saddle.y_star_of, xs), rtol=1e-12, atol=0)
