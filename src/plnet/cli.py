@@ -49,7 +49,7 @@ def _cmd_validate(args):
     for name, passed, detail in checks:
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     print("all checks passed" if ok else "some checks failed")
-    return 0
+    return 0 if ok else 1
 
 
 def main(argv=None):

@@ -88,6 +88,13 @@ def _require(cfg, key, source, section=None):
     return scope[key]
 
 
+def _require_targets(cfg, source):
+    """Require the accuracy and consensus targets a theory budget needs."""
+    mgda = cfg["algorithm"]["kind"] == "mgda"
+    for key in ("eps", "delta_prime") + (("eps_y", "delta_prime_y") if mgda else ()):
+        _require(cfg, key, source, "algorithm")
+
+
 def resolve_config(cfg, source="<config>"):
     """Fill defaults and check cross-field consistency of a config dict."""
     if not isinstance(cfg, dict):
@@ -130,11 +137,7 @@ def resolve_config(cfg, source="<config>"):
         raise ConfigError(f"{source}: algorithm.theory_auto: budgets exist only "
                           "for dgd and mgda runs")
     if algo["theory_auto"]:
-        for key in ("eps", "delta_prime"):
-            _require(out, key, source, "algorithm")
-        if akind == "mgda":
-            for key in ("eps_y", "delta_prime_y"):
-                _require(out, key, source, "algorithm")
+        _require_targets(out, source)
     else:
         if akind in ("dgd", "centralized_gd"):
             _require(out, "iterations", source, "algorithm")
@@ -154,8 +157,7 @@ def resolve_config(cfg, source="<config>"):
     if out.get("overlay_bounds"):
         if akind != "dgd":
             raise ConfigError(f"{source}: overlay_bounds: only supported for dgd runs")
-        for key in ("eps", "delta_prime"):
-            _require(out, key, source, "algorithm")
+        _require_targets(out, source)
     oracle = out.setdefault("oracle", {})
     oracle.setdefault("delta", 0.0)
     oracle.setdefault("sigma", 0.0)
@@ -418,7 +420,7 @@ def run(config_or_path, output=None):
         if cfg["overlay_bounds"]:
             # bound trace only; violation flagging (seed-averaged for the
             # stochastic mode) is theory.overlay_bounds' job
-            bounds = budget.rate ** np.asarray(record.ks) * record.f_gap[0] + budget.floor
+            bounds = budget.bounds(record.ks, record.f_gap[0])
         rows.extend([run_id, seed, *cells] for cells in zip(
             record.ks, record.comm_rounds, record.f_gap, record.consensus_err_x,
             record.consensus_err_y, record.grad_norm_x, record.grad_norm_y,
@@ -548,16 +550,11 @@ def validate(config_or_path):
 
 def theory_report(config_or_path):
     """Evaluate the budget for a config; returns (budget, constants dict)."""
-    cfg = _load(config_or_path)
+    raw, source = _raw_config(config_or_path)
+    cfg = resolve_config(raw, source)
     if cfg["algorithm"]["kind"] not in ("dgd", "mgda"):
         raise ConfigError("theory budgets apply to the decentralized algorithms")
-    for key in ("eps", "delta_prime"):
-        if key not in cfg["algorithm"]:
-            raise ConfigError(f"algorithm.{key}: required for a theory budget")
-    if cfg["algorithm"]["kind"] == "mgda":
-        for key in ("eps_y", "delta_prime_y"):
-            if key not in cfg["algorithm"]:
-                raise ConfigError(f"algorithm.{key}: required for a theory budget")
+    _require_targets(cfg, source)
     problem = _build_problem(cfg)
     model = _build_model(cfg)
     budget = _theory_budget(cfg, problem, model)

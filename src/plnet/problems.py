@@ -16,7 +16,9 @@ Two families are provided, both with standard-normal data split across
 Smoothness and PL constants are computed from eigenvalues. PL constants
 are normalized by ``1/n`` so they match the averaged objective exactly;
 the unnormalized values (eigenvalues of the plain sums) are recorded
-alongside.
+alongside. Per-node smoothness constants come from one stacked ``eigvalsh``
+or ``svd`` call over the per-node blocks, and ``pl_qg_report`` draws all
+its samples at once and makes one batched call per quantity.
 
 The stacked gradients, one row per node, are what the decentralized
 runners call on every local step. Both families are quadratic, so row
@@ -78,14 +80,13 @@ def _smallest_nonzero_eig(h):
 
 
 def _range_distance_sq(h, v):
-    """Squared norm of the projection of v onto the range of symmetric h."""
+    """Squared norms of the row projections of v onto the range of symmetric h.
+
+    One ``eigh`` serves every row; a vanishing ``h`` gives norms of 0.
+    """
     eigvals, eigvecs = np.linalg.eigh(h)
-    top = eigvals[-1]
-    if top <= 0:
-        return 0.0
-    mask = eigvals > top * EIG_RELATIVE_TOL
-    coords = eigvecs[:, mask].T @ v
-    return float(coords @ coords)
+    coords = eigvecs[:, eigvals > eigvals[-1] * EIG_RELATIVE_TOL].T @ v[..., None]
+    return (coords.transpose(0, 2, 1) @ coords)[:, 0, 0]
 
 
 def _value(v):
@@ -239,6 +240,8 @@ class LeastSquaresProblem:
         if self.A.ndim != 3 or self.y0.shape != self.A.shape[:2]:
             raise ValueError("A must be (n, d_i, d) and y0 (n, d_i)")
         self.n, self.d_i, self.d = self.A.shape
+        if 0 in (self.n, self.d):
+            raise ValueError("need at least one node and one variable")
         self._normal = np.einsum("nij,nik->jk", self.A, self.A) / self.n
         self._rhs = np.einsum("nij,ni->j", self.A, self.y0) / self.n
         # node i's gradient is x_i @ A_i^T A_i - A_i^T y0_i (Gram blocks are
@@ -284,20 +287,13 @@ class LeastSquaresProblem:
     def f_star(self):
         return self.f(self.minimizer)
 
-    def dist_to_opt_sq(self, x):
-        """Squared distance to the nearest minimizer (range-projected)."""
-        return _range_distance_sq(self._normal, x - self.minimizer)
-
     def grad_stacked_at_opt(self):
         return self.grad_stacked(np.tile(self.minimizer, (self.n, 1)))
 
     @property
     def profile(self):
         if self._profile is None:
-            per_node = tuple(
-                float(np.linalg.eigvalsh(self.A[i].T @ self.A[i])[-1])
-                for i in range(self.n)
-            )
+            per_node = tuple(np.linalg.eigvalsh(self._gram)[:, -1].tolist())
             mu = _smallest_nonzero_eig(self._normal)
             if mu is None:
                 raise ValueError("objective is identically constant; no PL constant")
@@ -334,6 +330,8 @@ class RobustLeastSquaresProblem:
             raise ValueError("A, B and y0 must agree on (n, d_i)")
         self.n, self.d_i, self.d_x = self.A.shape
         self.d_y = self.B.shape[2]
+        if 0 in (self.n, self.d_x, self.d_y):
+            raise ValueError("need at least one node and one variable per block")
         # aggregated data blocks (plain sums over nodes)
         self.SA = np.einsum("nij,nik->jk", self.A, self.A)
         self.SB = np.einsum("nij,nik->jk", self.B, self.B)
@@ -466,23 +464,18 @@ class RobustLeastSquaresProblem:
     @property
     def saddle_profile(self):
         if self._profile is None:
-            lxx, lxy, lyx, lyy = [], [], [], []
-            for i in range(self.n):
-                ata = self.A[i].T @ self.A[i]
-                btb = self.B[i].T @ self.B[i]
-                cross = float(np.linalg.svd(self.A[i].T @ self.B[i],
-                                            compute_uv=False)[0]) if self.d_y else 0.0
-                lxx.append(float(np.linalg.eigvalsh(ata)[-1]))
-                lyy.append((self.alpha - 1.0) * float(np.linalg.eigvalsh(btb)[-1]))
-                lxy.append(cross)
-                lyx.append(cross)
+            a_t = self.A.transpose(0, 2, 1)
+            btb = self.B.transpose(0, 2, 1) @ self.B
+            lxx = tuple(np.linalg.eigvalsh(a_t @ self.A)[:, -1].tolist())
+            lyy = tuple(((self.alpha - 1.0) * np.linalg.eigvalsh(btb)[:, -1]).tolist())
+            cross = tuple(np.linalg.svd(a_t @ self.B, compute_uv=False)[:, 0].tolist())
             mu_x = _smallest_nonzero_eig(self.SA / self.n)
             if mu_x is None:
                 raise ValueError("x-block curvature vanishes; no PL constant")
             mu_y = _smallest_nonzero_eig(self.y_hessian_neg())
             self._profile = SaddleSmoothness(
-                L_xx_per_node=tuple(lxx), L_xy_per_node=tuple(lxy),
-                L_yx_per_node=tuple(lyx), L_yy_per_node=tuple(lyy),
+                L_xx_per_node=lxx, L_xy_per_node=cross,
+                L_yx_per_node=cross, L_yy_per_node=lyy,
                 mu_x=mu_x, mu_y=mu_y,
                 mu_x_unnormalized=mu_x * self.n,
                 mu_y_unnormalized=None if mu_y is None else mu_y * self.n,
@@ -581,15 +574,11 @@ class InnerObjective:
     x: np.ndarray
     y_star: np.ndarray = field(init=False)
     g_star: float = field(init=False)
-    degenerate: bool = field(init=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.y_star = self.problem.y_star_of(self.x)
         self.g_star = self.problem.phi(self.x, self.y_star)
-        top = float(np.linalg.eigvalsh(self.problem.SB)[-1]) if self.problem.d_y else 0.0
-        self.degenerate = top <= 0 or (
-            np.linalg.matrix_rank(self.problem.SB) < self.problem.d_y)
 
     def value(self, y):
         return self.problem.phi(self.x, y)
@@ -627,55 +616,41 @@ def pl_qg_report(problem, num_points=100, seed=0, spread=1.0):
     For least squares the checks run on the averaged objective with its
     stored PL constant. For saddle instances the x-side checks run on the
     max-function (inner problem solved exactly per sample) and the y-side
-    checks on the concave inner objective at each sampled x. Ratios at most
-    1 mean the inequalities hold; tiny excursions above 1 are floating
-    point noise.
+    checks on the concave inner objective at each sampled x. All samples
+    are drawn at once, one row per sample (for saddles the columns of
+    ``x`` then ``y``), and every quantity is one batched call over them.
+    Ratios at most 1 mean the inequalities hold; tiny excursions above 1
+    are floating point noise.
     """
     rng = np.random.default_rng(seed)
     tiny = 1e-12
 
-    def ratios(gap, grad_sq, dist_sq, mu):
-        pl = (2.0 * mu * gap) / grad_sq if grad_sq > tiny else 0.0
-        qg = (mu * dist_sq) / (2.0 * gap) if gap > tiny else 0.0
-        return pl, qg
+    def worst(gap, grad, h, disp, mu):
+        grad_sq = np.sum(grad ** 2, axis=-1)
+        dist_sq = _range_distance_sq(h, disp)
+        pl = np.divide(2.0 * mu * gap, grad_sq, out=np.zeros_like(gap),
+                       where=grad_sq > tiny)
+        qg = np.divide(mu * dist_sq, 2.0 * gap, out=np.zeros_like(gap),
+                       where=gap > tiny)
+        return float(np.max(pl, initial=0.0)), float(np.max(qg, initial=0.0))
 
     if problem.kind == "least_squares":
-        mu = problem.profile.mu
         x_star = problem.minimizer
-        f_star = problem.f_star
-        max_pl = max_qg = 0.0
-        for _ in range(num_points):
-            x = x_star + spread * rng.standard_normal(problem.d)
-            gap = problem.f(x) - f_star
-            grad_sq = float(np.sum(problem.grad_f(x) ** 2))
-            pl, qg = ratios(gap, grad_sq, problem.dist_to_opt_sq(x), mu)
-            max_pl, max_qg = max(max_pl, pl), max(max_qg, qg)
-        return PLQGReport(max_pl_ratio=max_pl, max_qg_ratio=max_qg)
+        xs = x_star + spread * rng.standard_normal((num_points, problem.d))
+        return PLQGReport(*worst(problem.f(xs) - problem.f_star, problem.grad_f(xs),
+                                 problem._normal, xs - x_star, problem.profile.mu))
 
-    prof = problem.saddle_profile
-    s = problem.saddle
-    f_star = s.value
-    h_x = problem.x_hessian_of_max()
-    h_y = problem.y_hessian_neg()
-    max_pl = max_qg = 0.0
-    max_pl_y = max_qg_y = 0.0
-    for _ in range(num_points):
-        x = s.x + spread * rng.standard_normal(problem.d_x)
-        gap = problem.f_of_max(x) - f_star
-        grad_sq = float(np.sum(problem.danskin_grad(x) ** 2))
-        dist_sq = _range_distance_sq(h_x, x - s.x)
-        pl, qg = ratios(gap, grad_sq, dist_sq, prof.mu_x)
-        max_pl, max_qg = max(max_pl, pl), max(max_qg, qg)
-        if prof.mu_y is not None:
-            inner = InnerObjective(problem, x)
-            y = inner.y_star + spread * rng.standard_normal(problem.d_y)
-            gap_y = inner.gap(y)
-            grad_sq_y = float(np.sum(inner.grad(y) ** 2))
-            dist_sq_y = _range_distance_sq(h_y, y - inner.y_star)
-            pl_y, qg_y = ratios(gap_y, grad_sq_y, dist_sq_y, prof.mu_y)
-            max_pl_y, max_qg_y = max(max_pl_y, pl_y), max(max_qg_y, qg_y)
-    return PLQGReport(
-        max_pl_ratio=max_pl, max_qg_ratio=max_qg,
-        max_pl_ratio_y=max_pl_y if prof.mu_y is not None else None,
-        max_qg_ratio_y=max_qg_y if prof.mu_y is not None else None,
-    )
+    prof, s, d_x = problem.saddle_profile, problem.saddle, problem.d_x
+    draws = rng.standard_normal(
+        (num_points, d_x if prof.mu_y is None else d_x + problem.d_y))
+    xs = s.x + spread * draws[:, :d_x]
+    ys_star = problem.y_star_of(xs)
+    g_star = problem.phi(xs, ys_star)
+    report = PLQGReport(*worst(g_star - s.value, problem.grad_x(xs, ys_star),
+                               problem.x_hessian_of_max(), xs - s.x, prof.mu_x))
+    if prof.mu_y is not None:
+        ys = ys_star + spread * draws[:, d_x:]
+        report.max_pl_ratio_y, report.max_qg_ratio_y = worst(
+            g_star - problem.phi(xs, ys), problem.grad_y(xs, ys),
+            problem.y_hessian_neg(), ys - ys_star, prof.mu_y)
+    return report

@@ -116,6 +116,44 @@ class TheoryBudget:
     def rate(self):
         return 1.0 - self.gamma * self.mu
 
+    def bounds(self, ks, gap0):
+        """Gap bound ``rate**k * gap0 + floor`` at each recorded iterate ``k``."""
+        return self.rate ** np.asarray(ks) * gap0 + self.floor
+
+
+def _drift(mode, gamma, grad_norm, delta_prime, Delta, mu, L, gap, n=1):
+    """Consensus drift constant ``D`` of one variable block.
+
+    The deterministic form squares a four-term sum. The stochastic form sums
+    squared terms and takes ``Delta`` already squared, as the stochastic
+    budgets assemble it. ``n`` scales the gap term under the square root;
+    only the saddle's inner loop sets it, for its printed ``2n/mu_y``.
+    """
+    if mode == "deterministic":
+        return (gamma * grad_norm + math.sqrt(delta_prime)
+                + (gamma + 1.0 / mu) * Delta
+                + gamma * L * math.sqrt((2.0 * n / mu) * (1.0 - mu / L) * gap)) ** 2
+    return (6.0 * gamma ** 2 * grad_norm ** 2
+            + 2.0 * delta_prime
+            + 6.0 * (gamma ** 2 + 1.0 / mu ** 2) * Delta
+            + (12.0 * gamma ** 2 * L ** 2 / mu) * (1.0 - mu / L) * gap)
+
+
+def _budget_min(mode, profile, mixing, eps, delta_prime, gamma, kappa,
+                Delta, Delta_sq, f0_gap, grad_at_opt_norm, notes):
+    """Assemble a minimization budget from its inexactness aggregate."""
+    mu, n = profile.mu, profile.n
+    drift = _drift(mode, gamma, grad_at_opt_norm, delta_prime,
+                   Delta if mode == "deterministic" else Delta_sq,
+                   mu, profile.L_g, n * f0_gap)
+    rounds, round_notes = rounds_for_target(drift, delta_prime, mixing.tau, mixing.lam)
+    return TheoryBudget(
+        mode=mode, N=iterations_for_target(kappa, f0_gap, eps),
+        T=rounds, D=drift, Delta=Delta, floor=Delta_sq / (2.0 * mu * n),
+        eps=eps, delta_prime=delta_prime, gamma=gamma,
+        mu=mu, L_g=profile.L_g, L_l=profile.L_l, n=n,
+        tau=mixing.tau, lam=mixing.lam, notes=notes + round_notes)
+
 
 def _check_targets(eps, delta_prime, f0_gap):
     if eps <= 0:
@@ -147,25 +185,10 @@ def budget_min_deterministic(profile, mixing, eps, delta_prime, delta_bias,
         Stacked gradient norm at the consensual optimum.
     """
     _check_targets(eps, delta_prime, f0_gap)
-    mu, L_g, L_l, n = profile.mu, profile.L_g, profile.L_l, profile.n
-    gamma = 1.0 / L_g
-    delta_tot = delta_bias + L_l * math.sqrt(delta_prime)
-    f_gap_stacked = n * f0_gap
-    sqrt_d = (gamma * grad_at_opt_norm
-              + math.sqrt(delta_prime)
-              + (gamma + 1.0 / mu) * delta_tot
-              + gamma * L_g * math.sqrt(
-                  (2.0 / mu) * (1.0 - mu / L_g) * f_gap_stacked))
-    drift = sqrt_d ** 2
-    rounds, notes = rounds_for_target(drift, delta_prime, mixing.tau, mixing.lam)
-    return TheoryBudget(
-        mode="deterministic",
-        N=iterations_for_target(L_g / mu, f0_gap, eps),
-        T=rounds, D=drift, Delta=delta_tot,
-        floor=delta_tot ** 2 / (2.0 * mu * n),
-        eps=eps, delta_prime=delta_prime, gamma=gamma,
-        mu=mu, L_g=L_g, L_l=L_l, n=n,
-        tau=mixing.tau, lam=mixing.lam, notes=notes)
+    delta_tot = delta_bias + profile.L_l * math.sqrt(delta_prime)
+    return _budget_min("deterministic", profile, mixing, eps, delta_prime,
+                       1.0 / profile.L_g, profile.L_g / profile.mu,
+                       delta_tot, delta_tot ** 2, f0_gap, grad_at_opt_norm, ())
 
 
 def budget_min_stochastic(profile, mixing, eps, delta_prime, delta, sigma,
@@ -181,7 +204,7 @@ def budget_min_stochastic(profile, mixing, eps, delta_prime, delta, sigma,
     the same expression either way. Guarantees are in expectation.
     """
     _check_targets(eps, delta_prime, f0_gap)
-    mu, L_g, L_l, n = profile.mu, profile.L_g, profile.L_l, profile.n
+    mu, L_g, L_l = profile.mu, profile.L_g, profile.L_l
     notes = ("guarantees hold in expectation over oracle noise",)
     if gamma is None:
         gamma = 1.0 / L_g
@@ -196,20 +219,9 @@ def budget_min_stochastic(profile, mixing, eps, delta_prime, delta, sigma,
                                          + 18.0 * sigma ** 2 + 16.0 * delta ** 2))
         kappa = 1.0 / (gamma * mu)
         notes = notes + ("small-step variant: iteration count scaled by 1/(gamma L_g)",)
-    f_gap_stacked = n * f0_gap
-    drift = (6.0 * gamma ** 2 * grad_at_opt_norm ** 2
-             + 2.0 * delta_prime
-             + 6.0 * (gamma ** 2 + 1.0 / mu ** 2) * delta_tot_sq
-             + (12.0 * gamma ** 2 * L_g ** 2 / mu) * (1.0 - mu / L_g) * f_gap_stacked)
-    rounds, round_notes = rounds_for_target(drift, delta_prime, mixing.tau, mixing.lam)
-    return TheoryBudget(
-        mode="stochastic",
-        N=iterations_for_target(kappa, f0_gap, eps),
-        T=rounds, D=drift, Delta=math.sqrt(delta_tot_sq),
-        floor=delta_tot_sq / (2.0 * mu * n),
-        eps=eps, delta_prime=delta_prime, gamma=gamma,
-        mu=mu, L_g=L_g, L_l=L_l, n=n,
-        tau=mixing.tau, lam=mixing.lam, notes=notes + round_notes)
+    return _budget_min("stochastic", profile, mixing, eps, delta_prime, gamma, kappa,
+                       math.sqrt(delta_tot_sq), delta_tot_sq, f0_gap,
+                       grad_at_opt_norm, notes)
 
 
 @dataclass(frozen=True)
@@ -271,20 +283,9 @@ class SaddleBudget:
         the square root (the minimization analogue carries ``2/mu``);
         stochastic runs use the squared-term form.
         """
-        g, gap = grad_at_inner_opt_norm, inner_gap_stacked
-        if self.mode == "deterministic":
-            sqrt_d = (self.gamma_y * g
-                      + math.sqrt(self.delta_prime_y)
-                      + (self.gamma_y + 1.0 / self.mu_y) * self.Delta_y
-                      + self.gamma_y * self.L_yy_g * math.sqrt(
-                          (2.0 * self.n / self.mu_y)
-                          * (1.0 - self.mu_y / self.L_yy_g) * gap))
-            return sqrt_d ** 2
-        return (6.0 * self.gamma_y ** 2 * g ** 2
-                + 2.0 * self.delta_prime_y
-                + 6.0 * (self.gamma_y ** 2 + 1.0 / self.mu_y ** 2) * self.Delta_y ** 2
-                + (12.0 * self.gamma_y ** 2 * self.L_yy_g ** 2 / self.mu_y)
-                * (1.0 - self.mu_y / self.L_yy_g) * gap)
+        return _drift(self.mode, self.gamma_y, grad_at_inner_opt_norm, self.delta_prime_y,
+                      self.Delta_y if self.mode == "deterministic" else self.Delta_y ** 2,
+                      self.mu_y, self.L_yy_g, inner_gap_stacked, n=self.n)
 
 
 def budget_saddle(profile, mixing, eps_x, eps_y, delta_prime_x, delta_prime_y,
@@ -344,24 +345,14 @@ def budget_saddle(profile, mixing, eps_x, eps_y, delta_prime_x, delta_prime_y,
     if G_gap0 is not None:
         n_y = iterations_for_target(L_yy_g / mu_y, G_gap0, eps_y)
     if F_gap0 is not None and grad_F_at_opt is not None:
-        if mode == "deterministic":
-            sqrt_dx = (gamma_x * grad_F_at_opt + sdx
-                       + (gamma_x + 1.0 / mu_x) * delta_x
-                       + gamma_x * L_x * math.sqrt(
-                           (2.0 / mu_x) * (1.0 - mu_x / L_x) * F_gap0))
-            d_x_const = sqrt_dx ** 2
-        else:
-            d_x_const = (6.0 * gamma_x ** 2 * grad_F_at_opt ** 2
-                         + 2.0 * delta_prime_x
-                         + 6.0 * (gamma_x ** 2 + 1.0 / mu_x ** 2) * delta_x ** 2
-                         + (12.0 * gamma_x ** 2 * L_x ** 2 / mu_x)
-                         * (1.0 - mu_x / L_x) * F_gap0)
+        d_x_const = _drift(mode, gamma_x, grad_F_at_opt, delta_prime_x,
+                           delta_x if mode == "deterministic" else delta_x ** 2,
+                           mu_x, L_x, F_gap0)
         t_x, notes_x = rounds_for_target(d_x_const, delta_prime_x,
                                          mixing.tau, mixing.lam)
         notes.extend(notes_x)
     if G_gap0 is not None and grad_G_at_opt is not None:
         d_y_const = budget.inner_drift(grad_G_at_opt, G_gap0)
-    if d_y_const is not None:
         t_y, notes_y = rounds_for_target(d_y_const, delta_prime_y,
                                          mixing.tau, mixing.lam)
         notes.extend(notes_y)
@@ -407,7 +398,7 @@ def overlay_bounds(record, budget, rel_tol=1e-9):
             raise ValueError("records must share the same recorded iterations")
     measured = np.mean([np.asarray(r.f_gap) for r in records], axis=0)
     gap0 = float(measured[0])
-    bounds = budget.rate ** ks * gap0 + budget.floor
+    bounds = budget.bounds(ks, gap0)
     violations = tuple(
         (int(k), float(m), float(b))
         for k, m, b in zip(ks, measured, bounds)

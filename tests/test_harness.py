@@ -239,6 +239,29 @@ def test_validate_reports_disconnected_graph(tmp_path):
     assert "contraction" in failed
 
 
+def test_cli_validate_exits_nonzero_when_a_check_fails(tmp_path, capsys):
+    # a failed check used to exit 0, so no script could act on it
+    cfg = minimal_config(tmp_path)
+    cfg["graph"] = {"kind": "static", "edges": []}
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 1
+    assert "FAIL contraction" in capsys.readouterr().out
+
+
+def test_theory_report_names_missing_targets_like_the_config_check(tmp_path):
+    # the budget targets are checked by one helper: the message names the
+    # file and the field, as resolve_config's do
+    cfg = minimal_config(tmp_path)
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError, match=r"config\.json: algorithm\.eps: missing"):
+        harness.theory_report(path)
+    cfg = minimal_config(tmp_path, algorithm={"eps": 1e-6, "delta_prime": 1e-8})
+    cfg["problem"] = {"kind": "robust_ls", "n": 2, "d_x": 2, "d_y": 2}
+    cfg["algorithm"].update(kind="mgda", gamma_x=0.1, gamma_y=0.1,
+                            outer_iterations=1, inner_iterations=1)
+    with pytest.raises(ConfigError, match=r"algorithm\.eps_y: missing required field"):
+        harness.theory_report(write_config(tmp_path, cfg))
+
+
 def test_config_errors_are_anchored(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{\n "problem": {\n')

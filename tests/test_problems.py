@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -296,3 +298,98 @@ def test_batched_inner_maximizers_at_large_d_y_agree_to_rounding():
     xs = np.random.default_rng(4).standard_normal((50, 3))
     np.testing.assert_allclose(saddle.y_star_of(xs),
                                _per_point(saddle.y_star_of, xs), rtol=1e-12, atol=0)
+
+
+def _per_node_constants(problem):
+    """Per-node smoothness constants, one node at a time."""
+    if problem.kind == "least_squares":
+        return (tuple(float(np.linalg.eigvalsh(problem.A[i].T @ problem.A[i])[-1])
+                      for i in range(problem.n)),)
+    lxx, cross, lyy = [], [], []
+    for i in range(problem.n):
+        a, b = problem.A[i], problem.B[i]
+        lxx.append(float(np.linalg.eigvalsh(a.T @ a)[-1]))
+        lyy.append((problem.alpha - 1.0) * float(np.linalg.eigvalsh(b.T @ b)[-1]))
+        cross.append(float(np.linalg.svd(a.T @ b, compute_uv=False)[0]))
+    return tuple(lxx), tuple(cross), tuple(cross), tuple(lyy)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+@pytest.mark.parametrize("d", [1, 3, 9])
+@pytest.mark.parametrize("d_i_of", [lambda d: 1, lambda d: d + 3],
+                         ids=["d_i=1", "d_i=d+3"])
+def test_stacked_constants_equal_per_node_loop(n, d, d_i_of):
+    # the profiles take every per-node constant from one stacked call; each
+    # must be the number the node's own decomposition gives
+    ls, prof = build_least_squares(n, d, d_i_of(d), seed=n + d)
+    assert (prof.L_per_node,) == _per_node_constants(ls)
+    saddle, sprof = build_robust_ls(n, d, max(1, d - 1), d_i_of(d), seed=n * d)
+    assert (sprof.L_xx_per_node, sprof.L_xy_per_node, sprof.L_yx_per_node,
+            sprof.L_yy_per_node) == _per_node_constants(saddle)
+
+
+def _per_sample_pl_qg(problem, num_points, seed):
+    """``pl_qg_report``'s ratios, one sample and one eigendecomposition at a time."""
+    rng = np.random.default_rng(seed)
+
+    def dist_sq(h, v):
+        w, vecs = np.linalg.eigh(h)
+        coords = vecs[:, w > w[-1] * 1e-10].T @ v
+        return float(coords @ coords) if w[-1] > 0 else 0.0
+
+    def ratios(gap, grad, dist, mu):
+        grad_sq = float(np.sum(grad ** 2))
+        return ((2.0 * mu * gap) / grad_sq if grad_sq > 1e-12 else 0.0,
+                (mu * dist) / (2.0 * gap) if gap > 1e-12 else 0.0)
+
+    worst = np.zeros(4)
+    if problem.kind == "least_squares":
+        for _ in range(num_points):
+            x = problem.minimizer + rng.standard_normal(problem.d)
+            worst[:2] = np.maximum(worst[:2], ratios(
+                problem.f(x) - problem.f_star, problem.grad_f(x),
+                dist_sq(problem._normal, x - problem.minimizer), problem.profile.mu))
+        return list(worst[:2])
+    prof, s = problem.saddle_profile, problem.saddle
+    for _ in range(num_points):
+        x = s.x + rng.standard_normal(problem.d_x)
+        worst[:2] = np.maximum(worst[:2], ratios(
+            problem.f_of_max(x) - s.value, problem.danskin_grad(x),
+            dist_sq(problem.x_hessian_of_max(), x - s.x), prof.mu_x))
+        inner = inner_objective(problem, x)
+        y = inner.y_star + rng.standard_normal(problem.d_y)
+        worst[2:] = np.maximum(worst[2:], ratios(
+            inner.gap(y), inner.grad(y),
+            dist_sq(problem.y_hessian_neg(), y - inner.y_star), prof.mu_y))
+    return list(worst)
+
+
+@pytest.mark.parametrize("num_points", [1, 60])
+def test_pl_qg_report_equals_per_sample_loop(num_points):
+    # the report draws every sample at once and evaluates them in batched
+    # calls; it must read the generator's stream as a per-sample loop does
+    for problem in (build_least_squares(6, 4, d_i=3, seed=41)[0],
+                    build_robust_ls(5, 3, 2, d_i=6, alpha=2.0, seed=42)[0]):
+        report = pl_qg_report(problem, num_points=num_points, seed=43)
+        got = [report.max_pl_ratio, report.max_qg_ratio,
+               report.max_pl_ratio_y, report.max_qg_ratio_y]
+        ref = _per_sample_pl_qg(problem, num_points, seed=43)
+        assert got[:len(ref)] == pytest.approx(ref, rel=1e-12, abs=0)
+        assert max(ref) > 0
+
+
+def test_empty_problems_rejected_at_construction():
+    # zero nodes or an empty variable block used to build, warn about a
+    # division by zero and fail later in the profile
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least one"):
+            LeastSquaresProblem(np.zeros((0, 2, 3)), np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="at least one"):
+            LeastSquaresProblem(np.zeros((2, 2, 0)), np.zeros((2, 2)))
+        rng = np.random.default_rng(44)
+        for n, d_x, d_y in ((0, 2, 2), (2, 0, 2), (2, 2, 0)):
+            with pytest.raises(ValueError, match="at least one"):
+                RobustLeastSquaresProblem(rng.standard_normal((n, 3, d_x)),
+                                          rng.standard_normal((n, 3, d_y)),
+                                          rng.standard_normal((n, 3)), 2.0)
