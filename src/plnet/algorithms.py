@@ -9,6 +9,7 @@ optimality gaps track. Centralized references without any communication
 are provided for the full-graph equivalence checks.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -41,8 +42,10 @@ class DGDConfig:
     """Settings for decentralized gradient descent.
 
     ``rounds_schedule`` is the number of gossip rounds per iteration,
-    either a constant or a per-iteration sequence. With ``theory_mode`` the
-    step size is checked against ``1/L_g`` of the problem at hand.
+    either a constant or a per-iteration sequence of at least
+    ``iterations`` entries; every count must be a nonnegative integer. With
+    ``theory_mode`` the step size is checked against ``1/L_g`` of the
+    problem at hand.
     """
 
     gamma: float
@@ -54,15 +57,21 @@ class DGDConfig:
     theory_mode: bool = False
 
     def rounds_at(self, k):
-        if np.isscalar(self.rounds_schedule):
-            return int(self.rounds_schedule)
-        return int(self.rounds_schedule[k])
+        return self._rounds[k] if isinstance(self._rounds, tuple) else self._rounds
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("step size must be positive")
         if self.iterations < 0 or self.record_every < 1:
             raise ValueError("invalid iteration counts")
+        scalar = np.ndim(self.rounds_schedule) == 0
+        counts = tuple([self.rounds_schedule] if scalar else self.rounds_schedule)
+        if (not all(isinstance(r, (int, np.integer)) and r >= 0 for r in counts)
+                or not scalar and len(counts) < self.iterations):
+            raise ValueError("rounds_schedule: needs a nonnegative integer count for "
+                             f"each of the {self.iterations} iterations")
+        counts = tuple(map(int, counts))
+        object.__setattr__(self, "_rounds", counts[0] if scalar else counts)
 
 
 @dataclass(frozen=True)
@@ -126,16 +135,26 @@ def _record(record, k, xs, ys=None, comm_rounds=0):
     iterate as a one-row stack, whose consensus error is 0 and whose mean
     is the iterate.
     """
-    xbar = xs.mean(axis=0)
     record.ks.append(k)
     record.comm_rounds.append(comm_rounds)
-    record.xbar.append(xbar)
-    record.consensus_err_x.append(float(np.linalg.norm(xs - xbar)))
+    record.xbar.append(_average(xs, record.consensus_err_x))
     if ys is not None:
-        ybar = ys.mean(axis=0)
-        record.ybar.append(ybar)
-        record.consensus_err_y.append(float(np.linalg.norm(ys - ybar)))
+        record.ybar.append(_average(ys, record.consensus_err_y))
     record.wall_time.append(time.perf_counter() - record.started)
+
+
+def _average(stack, errors):
+    """Row mean of ``stack``; appends ``||stack - mean||`` to ``errors``.
+
+    The same bits as ``stack.mean(axis=0)`` and ``np.linalg.norm`` of the
+    difference, which compute exactly this (a sum divided by the row count,
+    and the square root of the raveled difference's dot product), in fewer
+    numpy calls.
+    """
+    mean = np.add.reduce(stack, axis=0) / len(stack)
+    r = (stack - mean).ravel("K")
+    errors.append(math.sqrt(r.dot(r)))
+    return mean
 
 
 def _evaluate(record, problem):
@@ -161,7 +180,7 @@ def _evaluate(record, problem):
 
 
 def _check_finite(x, k, what):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DivergenceError(
             f"non-finite {what} at iteration {k}; "
             "step size is too large for this instance")

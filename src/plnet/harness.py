@@ -77,7 +77,9 @@ def _raw_config(config_or_path):
 
 
 def _load(config_or_path):
-    return resolve_config(*_raw_config(config_or_path))
+    """The resolved config behind a path or dict, and its source label."""
+    raw, source = _raw_config(config_or_path)
+    return resolve_config(raw, source), source
 
 
 def _require(cfg, key, source, section=None):
@@ -154,6 +156,12 @@ def resolve_config(cfg, source="<config>"):
             _require(out, "gamma_y", source, "algorithm")
         algo.setdefault("rounds_x", algo.get("rounds", 1))
         algo.setdefault("rounds_y", algo.get("rounds", 1))
+    for key in ("iterations", "outer_iterations", "inner_iterations", "rounds",
+                "rounds_x", "rounds_y", "record_every"):
+        least = 1 if key == "record_every" else 0
+        value = algo.get(key, least)
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(f"{source}: algorithm.{key}: must be an integer >= {least}")
     if out.get("overlay_bounds"):
         if akind != "dgd":
             raise ConfigError(f"{source}: overlay_bounds: only supported for dgd runs")
@@ -225,7 +233,7 @@ def _constants(problem, model):
     return out
 
 
-def _theory_budget(cfg, problem, model):
+def _theory_budget(cfg, problem, model, source):
     """Evaluate the budget matching the configured algorithm and oracle.
 
     An explicit step size below 1/L_g selects the small-step variant so
@@ -233,8 +241,9 @@ def _theory_budget(cfg, problem, model):
     sequences are refused: their ``lam`` is sampled, not a bound.
     """
     if model.seq.period is None:
-        raise ConfigError(f"graph.kind: no theory budget on {cfg['graph']['kind']} "
-                          "graphs: their contraction factor is sampled, not a bound")
+        raise ConfigError(f"{source}: graph.kind: no theory budget on "
+                          f"{cfg['graph']['kind']} graphs: their contraction "
+                          "factor is sampled, not a bound")
     algo, oracle = cfg["algorithm"], cfg["oracle"]
     if algo["kind"] == "dgd":
         x0 = np.zeros(problem.d)
@@ -253,7 +262,7 @@ def _theory_budget(cfg, problem, model):
                 problem.profile, model, algo["eps"], algo["delta_prime"],
                 oracle["delta"], f0_gap, grad_norm)
         except ValueError as exc:
-            raise ConfigError(f"algorithm: no theory budget: {exc}") from exc
+            raise ConfigError(f"{source}: algorithm: no theory budget: {exc}") from exc
     x0 = np.zeros(problem.d_x)
     y0 = np.zeros(problem.d_y)
     f_gap0 = problem.f_of_max(x0) - problem.phi_star
@@ -293,7 +302,7 @@ def _init_state(shape, mode, stream):
     return np.tile(rng.standard_normal(shape[1]), (shape[0], 1))
 
 
-def _settings(cfg, problem, model):
+def _settings(cfg, problem, model, source):
     """Concrete algorithm settings and the theory budget for one config.
 
     The budget is evaluated on the base instance when ``theory_auto`` or
@@ -304,19 +313,21 @@ def _settings(cfg, problem, model):
     algo = dict(cfg["algorithm"])
     budget = None
     if algo["theory_auto"] or cfg["overlay_bounds"]:
-        budget = _theory_budget(cfg, problem, model)
+        budget = _theory_budget(cfg, problem, model, source)
     if not algo["theory_auto"]:
         return algo, budget
     if algo["kind"] == "dgd":
         if budget.T is None:
-            raise ConfigError("theory_auto: consensus target unreachable (T is None)")
+            raise ConfigError(f"{source}: algorithm.theory_auto: consensus target "
+                              "unreachable (T is None)")
         algo.update(iterations=budget.N, rounds=budget.T)
         algo.setdefault("gamma", budget.gamma)
         return algo, budget
     counts = dict(outer_iterations=budget.N_x, inner_iterations=budget.N_y,
                   rounds_x=budget.T_x, rounds_y=budget.T_y)
     if None in counts.values():
-        raise ConfigError("theory_auto: saddle budget not usable for configuration")
+        raise ConfigError(f"{source}: algorithm.theory_auto: saddle budget not "
+                          "usable for configuration")
     algo.update(counts)
     algo.setdefault("gamma_x", budget.gamma_x)
     algo.setdefault("gamma_y", budget.gamma_y)
@@ -354,7 +365,7 @@ def _single_run(cfg, algo, problem, model, run_seed):
     return algorithms.mgda_run(problem, model, model, config, x0, y0)[0]
 
 
-def _execute(cfg):
+def _execute(cfg, source):
     """Build the instance and network of a resolved config and run every seed.
 
     Returns ``(problem, model, budget, results)``; ``results`` lists
@@ -363,7 +374,7 @@ def _execute(cfg):
     """
     problem = _build_problem(cfg)
     model = _build_model(cfg) if cfg["algorithm"]["kind"] in ("dgd", "mgda") else None
-    algo, budget = _settings(cfg, problem, model)
+    algo, budget = _settings(cfg, problem, model, source)
     results = []
     for idx, seed in enumerate(cfg["seeds"]):
         run_id = f"{algo['kind']}-{idx:03d}"
@@ -402,9 +413,9 @@ def run(config_or_path, output=None):
     ``(run_id, message)`` for runs that diverged (those contribute a single
     failure row with ``k = -1`` instead of a trace).
     """
-    cfg = _load(config_or_path)
+    cfg, source = _load(config_or_path)
     out_base = output if output is not None else cfg["output"]
-    problem, model, budget, results = _execute(cfg)
+    problem, model, budget, results = _execute(cfg, source)
     rows = []
     run_meta = []
     failures = []
@@ -483,7 +494,7 @@ def sweep(config_or_path, axis, values, output=None):
     for value in values:
         swept = json.loads(json.dumps(raw))
         swept.setdefault(section, {})[key] = type(base[section][key])(value)
-        _, _, _, results = _execute(resolve_config(swept, source))
+        _, _, _, results = _execute(resolve_config(swept, source), source)
         for run_id, seed, record in results:
             if isinstance(record, algorithms.DivergenceError):
                 failures.append((f"{axis}={value}", run_id, str(record)))
@@ -507,7 +518,7 @@ def validate(config_or_path):
     """
     checks = []
     try:
-        cfg = _load(config_or_path)
+        cfg, _ = _load(config_or_path)
         checks.append(("config", True, "parsed and resolved"))
     except ConfigError as exc:
         return [("config", False, str(exc))], False
@@ -550,12 +561,12 @@ def validate(config_or_path):
 
 def theory_report(config_or_path):
     """Evaluate the budget for a config; returns (budget, constants dict)."""
-    raw, source = _raw_config(config_or_path)
-    cfg = resolve_config(raw, source)
+    cfg, source = _load(config_or_path)
     if cfg["algorithm"]["kind"] not in ("dgd", "mgda"):
-        raise ConfigError("theory budgets apply to the decentralized algorithms")
+        raise ConfigError(f"{source}: algorithm.kind: theory budgets apply to the "
+                          "decentralized algorithms")
     _require_targets(cfg, source)
     problem = _build_problem(cfg)
     model = _build_model(cfg)
-    budget = _theory_budget(cfg, problem, model)
+    budget = _theory_budget(cfg, problem, model, source)
     return budget, _constants(problem, model)

@@ -6,6 +6,12 @@ Frobenius norm at most ``delta`` and zero-mean noise whose expected squared
 Frobenius norm is exactly ``sigma**2``. Bias and noise budgets are
 interpreted on the full stacked gradient. With ``delta = sigma = 0`` the
 oracle returns the exact gradient bit-identically.
+
+:class:`OracleState` computes once per run what every call reuses: the
+fixed-direction bias ``delta * bias_dir`` as an array, and the noise scale
+``sigma / sqrt(size)`` of the gradient shape. :func:`perturb_gradient` adds
+them in the order it always has, so it returns the same bits and draws the
+same noise stream as when it formed them on every call.
 """
 
 from dataclasses import dataclass
@@ -53,18 +59,22 @@ class OracleState:
 
     ``stream`` separates independent oracles inside one run (e.g. the two
     variable blocks of a saddle problem) while staying reproducible from the
-    single spec seed.
+    single spec seed. ``bias`` is ``delta * bias_dir`` (None unless the
+    fixed-direction bias is on) and ``noise_scale`` is
+    ``sigma / sqrt(size)`` (None unless the noise is on).
     """
 
     def __init__(self, spec, shape, stream=0):
         self.spec = spec
         self.shape = tuple(shape)
         self.rng = np.random.default_rng([spec.seed, stream])
+        self.bias_dir = self.bias = self.noise_scale = None
         if spec.bias_mode == "fixed-direction" and spec.delta > 0:
             v = self.rng.standard_normal(self.shape)
             self.bias_dir = v / np.linalg.norm(v)
-        else:
-            self.bias_dir = None
+            self.bias = spec.delta * self.bias_dir
+        if spec.sigma > 0 and spec.noise_mode != "zero":
+            self.noise_scale = spec.sigma / np.sqrt(np.prod(self.shape))
 
 
 def perturb_gradient(grad, spec, state):
@@ -79,14 +89,12 @@ def perturb_gradient(grad, spec, state):
     if state.shape != grad.shape:
         raise ValueError(f"oracle state shape {state.shape} != gradient shape {grad.shape}")
     out = grad.copy()
-    if spec.delta > 0 and spec.bias_mode != "zero":
-        if spec.bias_mode == "fixed-direction":
-            out += spec.delta * state.bias_dir
-        else:  # gradient-aligned
-            norm = np.linalg.norm(grad)
-            if norm > 0:
-                out += (spec.delta / norm) * grad
-    if spec.sigma > 0 and spec.noise_mode != "zero":
-        scale = spec.sigma / np.sqrt(grad.size)
-        out += scale * state.rng.standard_normal(grad.shape)
+    if state.bias is not None:
+        out += state.bias
+    elif spec.bias_mode == "gradient-aligned" and spec.delta > 0:
+        norm = np.linalg.norm(grad)
+        if norm > 0:
+            out += (spec.delta / norm) * grad
+    if state.noise_scale is not None:
+        out += state.noise_scale * state.rng.standard_normal(grad.shape)
     return out

@@ -427,3 +427,34 @@ def test_centralized_traces_equal_per_row_evaluation(monkeypatch):
     _assert_trace_matches_per_row_reference(
         monkeypatch, saddle,
         lambda: centralized_gda(saddle, 0.02, 0.05, 7, 4, record_every=2)[0])
+
+
+@pytest.mark.parametrize("schedule, iterations", [([1, 2], 5), ([1, -2], 2),
+                                                  (-1, 3), ([1, 2.5], 2)])
+def test_bad_round_schedule_is_rejected_before_the_run(schedule, iterations):
+    # a short or negative schedule used to fail mid-run, after earlier
+    # iterations had already run
+    with pytest.raises(ValueError, match="rounds_schedule"):
+        DGDConfig(gamma=0.1, iterations=iterations, rounds_schedule=schedule)
+
+
+def test_long_round_schedule_uses_its_first_entries():
+    problem = unit_quadratic(3, 2)
+    config = DGDConfig(gamma=0.5, iterations=3, rounds_schedule=[2, 0, 1, 9])
+    record, _ = dgd_run(problem, complete_model(3), config, np.zeros((3, 2)))
+    assert record.comm_rounds == [0, 2, 2, 3]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 9])
+def test_record_averages_equal_mean_and_consensus_error(rows):
+    # _record forms the mean and the spread with fewer numpy calls; they
+    # must equal xs.mean(axis=0) and consensus_error(xs) bit for bit
+    rng = np.random.default_rng(rows)
+    xs = rng.standard_normal((rows, 4)) * np.exp(rng.uniform(-20, 20, (rows, 1)))
+    ys = np.asfortranarray(rng.standard_normal((rows, 3)) + 1e8)
+    record = algorithms.RunRecord()
+    algorithms._record(record, 0, xs, ys)
+    assert (record.xbar[0] == xs.mean(axis=0)).all()
+    assert (record.ybar[0] == ys.mean(axis=0)).all()
+    assert record.consensus_err_x == [consensus_error(xs)]
+    assert record.consensus_err_y == [consensus_error(ys)]

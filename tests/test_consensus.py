@@ -188,3 +188,23 @@ def test_dense_per_step_round_above_the_crossover_builds_its_graph_once(monkeypa
         assert len(topology.metropolis_weights(model.seq, k)[2]) > consensus.EDGE_MAX_FILL * n ** 2
         expected = topology.metropolis_matrix(model.seq, k) @ expected
     np.testing.assert_array_equal(out, expected)
+
+
+@pytest.mark.parametrize("d", [1, 8, 16])
+@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+def test_dense_gossip_equals_round_by_round_product_bit_for_bit(d, layout):
+    # dense rounds are written W.dot(z); they must return exactly W @ z
+    seq = make_graph_sequence(30, "tau-connected", tau=3, topology="random",
+                              degree=4, seed=5)
+    model = MixingModel(seq)
+    rng = np.random.default_rng(d)
+    z0 = rng.standard_normal((30, 2 * d))
+    z0 = {"C": np.ascontiguousarray(z0[:, :d]), "F": np.asfortranarray(z0[:, :d]),
+          "sliced": z0[:, ::2]}[layout]
+    clock = CommClock(t0=2)
+    out = run_consensus(z0, 7, model, clock)
+    expected = z0
+    for t in range(2, 9):
+        expected = topology.metropolis_matrix(seq, t) @ expected
+    np.testing.assert_array_equal(out, expected)
+    assert clock.t0 == 9

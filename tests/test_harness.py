@@ -443,3 +443,46 @@ def test_mgda_random_starts_use_their_own_streams(tmp_path, monkeypatch):
     for y in ys:
         assert not any(np.array_equal(y, x) for x in xs)
     assert all(not np.array_equal(a, b) for i, a in enumerate(ys) for b in ys[i + 1:])
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("dgd", "rounds", -1), ("dgd", "iterations", -1), ("dgd", "record_every", 0),
+    ("dgd", "rounds", 1.5), ("mgda", "outer_iterations", -1),
+    ("mgda", "inner_iterations", -2), ("mgda", "rounds_x", -1),
+    ("mgda", "rounds_y", -1)])
+def test_cli_rejects_bad_counts_with_an_anchored_error(tmp_path, capsys, kind, key, value):
+    # a negative count used to pass validation and then end `plnet run` in
+    # a raw traceback from inside the run
+    cfg = minimal_config(tmp_path)
+    if kind == "mgda":
+        cfg["problem"] = {"kind": "robust_ls", "n": 2, "d_x": 2, "d_y": 2}
+        cfg["algorithm"] = {"kind": "mgda", "gamma_x": 0.1, "gamma_y": 0.1,
+                            "outer_iterations": 2, "inner_iterations": 2}
+    cfg["algorithm"][key] = value
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", path]) == 2
+    assert f"{path}: algorithm.{key}: " in capsys.readouterr().err
+    assert cli.main(["validate", path]) == 1
+    assert f"FAIL config: {path}: algorithm.{key}: " in capsys.readouterr().out
+
+
+def test_cli_budget_errors_name_the_config_and_key(tmp_path, capsys):
+    aperiodic = minimal_config(tmp_path, graph={"kind": "per-step-connected", "degree": 2},
+                               algorithm={"theory_auto": True, "eps": 1e-6,
+                                          "delta_prime": 1e-8})
+    path = write_config(tmp_path, aperiodic)
+    for command in ("theory", "run"):
+        assert cli.main([command, path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: graph.kind: ")
+    central = minimal_config(tmp_path, algorithm={"kind": "centralized_gd"})
+    path = write_config(tmp_path, central, name="central.json")
+    assert cli.main(["theory", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: algorithm.kind: ")
+    # exact consensus (delta_prime 0) is out of reach on a path
+    unreachable = minimal_config(tmp_path, graph={"topology": "path"},
+                                 problem={"kind": "least_squares", "n": 3},
+                                 algorithm={"theory_auto": True, "eps": 1e-6,
+                                            "delta_prime": 0.0})
+    path = write_config(tmp_path, unreachable, name="unreachable.json")
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: algorithm.theory_auto: ")

@@ -180,3 +180,39 @@ def test_dimension_mismatch_rejected():
     state = OracleState(spec, (4, 2))
     with pytest.raises(ValueError, match="shape"):
         perturb_gradient(problem.grad_stacked(np.zeros((3, 2))), spec, state)
+
+
+def _reference_perturb(grad, spec, bias_dir, rng):
+    """The oracle formula as first written, with every term formed per call."""
+    out = grad.copy()
+    if spec.delta > 0 and spec.bias_mode != "zero":
+        if spec.bias_mode == "fixed-direction":
+            out += spec.delta * bias_dir
+        else:  # gradient-aligned
+            norm = np.linalg.norm(grad)
+            if norm > 0:
+                out += (spec.delta / norm) * grad
+    if spec.sigma > 0 and spec.noise_mode != "zero":
+        scale = spec.sigma / np.sqrt(grad.size)
+        out += scale * rng.standard_normal(grad.shape)
+    return out
+
+
+@pytest.mark.parametrize("bias_mode", ["fixed-direction", "gradient-aligned", "zero"])
+@pytest.mark.parametrize("noise_mode", ["gaussian-isotropic", "zero"])
+def test_precomputed_oracle_terms_return_the_reference_bits(bias_mode, noise_mode):
+    # OracleState precomputes delta * bias_dir and sigma / sqrt(size); two
+    # consecutive calls must equal the per-call formula, noise stream included
+    spec = OracleSpec(delta=0.3, sigma=0.7, bias_mode=bias_mode,
+                      noise_mode=noise_mode, seed=11)
+    shape = (5, 3)
+    state = OracleState(spec, shape, stream=1)
+    rng = np.random.default_rng([spec.seed, 1])
+    bias_dir = None
+    if bias_mode == "fixed-direction":
+        v = rng.standard_normal(shape)
+        bias_dir = v / np.linalg.norm(v)
+    grads = np.random.default_rng(4).standard_normal((2,) + shape)
+    for grad in grads:
+        expected = _reference_perturb(grad, spec, bias_dir, rng)
+        np.testing.assert_array_equal(perturb_gradient(grad, spec, state), expected)
