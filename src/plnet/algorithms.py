@@ -43,9 +43,7 @@ class DGDConfig:
 
     ``rounds_schedule`` is the number of gossip rounds per iteration,
     either a constant or a per-iteration sequence of at least
-    ``iterations`` entries; every count must be a nonnegative integer. With
-    ``theory_mode`` the step size is checked against ``1/L_g`` of the
-    problem at hand.
+    ``iterations`` entries; every count must be a nonnegative integer.
     """
 
     gamma: float
@@ -54,7 +52,6 @@ class DGDConfig:
     oracle: OracleSpec = OracleSpec()
     record_every: int = 1
     auto_project: bool = True
-    theory_mode: bool = False
 
     def rounds_at(self, k):
         return self._rounds[k] if isinstance(self._rounds, tuple) else self._rounds
@@ -81,6 +78,7 @@ class MGDAConfig:
     The inner loop ascends in y with ``gamma_y`` for ``inner_iterations``
     steps (each followed by ``rounds_y`` gossip rounds); the outer loop
     descends in x with ``gamma_x`` followed by ``rounds_x`` gossip rounds.
+    Both round counts must be nonnegative integers.
     """
 
     gamma_x: float
@@ -98,6 +96,10 @@ class MGDAConfig:
             raise ValueError("step sizes must be positive")
         if min(self.outer_iterations, self.inner_iterations) < 0 or self.record_every < 1:
             raise ValueError("invalid iteration counts")
+        for key in ("rounds_x", "rounds_y"):
+            rounds = getattr(self, key)
+            if not isinstance(rounds, (int, np.integer)) or rounds < 0:
+                raise ValueError(f"{key}: needs a nonnegative integer count, got {rounds!r}")
 
 
 @dataclass
@@ -225,12 +227,6 @@ def dgd_run(problem, model, config, x0):
     record = RunRecord()
     x = _prepare_start(np.asarray(x0, dtype=float), config.auto_project, record)
     n, d = x.shape
-    if config.theory_mode:
-        limit = 1.0 / problem.profile.L_g
-        if config.gamma > limit * (1.0 + 1e-12):
-            raise ValueError(
-                f"theory mode requires gamma <= 1/L_g = {limit:.6g}, "
-                f"got {config.gamma}")
     record.meta.update(f_star=problem.f_star, f_star_source="analytic",
                        gamma=config.gamma, algorithm="dgd",
                        stochastic=config.oracle.sigma > 0)

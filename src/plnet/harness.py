@@ -282,16 +282,11 @@ def _theory_budget(cfg, problem, model, source):
 def _budget_dict(budget):
     if budget is None:
         return None
-    out = {}
-    for key, val in vars(budget).items():
-        if isinstance(val, tuple):
-            out[key] = list(val)
-        else:
-            out[key] = val
-    if hasattr(budget, "N_tot"):
-        out["N_tot"] = budget.N_tot
-    if hasattr(budget, "T_tot"):
-        out["T_tot"] = budget.T_tot
+    out = {key: list(val) if isinstance(val, tuple) else val
+           for key, val in vars(budget).items()}
+    for key in ("N_tot", "T_tot"):
+        if hasattr(budget, key):
+            out[key] = getattr(budget, key)
     return out
 
 
@@ -306,14 +301,21 @@ def _settings(cfg, problem, model, source):
     """Concrete algorithm settings and the theory budget for one config.
 
     The budget is evaluated on the base instance when ``theory_auto`` or
-    ``overlay_bounds`` asks for it. With ``theory_auto`` the iteration and
+    ``overlay_bounds`` asks for it, and every configured step size must then
+    be at most the budget's own. With ``theory_auto`` the iteration and
     round counts, and any step size the config leaves unset, come from it.
     Returns ``(algorithm dict, budget or None)``; ``cfg`` is not modified.
     """
     algo = dict(cfg["algorithm"])
-    budget = None
-    if algo["theory_auto"] or cfg["overlay_bounds"]:
-        budget = _theory_budget(cfg, problem, model, source)
+    if not (algo["theory_auto"] or cfg["overlay_bounds"]):
+        return algo, None
+    budget = _theory_budget(cfg, problem, model, source)
+    # a step the config leaves unset is the budget's; a set one may not exceed it
+    for key, label in (("gamma", "1/L_g"), ("gamma_x", "1/L_x"), ("gamma_y", "1/L_yy_g")):
+        limit = getattr(budget, key, None)
+        if limit is not None and algo.setdefault(key, limit) > limit * (1.0 + 1e-12):
+            raise ConfigError(f"{source}: algorithm.{key}: {algo[key]} exceeds the "
+                              f"budget's step {label} = {limit}")
     if not algo["theory_auto"]:
         return algo, budget
     if algo["kind"] == "dgd":
@@ -321,7 +323,6 @@ def _settings(cfg, problem, model, source):
             raise ConfigError(f"{source}: algorithm.theory_auto: consensus target "
                               "unreachable (T is None)")
         algo.update(iterations=budget.N, rounds=budget.T)
-        algo.setdefault("gamma", budget.gamma)
         return algo, budget
     counts = dict(outer_iterations=budget.N_x, inner_iterations=budget.N_y,
                   rounds_x=budget.T_x, rounds_y=budget.T_y)
@@ -329,8 +330,6 @@ def _settings(cfg, problem, model, source):
         raise ConfigError(f"{source}: algorithm.theory_auto: saddle budget not "
                           "usable for configuration")
     algo.update(counts)
-    algo.setdefault("gamma_x", budget.gamma_x)
-    algo.setdefault("gamma_y", budget.gamma_y)
     return algo, budget
 
 
@@ -515,10 +514,12 @@ def validate(config_or_path):
 
     Returns ``(checks, ok)`` where ``checks`` is a list of
     ``(name, passed, detail)``. Failures are report entries, not errors.
+    A config that asks for a theory budget gets a ``theory`` check: the
+    budget and step-size checks ``run`` makes.
     """
     checks = []
     try:
-        cfg, _ = _load(config_or_path)
+        cfg, source = _load(config_or_path)
         checks.append(("config", True, "parsed and resolved"))
     except ConfigError as exc:
         return [("config", False, str(exc))], False
@@ -537,6 +538,7 @@ def validate(config_or_path):
                            f"max QG ratio {report.max_qg_ratio:.6g}"))
         except ValueError as exc:
             checks.append(("pl_qg", False, str(exc)))
+    model = None
     try:
         model = _build_model(cfg)
         bad = []
@@ -556,6 +558,13 @@ def validate(config_or_path):
         checks.append(("contraction", False, str(exc)))
     except ValueError as exc:
         checks.append(("mixing", False, str(exc)))
+    wants_budget = cfg["algorithm"]["theory_auto"] or cfg["overlay_bounds"]
+    if wants_budget and problem is not None and model is not None:
+        try:
+            _settings(cfg, problem, model, source)
+            checks.append(("theory", True, "budget evaluated, step sizes within it"))
+        except ValueError as exc:
+            checks.append(("theory", False, str(exc)))
     return checks, all(passed for _, passed, _ in checks)
 
 

@@ -26,6 +26,9 @@ of the window products. For the periodic kinds (``static``,
 ``tau-connected``) one period of windows covers every window, so ``lam``
 is exact; for ``per-step-connected`` it is estimated from sampled windows
 and is not a bound.
+
+A :class:`MixingModel` builds each round's edge weights once and derives
+its dense matrix and edge-list gossip index from them, in one cache entry.
 """
 
 import math
@@ -287,10 +290,13 @@ class MixingModel:
 
     Wraps a :class:`GraphSequence` and serves the Metropolis weights of any
     round, as a dense matrix through :meth:`matrix_at` or as edge arrays
-    through :meth:`weights_at`, each cached over the sequence period. The
+    through :meth:`weights_at`. Each round has one cache entry, keyed by
+    ``k % period`` (aperiodic sequences: ``k``, latest round only), that
+    holds the weights ``(i, j, w)`` and, built from them on first use, the
+    dense matrix and the edge-list index of each column count. The
     per-window contraction factor ``lam`` is measured lazily, on first use,
-    by :func:`estimate_lambda`: exactly for periodic sequences, as a sampled
-    estimate for aperiodic ones.
+    by :func:`estimate_lambda`: exactly for periodic sequences, as a
+    sampled estimate for aperiodic ones.
     """
 
     def __init__(self, seq):
@@ -298,60 +304,46 @@ class MixingModel:
         self.n = seq.n
         self.tau = seq.tau
         self._lam = None
-        self._cache = {}
-        self._weights = {}
-        self._index = {}
-        self._latest = (None, None)
+        self._rounds = {}
 
-    # matrix_at, weights_at and _edge_index repeat one cache pattern inline:
-    # matrix_at is called once per dense gossip round, where a shared helper
-    # call costs several percent on small graphs. An aperiodic sequence keeps
-    # only its latest round's weights, so a round whose edge count gossip
-    # reads through weights_at builds its graph once when it then turns out
-    # dense.
+    def _round(self, k):
+        """Round ``k``'s cache entry ``[(i, j, w), matrix or None, {d: index}]``."""
+        period = self.seq.period
+        key = k if period is None else k % period
+        entry = self._rounds.get(key)
+        if entry is None:
+            if period is None:
+                self._rounds.clear()
+            entry = self._rounds[key] = [metropolis_weights(self.seq, key), None, {}]
+        return entry
 
     def matrix_at(self, k):
-        if self.seq.period is not None:
-            key = k % self.seq.period
-            if key not in self._cache:
-                self._cache[key] = metropolis_matrix(self.seq, key)
-            return self._cache[key]
-        return metropolis_matrix(self.seq, k, self.weights_at(k))
+        # the hit path stays inline: this runs once per dense gossip round,
+        # where a helper call costs several percent on small graphs
+        period = self.seq.period
+        entry = self._rounds.get(k if period is None else k % period)
+        if entry is None or entry[1] is None:
+            entry = self._round(k)
+            entry[1] = metropolis_matrix(self.seq, k, entry[0])
+        return entry[1]
 
     def weights_at(self, k):
-        if self.seq.period is not None:
-            key = k % self.seq.period
-            if key not in self._weights:
-                self._weights[key] = metropolis_weights(self.seq, key)
-            return self._weights[key]
-        if self._latest[0] != k:
-            self._latest = (k, metropolis_weights(self.seq, k))
-        return self._latest[1]
+        return self._round(k)[0]
 
     def _edge_index(self, k, d):
-        """Flattened ``(node, column)`` index of round ``k``'s edge endpoints.
-
-        Entry ``e * d + c`` of the ``i``-then-``j`` endpoint list is
-        ``node * d + c``, the ``np.bincount`` index edge-list gossip sums its
-        moves over. Periodic sequences cache it by round residue and ``d``;
-        aperiodic rounds build their own.
-        """
-        if self.seq.period is None:
-            return _flat_index(*self.weights_at(k)[:2], d)
-        key = (k % self.seq.period, d)
-        if key not in self._index:
-            self._index[key] = _flat_index(*self.weights_at(key[0])[:2], d)
-        return self._index[key]
+        """The ``np.bincount`` index edge-list gossip sums round ``k``'s moves
+        over: entry ``e * d + c`` of the ``i``-then-``j`` endpoint list is
+        ``node * d + c``. Kept in the round's entry, per ``d``."""
+        (i, j, _), _, index = self._round(k)
+        if d not in index:
+            index[d] = (np.concatenate((i, j))[:, None] * d + np.arange(d)).ravel()
+        return index[d]
 
     @property
     def lam(self):
         if self._lam is None:
             self._lam = estimate_lambda(self)
         return self._lam
-
-
-def _flat_index(i, j, d):
-    return (np.concatenate((i, j))[:, None] * d + np.arange(d)).ravel()
 
 
 def estimate_lambda(model, horizon=None):

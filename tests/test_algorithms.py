@@ -146,12 +146,16 @@ def test_nonconsensual_start_handling():
     assert record.consensus_err_x[0] == 0.0
 
 
-def test_theory_mode_rejects_large_step():
-    problem, prof = build_least_squares(3, 2, seed=13)
-    config = DGDConfig(gamma=2.0 / prof.L_g, iterations=1, rounds_schedule=1,
-                       theory_mode=True)
-    with pytest.raises(ValueError, match="1/L_g"):
-        dgd_run(problem, complete_model(3), config, np.zeros((3, 2)))
+@pytest.mark.parametrize("key, value", [
+    ("rounds_x", -1), ("rounds_y", -2), ("rounds_x", 1.5), ("rounds_y", None)])
+def test_mgda_config_rejects_bad_round_counts(key, value):
+    # a negative count used to pass construction and stop mgda_run mid-way
+    # with run_consensus's "round count must be >= 0"
+    with pytest.raises(ValueError, match=f"{key}: needs a nonnegative integer"):
+        MGDAConfig(gamma_x=0.01, gamma_y=0.01, outer_iterations=2,
+                   inner_iterations=3, **{key: value})
+    MGDAConfig(gamma_x=0.01, gamma_y=0.01, outer_iterations=2, inner_iterations=3,
+               **{key: np.int64(0)})
 
 
 def test_comm_rounds_match_schedule():

@@ -208,3 +208,54 @@ def test_dense_gossip_equals_round_by_round_product_bit_for_bit(d, layout):
         expected = topology.metropolis_matrix(seq, t) @ expected
     np.testing.assert_array_equal(out, expected)
     assert clock.t0 == 9
+
+
+def _count_edge_builds(monkeypatch):
+    built = []
+    edges_at = topology.GraphSequence.edges_at
+
+    def counting(self, k):
+        built.append(k)
+        return edges_at(self, k)
+
+    monkeypatch.setattr(topology.GraphSequence, "edges_at", counting)
+    return built
+
+
+def test_periodic_weights_are_built_once_for_both_forms(monkeypatch):
+    # lam builds the ring's dense matrix; edge-list gossip then reuses the
+    # weights that matrix came from instead of building them again
+    n = consensus.EDGE_MIN_NODES
+    model = MixingModel(make_graph_sequence(n, "static", topology="ring"))
+    model.lam
+    built = _count_edge_builds(monkeypatch)
+    z = np.random.default_rng(4).standard_normal((n, 3))
+    out = run_consensus(z, 6, model, CommClock())
+    assert built == []
+    expected = z
+    for _ in range(6):
+        expected = model.matrix_at(0) @ expected
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
+
+
+def test_one_model_serves_two_column_counts(monkeypatch):
+    # MGDA's x and y blocks gossip over one model with different widths
+    n = consensus.EDGE_MIN_NODES
+    seq = make_graph_sequence(n, "tau-connected", tau=3, topology="random",
+                              degree=4, seed=2)
+    rng = np.random.default_rng(5)
+    starts = {2: rng.standard_normal((n, 2)), 3: rng.standard_normal((n, 3))}
+    fresh = {}
+    for d, z in starts.items():
+        clock, model, fresh[d] = CommClock(), MixingModel(seq), []
+        for _ in range(4):
+            z = run_consensus(z, 2, model, clock)
+            fresh[d].append(z)
+    built = _count_edge_builds(monkeypatch)
+    shared, clocks = MixingModel(seq), {2: CommClock(), 3: CommClock()}
+    states = dict(starts)
+    for step in range(4):
+        for d in (2, 3):
+            states[d] = run_consensus(states[d], 2, shared, clocks[d])
+            np.testing.assert_array_equal(states[d], fresh[d][step])
+    assert sorted(built) == [0, 1, 2]

@@ -486,3 +486,52 @@ def test_cli_budget_errors_name_the_config_and_key(tmp_path, capsys):
     path = write_config(tmp_path, unreachable, name="unreachable.json")
     assert cli.main(["run", path]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: algorithm.theory_auto: ")
+
+
+def test_overlay_bounds_rejects_a_step_above_one_over_L_g(tmp_path):
+    # the bounds assume gamma <= 1/L_g; a larger step used to run silently
+    # and write rows above the bound printed next to them
+    cfg = minimal_config(tmp_path, problem={"kind": "least_squares", "n": 4},
+                         graph={"topology": "ring"}, overlay_bounds=True,
+                         algorithm={"eps": 1e-6, "delta_prime": 1e-8})
+    L_g = harness._build_problem(harness.resolve_config(cfg)).profile.L_g
+    cfg["algorithm"]["gamma"] = 2.0 / L_g
+    with pytest.raises(ConfigError, match=r"<config>: algorithm\.gamma: .* 1/L_g = "):
+        harness.run(cfg)
+    cfg["algorithm"]["gamma"] = 1.0 / L_g
+    assert not harness.run(cfg)[2]
+
+
+@pytest.mark.parametrize("key, label", [("gamma_x", "1/L_x"), ("gamma_y", "1/L_yy_g")])
+def test_theory_auto_rejects_mgda_steps_above_the_budget(tmp_path, capsys, key, label):
+    cfg = {
+        "problem": {"kind": "robust_ls", "n": 3, "d_x": 2, "d_y": 2, "seed": 1},
+        "graph": {"kind": "static", "topology": "complete"},
+        "algorithm": {"kind": "mgda", "theory_auto": True, "eps": 1e-2,
+                      "eps_y": 1e-3, "delta_prime": 1e-4, "delta_prime_y": 1e-5},
+        "output": str(tmp_path / "mgda"),
+    }
+    prof = harness._build_problem(harness.resolve_config(cfg)).saddle_profile
+    limit = {"gamma_x": 1.0 / prof.L_x, "gamma_y": 1.0 / prof.L_yy_g}[key]
+    cfg["algorithm"][key] = 1.5 * limit
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", path]) == 2
+    assert f"{path}: algorithm.{key}: " in capsys.readouterr().err
+    assert cli.main(["validate", path]) == 1
+    assert f"FAIL theory: {path}: algorithm.{key}: " in capsys.readouterr().out
+    assert f"{label} = " in harness.validate(path)[0][-1][2]
+    cfg["algorithm"][key] = limit
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
+    assert "PASS theory: " in capsys.readouterr().out
+
+
+def test_cli_validate_evaluates_the_theory_budget(tmp_path, capsys):
+    # validate used to pass a config that run refuses for want of a budget
+    cfg = minimal_config(tmp_path, graph={"kind": "per-step-connected", "degree": 2},
+                         algorithm={"theory_auto": True, "eps": 1e-6,
+                                    "delta_prime": 1e-8})
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", path]) == 2
+    capsys.readouterr()
+    assert cli.main(["validate", path]) == 1
+    assert f"FAIL theory: {path}: graph.kind: " in capsys.readouterr().out
