@@ -38,7 +38,7 @@ for n in (5, 10, 20):
                             outer_iterations=outer, inner_iterations=inner,
                             rounds_x=rounds, rounds_y=rounds,
                             record_every=outer)
-        record, (x, y) = mgda_run(problem, model, model, config,
+        record, (x, y) = mgda_run(problem, model, config,
                                   np.zeros((n, 2)), np.zeros((n, 2)))
         grad_x.append(record.grad_norm_x[-1])
         grad_y.append(record.grad_norm_y[-1])

@@ -24,7 +24,6 @@ from .algorithms import (
 from .consensus import CommClock, average_projection, consensus_error, run_consensus
 from .oracles import OracleSpec, OracleState
 from .problems import (
-    InnerObjective,
     LeastSquaresProblem,
     RobustLeastSquaresProblem,
     SaddleSmoothness,
@@ -33,7 +32,6 @@ from .problems import (
     analytic_saddle,
     build_least_squares,
     build_robust_ls,
-    inner_objective,
     pl_qg_report,
 )
 from .theory import (
@@ -77,12 +75,10 @@ __all__ = [
     "RobustLeastSquaresProblem",
     "SmoothnessProfile",
     "SaddleSmoothness",
-    "InnerObjective",
     "SingularSystemError",
     "analytic_saddle",
     "build_least_squares",
     "build_robust_ls",
-    "inner_objective",
     "pl_qg_report",
     "TheoryBudget",
     "SaddleBudget",

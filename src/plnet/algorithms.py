@@ -51,7 +51,6 @@ class DGDConfig:
     rounds_schedule: object = 1
     oracle: OracleSpec = OracleSpec()
     record_every: int = 1
-    auto_project: bool = True
 
     def rounds_at(self, k):
         return self._rounds[k] if isinstance(self._rounds, tuple) else self._rounds
@@ -89,7 +88,6 @@ class MGDAConfig:
     rounds_y: int = 1
     oracle: OracleSpec = OracleSpec()
     record_every: int = 1
-    auto_project: bool = True
 
     def __post_init__(self):
         if min(self.gamma_x, self.gamma_y) <= 0:
@@ -188,17 +186,14 @@ def _check_finite(x, k, what):
             "step size is too large for this instance")
 
 
-def _prepare_start(x0, auto_project, record):
-    err = consensus_error(x0)
-    if err > CONSENSUS_START_TOL * (1.0 + float(np.linalg.norm(x0))):
-        if not auto_project:
-            raise ValueError(
-                "starting state is not consensual; pass auto_project=True "
-                "or project it first")
+def _prepare_start(x0, record):
+    """The stacked start, projected onto consensus (and flagged) if its rows differ."""
+    x0 = np.asarray(x0, dtype=float)
+    if consensus_error(x0) > CONSENSUS_START_TOL * (1.0 + float(np.linalg.norm(x0))):
         record.meta["auto_projected"] = True
         return average_projection(x0)
     record.meta.setdefault("auto_projected", False)
-    return np.asarray(x0, dtype=float)
+    return x0
 
 
 def dgd_run(problem, model, config, x0):
@@ -216,8 +211,8 @@ def dgd_run(problem, model, config, x0):
         Mixing sequence shared by all iterations (one clock per run).
     config : DGDConfig
     x0 : ndarray
-        Stacked ``(n, d)`` start; must be consensual unless
-        ``config.auto_project``.
+        Stacked ``(n, d)`` start; a start whose rows differ is projected
+        onto their average (``meta["auto_projected"]``).
 
     Returns
     -------
@@ -225,7 +220,7 @@ def dgd_run(problem, model, config, x0):
         The trace and the final stacked state.
     """
     record = RunRecord()
-    x = _prepare_start(np.asarray(x0, dtype=float), config.auto_project, record)
+    x = _prepare_start(x0, record)
     n, d = x.shape
     record.meta.update(f_star=problem.f_star, f_star_source="analytic",
                        gamma=config.gamma, algorithm="dgd",
@@ -238,7 +233,7 @@ def dgd_run(problem, model, config, x0):
             _record(record, k, x, comm_rounds=clock.t0)
         else:
             skipped_cons = max(skipped_cons, consensus_error(x))
-        grad = perturb_gradient(problem.grad_stacked(x), config.oracle, state)
+        grad = perturb_gradient(problem.grad_stacked(x), state)
         z = x - config.gamma * grad
         x = run_consensus(z, config.rounds_at(k), model, clock)
         _check_finite(x, k + 1, "iterate")
@@ -249,13 +244,15 @@ def dgd_run(problem, model, config, x0):
     return record, x
 
 
-def mgda_run(problem, model_x, model_y, config, x0, y0, budget=None):
+def mgda_run(problem, model, config, x0, y0, budget=None):
     """Multi-step gradient descent ascent with gossip after every step.
 
     Per outer iteration the inner loop ascends the stacked y-state
     ``inner_iterations`` times (gossiping after each step), then the outer
-    x-state takes one descent step at the refreshed y and gossips. A single
-    global clock orders x- and y-communication.
+    x-state takes one descent step at the refreshed y and gossips. Both
+    states gossip over ``model``, and a single global clock orders x- and
+    y-communication. Starts whose rows differ are projected onto their
+    average, as in :func:`dgd_run`.
 
     When ``budget`` (a theory.SaddleBudget) is given, the run also tracks
     the invariants the budget relies on: the worst consensus error of every
@@ -269,8 +266,8 @@ def mgda_run(problem, model_x, model_y, config, x0, y0, budget=None):
         The trace and the final stacked pair.
     """
     record = RunRecord()
-    x = _prepare_start(np.asarray(x0, dtype=float), config.auto_project, record)
-    y = _prepare_start(np.asarray(y0, dtype=float), config.auto_project, record)
+    x = _prepare_start(x0, record)
+    y = _prepare_start(y0, record)
     record.meta.update(f_star=problem.phi_star, f_star_source="analytic",
                        gamma_x=config.gamma_x, gamma_y=config.gamma_y,
                        algorithm="mgda", stochastic=config.oracle.sigma > 0)
@@ -284,10 +281,9 @@ def mgda_run(problem, model_x, model_y, config, x0, y0, budget=None):
             _record(record, k, x, y, comm_rounds=clock.t0)
         ys = [y]
         for _ in range(config.inner_iterations):
-            grad_y = perturb_gradient(problem.grad_y_stacked(x, ys[-1]),
-                                      config.oracle, state_y)
+            grad_y = perturb_gradient(problem.grad_y_stacked(x, ys[-1]), state_y)
             z_y = ys[-1] + config.gamma_y * grad_y
-            ys.append(run_consensus(z_y, config.rounds_y, model_y, clock))
+            ys.append(run_consensus(z_y, config.rounds_y, model, clock))
         _check_finite(ys[-1], k, "inner iterate")
         if budget is not None:
             # states entering this outer iteration; the final pair is added last
@@ -298,10 +294,9 @@ def mgda_run(problem, model_x, model_y, config, x0, y0, budget=None):
             max_cons_x = max(max_cons_x, consensus_error(x))
             max_cons_y = max([max_cons_y, *map(consensus_error, ys[:-1])])
         y = ys[-1]
-        grad_x = perturb_gradient(problem.grad_x_stacked(x, y),
-                                  config.oracle, state_x)
+        grad_x = perturb_gradient(problem.grad_x_stacked(x, y), state_x)
         z_x = x - config.gamma_x * grad_x
-        x = run_consensus(z_x, config.rounds_x, model_x, clock)
+        x = run_consensus(z_x, config.rounds_x, model, clock)
         _check_finite(x, k + 1, "iterate")
     _record(record, config.outer_iterations, x, y, comm_rounds=clock.t0)
     _evaluate(record, problem)
@@ -331,9 +326,9 @@ def _inner_drift_constant(problem, x_stack, y_stack, budget):
     return budget.inner_drift(grad_norm, max(inner_gap_stacked, 0.0))
 
 
-def centralized_gd(problem, gamma, iterations, x0=None, record_every=1):
-    """Plain gradient descent on the averaged objective (no communication)."""
-    x = np.zeros(problem.d) if x0 is None else np.asarray(x0, dtype=float)
+def centralized_gd(problem, gamma, iterations, record_every=1):
+    """Plain gradient descent on the averaged objective from zero (no communication)."""
+    x = np.zeros(problem.d)
     record = RunRecord()
     record.meta.update(f_star=problem.f_star, f_star_source="analytic", gamma=gamma,
                        algorithm="centralized_gd", stochastic=False)
@@ -348,10 +343,9 @@ def centralized_gd(problem, gamma, iterations, x0=None, record_every=1):
 
 
 def centralized_gda(problem, gamma_x, gamma_y, outer_iterations, inner_iterations,
-                    x0=None, y0=None, record_every=1):
-    """Multi-step descent ascent on the averaged saddle objective."""
-    x = np.zeros(problem.d_x) if x0 is None else np.asarray(x0, dtype=float)
-    y = np.zeros(problem.d_y) if y0 is None else np.asarray(y0, dtype=float)
+                    record_every=1):
+    """Multi-step descent ascent on the averaged saddle objective from zero."""
+    x, y = np.zeros(problem.d_x), np.zeros(problem.d_y)
     record = RunRecord()
     record.meta.update(f_star=problem.phi_star, f_star_source="analytic",
                        gamma_x=gamma_x, gamma_y=gamma_y,

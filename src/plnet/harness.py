@@ -237,9 +237,14 @@ def _theory_budget(cfg, problem, model, source):
     """Evaluate the budget matching the configured algorithm and oracle.
 
     An explicit step size below 1/L_g selects the small-step variant so
-    the overlaid rate is 1 - gamma*mu, matching the run. Aperiodic graph
-    sequences are refused: their ``lam`` is sampled, not a bound.
+    the overlaid rate is 1 - gamma*mu, matching the run; one above 1/L_g
+    gets the budget at 1/L_g, whose step ``_settings`` then refuses.
+    Aperiodic graph sequences are refused: their ``lam`` is sampled, not a
+    bound. So are random starts: budgets are sized from the zero start's gaps.
     """
+    if cfg["init"] != "zero":
+        raise ConfigError(f"{source}: init: no theory budget from a {cfg['init']} "
+                          "start: budgets are sized from the gaps at the zero start")
     if model.seq.period is None:
         raise ConfigError(f"{source}: graph.kind: no theory budget on "
                           f"{cfg['graph']['kind']} graphs: their contraction "
@@ -251,6 +256,8 @@ def _theory_budget(cfg, problem, model, source):
         grad_norm = float(np.linalg.norm(problem.grad_stacked_at_opt()))
         gamma = algo.get("gamma")
         theory_gamma = 1.0 / problem.profile.L_g
+        if gamma is not None and gamma > theory_gamma * (1 + 1e-12):
+            gamma = None
         try:
             if oracle["sigma"] > 0 or (
                     gamma is not None and gamma < theory_gamma * (1 - 1e-12)):
@@ -318,18 +325,14 @@ def _settings(cfg, problem, model, source):
                               f"budget's step {label} = {limit}")
     if not algo["theory_auto"]:
         return algo, budget
+    if (budget.T if algo["kind"] == "dgd" else budget.T_tot) is None:
+        raise ConfigError(f"{source}: algorithm.theory_auto: consensus target "
+                          "unreachable (a round count T is None)")
     if algo["kind"] == "dgd":
-        if budget.T is None:
-            raise ConfigError(f"{source}: algorithm.theory_auto: consensus target "
-                              "unreachable (T is None)")
         algo.update(iterations=budget.N, rounds=budget.T)
-        return algo, budget
-    counts = dict(outer_iterations=budget.N_x, inner_iterations=budget.N_y,
-                  rounds_x=budget.T_x, rounds_y=budget.T_y)
-    if None in counts.values():
-        raise ConfigError(f"{source}: algorithm.theory_auto: saddle budget not "
-                          "usable for configuration")
-    algo.update(counts)
+    else:
+        algo.update(outer_iterations=budget.N_x, inner_iterations=budget.N_y,
+                    rounds_x=budget.T_x, rounds_y=budget.T_y)
     return algo, budget
 
 
@@ -361,7 +364,7 @@ def _single_run(cfg, algo, problem, model, run_seed):
         record_every=algo["record_every"])
     x0 = _init_state((problem.n, problem.d_x), cfg["init"], [run_seed, 97])
     y0 = _init_state((problem.n, problem.d_y), cfg["init"], [run_seed, 98])
-    return algorithms.mgda_run(problem, model, model, config, x0, y0)[0]
+    return algorithms.mgda_run(problem, model, config, x0, y0)[0]
 
 
 def _execute(cfg, source):

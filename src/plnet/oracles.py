@@ -77,13 +77,14 @@ class OracleState:
             self.noise_scale = spec.sigma / np.sqrt(np.prod(self.shape))
 
 
-def perturb_gradient(grad, spec, state):
-    """One oracle call: a spec's bias and noise on an exact stacked gradient.
+def perturb_gradient(grad, state):
+    """One oracle call: the bias and noise of ``state.spec`` on a stacked gradient.
 
     The bias norm is at most ``spec.delta`` deterministically; the noise is
     isotropic Gaussian scaled so its expected squared norm equals
     ``spec.sigma**2``. Identical seeds reproduce identical streams.
     """
+    spec = state.spec
     if spec.exact:
         return grad
     if state.shape != grad.shape:

@@ -41,7 +41,7 @@ a Python float from ``f`` and ``phi``. The runners use this to evaluate a
 whole trace in one call per column.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,18 +51,18 @@ __all__ = [
     "SmoothnessProfile",
     "SaddleSmoothness",
     "SaddlePoint",
-    "InnerObjective",
     "SingularSystemError",
     "build_least_squares",
     "build_robust_ls",
     "analytic_saddle",
-    "inner_objective",
     "pl_qg_report",
     "row_norms",
 ]
 
 EIG_RELATIVE_TOL = 1e-10
 MU_CLAMP_RELATIVE_TOL = 1e-12
+SADDLE_RESIDUAL_TOL = 1e-9  # relative gradient residual of an analytic saddle
+SAMPLE_SPREAD = 1.0  # scale of pl_qg_report's Gaussian samples around the optimum
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -537,7 +537,7 @@ def build_robust_ls(n, d_x, d_y, d_i=None, alpha=2.0, seed=0):
     return problem, problem.saddle_profile
 
 
-def analytic_saddle(problem, residual_tol=1e-9):
+def analytic_saddle(problem):
     """Solve the joint stationarity system of a robust least squares instance.
 
     The system is linear and symmetric; a minimum-norm solution is taken
@@ -556,7 +556,7 @@ def analytic_saddle(problem, residual_tol=1e-9):
     res_x = float(np.linalg.norm(problem.grad_x(x_star, y_star)))
     res_y = float(np.linalg.norm(problem.grad_y(x_star, y_star)))
     scale = max(1.0, float(np.linalg.norm(rhs)) / problem.n)
-    if max(res_x, res_y) > residual_tol * scale:
+    if max(res_x, res_y) > SADDLE_RESIDUAL_TOL * scale:
         raise SingularSystemError(
             f"stationarity system inconsistent: gradient residuals "
             f"({res_x:.3e}, {res_y:.3e})")
@@ -564,35 +564,6 @@ def analytic_saddle(problem, residual_tol=1e-9):
                        value=problem.phi(x_star, y_star),
                        min_norm=rank < d_x + d_y,
                        residual_x=res_x, residual_y=res_y)
-
-
-@dataclass
-class InnerObjective:
-    """The maximization problem in y at a fixed outer point x."""
-
-    problem: RobustLeastSquaresProblem
-    x: np.ndarray
-    y_star: np.ndarray = field(init=False)
-    g_star: float = field(init=False)
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y_star = self.problem.y_star_of(self.x)
-        self.g_star = self.problem.phi(self.x, self.y_star)
-
-    def value(self, y):
-        return self.problem.phi(self.x, y)
-
-    def grad(self, y):
-        return self.problem.grad_y(self.x, y)
-
-    def gap(self, y):
-        return self.g_star - self.value(y)
-
-
-def inner_objective(problem, x):
-    """Expose g_x(y) = phi(x, y) with its analytic maximizer and optimum."""
-    return InnerObjective(problem, x)
 
 
 @dataclass
@@ -610,7 +581,7 @@ class PLQGReport:
         return all(v is None or v <= 1.0 + tol for v in vals)
 
 
-def pl_qg_report(problem, num_points=100, seed=0, spread=1.0):
+def pl_qg_report(problem, num_points=100, seed=0):
     """Sample the PL and QG inequalities on a built instance.
 
     For least squares the checks run on the averaged objective with its
@@ -636,20 +607,20 @@ def pl_qg_report(problem, num_points=100, seed=0, spread=1.0):
 
     if problem.kind == "least_squares":
         x_star = problem.minimizer
-        xs = x_star + spread * rng.standard_normal((num_points, problem.d))
+        xs = x_star + SAMPLE_SPREAD * rng.standard_normal((num_points, problem.d))
         return PLQGReport(*worst(problem.f(xs) - problem.f_star, problem.grad_f(xs),
                                  problem._normal, xs - x_star, problem.profile.mu))
 
     prof, s, d_x = problem.saddle_profile, problem.saddle, problem.d_x
     draws = rng.standard_normal(
         (num_points, d_x if prof.mu_y is None else d_x + problem.d_y))
-    xs = s.x + spread * draws[:, :d_x]
+    xs = s.x + SAMPLE_SPREAD * draws[:, :d_x]
     ys_star = problem.y_star_of(xs)
     g_star = problem.phi(xs, ys_star)
     report = PLQGReport(*worst(g_star - s.value, problem.grad_x(xs, ys_star),
                                problem.x_hessian_of_max(), xs - s.x, prof.mu_x))
     if prof.mu_y is not None:
-        ys = ys_star + spread * draws[:, d_x:]
+        ys = ys_star + SAMPLE_SPREAD * draws[:, d_x:]
         report.max_pl_ratio_y, report.max_qg_ratio_y = worst(
             g_star - problem.phi(xs, ys), problem.grad_y(xs, ys),
             problem.y_hessian_neg(), ys - ys_star, prof.mu_y)

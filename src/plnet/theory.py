@@ -37,6 +37,8 @@ __all__ = [
     "noise_floor",
 ]
 
+OVERLAY_REL_TOL = 1e-9
+
 
 def rounds_for_target(drift, target_sq, tau, lam):
     """Gossip rounds per iteration that keep consensus error at the target.
@@ -228,20 +230,20 @@ def budget_min_stochastic(profile, mixing, eps, delta_prime, delta, sigma,
 class SaddleBudget:
     """Evaluated saddle budget for multi-step gradient descent ascent.
 
-    ``usable`` is False when gap or gradient-norm inputs were missing, in
-    which case the dependent fields are ``None`` and the budget cannot
-    auto-configure a run. ``D_Y`` is a bound on the per-outer-iteration
-    inner drift constants; the realized values can be recomputed online via
-    :meth:`inner_drift` and checked against it afterwards.
+    ``T_x``/``T_y`` are ``None`` when their consensus target is
+    unreachable, and so is ``T_tot``. ``D_Y`` is a bound on the
+    per-outer-iteration inner drift constants; the realized values can be
+    recomputed online via :meth:`inner_drift` and checked against it
+    afterwards.
     """
 
     mode: str
-    N_x: int | None
-    N_y: int | None
+    N_x: int
+    N_y: int
     T_x: int | None
     T_y: int | None
-    D_X: float | None
-    D_Y: float | None
+    D_X: float
+    D_Y: float
     Delta_x: float
     Delta_y: float
     floor_x: float
@@ -262,12 +264,8 @@ class SaddleBudget:
     notes: tuple = ()
 
     @property
-    def usable(self):
-        return None not in (self.N_x, self.N_y, self.T_x, self.T_y)
-
-    @property
     def T_tot(self):
-        if not self.usable:
+        if None in (self.T_x, self.T_y):
             return None
         return self.N_x * self.T_x + self.N_x * self.N_y * self.T_y
 
@@ -289,15 +287,15 @@ class SaddleBudget:
 
 
 def budget_saddle(profile, mixing, eps_x, eps_y, delta_prime_x, delta_prime_y,
-                  delta=0.0, sigma=0.0, F_gap0=None, G_gap0=None,
-                  grad_F_at_opt=None, grad_G_at_opt=None,
-                  mode="deterministic"):
+                  delta=0.0, sigma=0.0, *, F_gap0, G_gap0, grad_F_at_opt,
+                  grad_G_at_opt, mode="deterministic"):
     """Budget for multi-step gradient descent ascent.
 
     Gap inputs are stacked-scale: ``F_gap0`` bounds the initial
     gap of the max-function summed over nodes, ``G_gap0`` the inner
-    maximization gap summed over nodes. Missing inputs yield a budget with
-    ``None`` placeholders flagged unusable for auto-configuration.
+    maximization gap summed over nodes. ``grad_F_at_opt`` is the stacked
+    x-gradient norm at the saddle point, ``grad_G_at_opt`` the stacked
+    y-gradient norm at the inner maximizer of the start.
     """
     if min(eps_x, eps_y) <= 0:
         raise ValueError("accuracy targets must be positive")
@@ -329,38 +327,25 @@ def budget_saddle(profile, mixing, eps_x, eps_y, delta_prime_x, delta_prime_y,
             + 19.0 * delta ** 2 + 18.0 * sigma ** 2
             + 6.0 * profile.L_xy_l ** 2 * (2.0 * eps_y / mu_y
                                            + delta_y_sq / (mu_y ** 2 * n)))
+    d_x_const = _drift(mode, gamma_x, grad_F_at_opt, delta_prime_x,
+                       delta_x if mode == "deterministic" else delta_x ** 2,
+                       mu_x, L_x, F_gap0)
+    t_x, notes_x = rounds_for_target(d_x_const, delta_prime_x, mixing.tau, mixing.lam)
     budget = SaddleBudget(
-        mode=mode, N_x=None, N_y=None, T_x=None, T_y=None,
-        D_X=None, D_Y=None, Delta_x=delta_x, Delta_y=delta_y,
+        mode=mode, N_x=iterations_for_target(L_x / mu_x, F_gap0, eps_x),
+        N_y=iterations_for_target(L_yy_g / mu_y, G_gap0, eps_y),
+        T_x=t_x, T_y=None, D_X=d_x_const, D_Y=None,
+        Delta_x=delta_x, Delta_y=delta_y,
         floor_x=delta_x ** 2 / (2.0 * mu_x * n),
         floor_y=delta_y ** 2 / (2.0 * mu_y * n),
         eps_x=eps_x, eps_y=eps_y,
         delta_prime_x=delta_prime_x, delta_prime_y=delta_prime_y,
         gamma_x=gamma_x, gamma_y=gamma_y, mu_x=mu_x, mu_y=mu_y,
         L_x=L_x, L_yy_g=L_yy_g, n=n, tau=mixing.tau, lam=mixing.lam)
-    notes = []
-    n_x = n_y = t_x = t_y = d_x_const = d_y_const = None
-    if F_gap0 is not None:
-        n_x = iterations_for_target(L_x / mu_x, F_gap0, eps_x)
-    if G_gap0 is not None:
-        n_y = iterations_for_target(L_yy_g / mu_y, G_gap0, eps_y)
-    if F_gap0 is not None and grad_F_at_opt is not None:
-        d_x_const = _drift(mode, gamma_x, grad_F_at_opt, delta_prime_x,
-                           delta_x if mode == "deterministic" else delta_x ** 2,
-                           mu_x, L_x, F_gap0)
-        t_x, notes_x = rounds_for_target(d_x_const, delta_prime_x,
-                                         mixing.tau, mixing.lam)
-        notes.extend(notes_x)
-    if G_gap0 is not None and grad_G_at_opt is not None:
-        d_y_const = budget.inner_drift(grad_G_at_opt, G_gap0)
-        t_y, notes_y = rounds_for_target(d_y_const, delta_prime_y,
-                                         mixing.tau, mixing.lam)
-        notes.extend(notes_y)
-    if None in (n_x, n_y, t_x, t_y):
-        notes.append("missing gap/gradient inputs: budget not usable for "
-                     "auto-configuration")
-    return replace(budget, N_x=n_x, N_y=n_y, T_x=t_x, T_y=t_y,
-                   D_X=d_x_const, D_Y=d_y_const, notes=tuple(notes))
+    # the inner drift constant is the budget's own formula, at the start
+    d_y_const = budget.inner_drift(grad_G_at_opt, G_gap0)
+    t_y, notes_y = rounds_for_target(d_y_const, delta_prime_y, mixing.tau, mixing.lam)
+    return replace(budget, T_y=t_y, D_Y=d_y_const, notes=notes_x + notes_y)
 
 
 @dataclass(frozen=True)
@@ -375,7 +360,7 @@ class OverlayResult:
         return not self.violations
 
 
-def overlay_bounds(record, budget, rel_tol=1e-9):
+def overlay_bounds(record, budget):
     """Per-iterate convergence bound next to a measured gap trace.
 
     ``record`` is one RunRecord for deterministic budgets, or a list of
@@ -383,7 +368,7 @@ def overlay_bounds(record, budget, rel_tol=1e-9):
     averaged pointwise before comparison, matching the expectation-flavored
     guarantee). The bound at recorded iterate ``k`` is
     ``(1 - gamma mu)**k * gap_0 + floor``; entries exceeding it by more
-    than the relative tolerance are flagged.
+    than ``OVERLAY_REL_TOL`` (relative) are flagged.
     """
     records = record if isinstance(record, (list, tuple)) else [record]
     stochastic_run = any(r.meta.get("stochastic", False) for r in records)
@@ -402,6 +387,6 @@ def overlay_bounds(record, budget, rel_tol=1e-9):
     violations = tuple(
         (int(k), float(m), float(b))
         for k, m, b in zip(ks, measured, bounds)
-        if m > b * (1.0 + rel_tol) + 1e-15)
+        if m > b * (1.0 + OVERLAY_REL_TOL) + 1e-15)
     return OverlayResult(ks=ks, measured=measured, bounds=bounds,
                          violations=violations)

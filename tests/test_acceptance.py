@@ -212,7 +212,7 @@ def test_criterion_7_robust_ls_reproduction():
                                     inner_iterations=10,
                                     rounds_x=10, rounds_y=10,
                                     record_every=2000)
-                record, (x, y) = mgda_run(problem, model, model, config,
+                record, (x, y) = mgda_run(problem, model, config,
                                           np.zeros((n, 2)), np.zeros((n, 2)))
                 assert record.grad_norm_x[-1] < 1e-3, (n, seed)
                 assert record.grad_norm_y[-1] < 1e-3, (n, seed)

@@ -16,7 +16,6 @@ from plnet import (
     centralized_gda,
     consensus_error,
     dgd_run,
-    inner_objective,
     make_graph_sequence,
     mgda_run,
     run_consensus,
@@ -92,7 +91,7 @@ def test_mean_trajectory_follows_averaged_gradient():
     gamma = 1.0 / prof.L_g
     x = np.zeros((4, 3))
     for _ in range(25):
-        grad = perturb_gradient(problem.grad_stacked(x), spec, state)
+        grad = perturb_gradient(problem.grad_stacked(x), state)
         z = x - gamma * grad
         x_next = run_consensus(z, 3, model, clock)
         predicted = x.mean(axis=0) - gamma * grad.mean(axis=0)
@@ -135,15 +134,19 @@ def test_nonconsensual_start_handling():
     problem, prof = build_least_squares(3, 2, seed=11)
     rng = np.random.default_rng(12)
     x0 = rng.standard_normal((3, 2))
-    config = DGDConfig(gamma=1.0 / prof.L_g, iterations=2, rounds_schedule=1,
-                       auto_project=False)
-    with pytest.raises(ValueError, match="consensual"):
-        dgd_run(problem, complete_model(3), config, x0)
-    config_auto = DGDConfig(gamma=1.0 / prof.L_g, iterations=2,
-                            rounds_schedule=1, auto_project=True)
-    record, _ = dgd_run(problem, complete_model(3), config_auto, x0)
+    config = DGDConfig(gamma=1.0 / prof.L_g, iterations=2, rounds_schedule=1)
+    record, _ = dgd_run(problem, complete_model(3), config, x0)
     assert record.meta["auto_projected"]
     assert record.consensus_err_x[0] == 0.0
+    # both saddle blocks are projected, so both first errors vanish
+    saddle, _ = build_robust_ls(3, 2, 2, alpha=2.0, seed=11)
+    mgda_config = MGDAConfig(gamma_x=0.01, gamma_y=0.01, outer_iterations=2,
+                             inner_iterations=2)
+    y0 = rng.standard_normal((3, 2))
+    assert consensus_error(x0) > 0 and consensus_error(y0) > 0
+    record, _ = mgda_run(saddle, complete_model(3), mgda_config, x0, y0)
+    assert record.meta["auto_projected"]
+    assert record.consensus_err_x[0] == record.consensus_err_y[0] == 0.0
 
 
 @pytest.mark.parametrize("key, value", [
@@ -182,7 +185,7 @@ def test_mgda_zero_coupling_reduces_to_dgd():
     mgda_config = MGDAConfig(gamma_x=0.02, gamma_y=0.02, outer_iterations=30,
                              inner_iterations=2, rounds_x=4, rounds_y=4,
                              oracle=spec)
-    rec_mgda, _ = mgda_run(saddle, model, model, mgda_config,
+    rec_mgda, _ = mgda_run(saddle, model, mgda_config,
                            np.zeros((4, 3)), np.zeros((4, 2)))
     for xbar_dgd, xbar_mgda in zip(rec_dgd.xbar, rec_mgda.xbar):
         assert np.linalg.norm(xbar_dgd - xbar_mgda) <= 1e-12
@@ -190,7 +193,7 @@ def test_mgda_zero_coupling_reduces_to_dgd():
     # adversarial block never moves
     exact_cfg = MGDAConfig(gamma_x=0.02, gamma_y=0.02, outer_iterations=10,
                            inner_iterations=2, rounds_x=4, rounds_y=4)
-    rec_exact, (_, y_final) = mgda_run(saddle, model, model, exact_cfg,
+    rec_exact, (_, y_final) = mgda_run(saddle, model, exact_cfg,
                                        np.zeros((4, 3)), np.zeros((4, 2)))
     np.testing.assert_array_equal(y_final, np.zeros((4, 2)))
 
@@ -209,7 +212,7 @@ def test_mgda_without_budget_skips_per_inner_step_consensus_errors(monkeypatch):
         calls.clear()
         config = MGDAConfig(gamma_x=0.01, gamma_y=0.01, outer_iterations=20,
                             inner_iterations=inner, record_every=5)
-        mgda_run(problem, model, model, config, np.zeros((4, 2)), np.zeros((4, 2)))
+        mgda_run(problem, model, config, np.zeros((4, 2)), np.zeros((4, 2)))
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -223,11 +226,10 @@ def test_inner_loop_contraction_bound():
     config = MGDAConfig(gamma_x=1e-12, gamma_y=1.0 / prof.L_yy_g,
                         outer_iterations=1, inner_iterations=n_inner,
                         rounds_x=1, rounds_y=1)
-    _, (_, y) = mgda_run(problem, model, model, config,
-                         np.zeros((4, 2)), np.zeros((4, 2)))
-    inner = inner_objective(problem, np.zeros(2))
-    gap0 = inner.gap(np.zeros(2))
-    gap_end = inner.gap(y.mean(axis=0))
+    _, (_, y) = mgda_run(problem, model, config, np.zeros((4, 2)), np.zeros((4, 2)))
+    x0 = np.zeros(2)
+    gap0 = problem.f_of_max(x0) - problem.phi(x0, np.zeros(2))
+    gap_end = problem.f_of_max(x0) - problem.phi(x0, y.mean(axis=0))
     rate = (1.0 - prof.mu_y / prof.L_yy_g) ** n_inner
     assert gap_end <= rate * gap0 * (1.0 + 1e-2)
 
@@ -238,7 +240,7 @@ def test_mgda_converges_to_saddle():
     config = MGDAConfig(gamma_x=0.5 / prof.L_x, gamma_y=0.5 / prof.L_yy_g,
                         outer_iterations=400, inner_iterations=5,
                         rounds_x=1, rounds_y=1, record_every=50)
-    record, (x, y) = mgda_run(problem, model, model, config,
+    record, (x, y) = mgda_run(problem, model, config,
                               np.zeros((4, 2)), np.zeros((4, 2)))
     s = problem.saddle
     assert problem.dist_to_saddle(x.mean(axis=0), y.mean(axis=0)) <= 1e-6
@@ -255,7 +257,7 @@ def test_mgda_ascends_inner_objective():
     config = MGDAConfig(gamma_x=1e-12, gamma_y=0.5 / prof.L_yy_g,
                         outer_iterations=1, inner_iterations=8,
                         rounds_x=1, rounds_y=1)
-    _, (_, y) = mgda_run(problem, model, model, config,
+    _, (_, y) = mgda_run(problem, model, config,
                          np.zeros((3, 2)), np.zeros((3, 2)))
     x0 = np.zeros(2)
     assert problem.phi(x0, y.mean(axis=0)) > problem.phi(x0, np.zeros(2))
@@ -291,12 +293,12 @@ def test_mgda_budget_tracking_validates_inner_drift():
         grad_F_at_opt=float(np.linalg.norm(problem.grad_x_stacked_at_saddle())),
         grad_G_at_opt=float(np.linalg.norm(
             problem.grad_y_stacked_at_inner_opt(x0))))
-    assert budget.usable
+    assert budget.T_tot is not None
     config = MGDAConfig(gamma_x=budget.gamma_x, gamma_y=budget.gamma_y,
                         outer_iterations=40, inner_iterations=budget.N_y,
                         rounds_x=budget.T_x, rounds_y=budget.T_y,
                         record_every=10)
-    record, _ = mgda_run(problem, model, model, config,
+    record, _ = mgda_run(problem, model, config,
                          np.zeros((4, 2)), np.zeros((4, 2)), budget=budget)
     # the online drift constants start at the configured bound and shrink
     # as the outer point converges; the realized max must respect D_Y
@@ -415,7 +417,7 @@ def test_mgda_trace_equals_per_row_evaluation(monkeypatch, with_budget):
                         record_every=2)
 
     def run():
-        return mgda_run(problem, model, model, config, np.zeros((5, 3)),
+        return mgda_run(problem, model, config, np.zeros((5, 3)),
                         np.zeros((5, 2)), budget=budget)[0]
 
     record = _assert_trace_matches_per_row_reference(monkeypatch, problem, run)

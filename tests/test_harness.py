@@ -422,9 +422,9 @@ def test_mgda_random_starts_use_their_own_streams(tmp_path, monkeypatch):
     starts = []
     original = harness.algorithms.mgda_run
 
-    def capture(problem, model_x, model_y, config, x0, y0):
+    def capture(problem, model, config, x0, y0):
         starts.append((x0, y0))
-        return original(problem, model_x, model_y, config, x0, y0)
+        return original(problem, model, config, x0, y0)
 
     monkeypatch.setattr(harness.algorithms, "mgda_run", capture)
     cfg = {
@@ -535,3 +535,49 @@ def test_cli_validate_evaluates_the_theory_budget(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["validate", path]) == 1
     assert f"FAIL theory: {path}: graph.kind: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_step_above_one_over_L_g_gets_the_anchored_error_with_noise_too(tmp_path, sigma):
+    # a noisy oracle used to fail inside the stochastic budget, anchored at
+    # `algorithm` and without the step, before the step check could run
+    cfg = minimal_config(tmp_path, problem={"kind": "least_squares", "n": 4, "d": 2},
+                         graph={"topology": "ring"}, overlay_bounds=True,
+                         algorithm={"eps": 1e-6, "delta_prime": 1e-8},
+                         oracle={"sigma": sigma})
+    L_g = harness._build_problem(harness.resolve_config(cfg)).profile.L_g
+    cfg["algorithm"]["gamma"] = 2.0 / L_g
+    with pytest.raises(ConfigError, match=r"<config>: algorithm\.gamma: .* 1/L_g = "):
+        harness.run(cfg)
+
+
+def test_budgets_are_refused_for_random_starts(tmp_path, capsys):
+    # the budget is sized from the zero start's gaps; a random start runs
+    # from a different, often much larger, gap
+    cfg = minimal_config(tmp_path, problem={"kind": "least_squares", "n": 4, "d": 2},
+                         graph={"topology": "path"}, init="random",
+                         algorithm={"theory_auto": True, "gamma": 0.1, "eps": 1e-6,
+                                    "delta_prime": 1e-6})
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "theory"):
+        assert cli.main([command, path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: init: ")
+    assert cli.main(["validate", path]) == 1
+    assert f"FAIL theory: {path}: init: " in capsys.readouterr().out
+    # without a budget a random start still runs
+    cfg["algorithm"]["theory_auto"] = False
+    assert not harness.run(cfg)[2]
+
+
+def test_mgda_theory_auto_refuses_an_unreachable_inner_target(tmp_path):
+    # exact inner consensus (delta_prime_y 0) is out of reach on a path
+    cfg = {
+        "problem": {"kind": "robust_ls", "n": 4, "d_x": 2, "d_y": 2, "seed": 1},
+        "graph": {"kind": "static", "topology": "path"},
+        "algorithm": {"kind": "mgda", "theory_auto": True, "eps": 1e-2,
+                      "eps_y": 1e-3, "delta_prime": 1e-4, "delta_prime_y": 0.0},
+        "output": str(tmp_path / "mgda"),
+    }
+    with pytest.raises(ConfigError, match=r"<config>: algorithm\.theory_auto: "
+                                          "consensus target unreachable"):
+        harness.run(cfg)

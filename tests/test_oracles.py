@@ -48,7 +48,7 @@ def test_zero_spec_returns_exact_bit_identical():
     state = OracleState(spec, (3, 2))
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3, 2))
-    sampled = perturb_gradient(problem.grad_stacked(x), spec, state)
+    sampled = perturb_gradient(problem.grad_stacked(x), state)
     np.testing.assert_array_equal(sampled, problem.grad_stacked(x))
 
 
@@ -58,11 +58,11 @@ def test_fixed_direction_bias_norm_exact():
     state = OracleState(spec, (3, 2))
     rng = np.random.default_rng(7)
     x = rng.standard_normal((3, 2))
-    diff = perturb_gradient(problem.grad_stacked(x), spec, state) \
+    diff = perturb_gradient(problem.grad_stacked(x), state) \
         - problem.grad_stacked(x)
     assert np.linalg.norm(diff) == pytest.approx(0.1, rel=1e-12)
     # the direction is frozen per run: two calls leave the same bias
-    diff2 = perturb_gradient(problem.grad_stacked(x), spec, state) \
+    diff2 = perturb_gradient(problem.grad_stacked(x), state) \
         - problem.grad_stacked(x)
     np.testing.assert_array_equal(diff, diff2)
 
@@ -74,7 +74,7 @@ def test_gradient_aligned_bias_norm():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((3, 2))
     exact = problem.grad_stacked(x)
-    diff = perturb_gradient(problem.grad_stacked(x), spec, state) - exact
+    diff = perturb_gradient(problem.grad_stacked(x), state) - exact
     assert np.linalg.norm(diff) == pytest.approx(0.35, rel=1e-12)
     cosine = np.sum(diff * exact) / (np.linalg.norm(diff) * np.linalg.norm(exact))
     assert cosine == pytest.approx(1.0, abs=1e-12)
@@ -88,7 +88,7 @@ def test_bias_bound_holds_every_call():
         state = OracleState(spec, (4, 3))
         for _ in range(20):
             x = rng.standard_normal((4, 3))
-            diff = perturb_gradient(problem.grad_stacked(x), spec, state) \
+            diff = perturb_gradient(problem.grad_stacked(x), state) \
                 - problem.grad_stacked(x)
             assert np.linalg.norm(diff) <= 0.2 * (1.0 + 1e-12)
 
@@ -104,7 +104,7 @@ def test_noise_mean_and_second_moment_monte_carlo():
     total = np.zeros_like(exact)
     sq_norms = np.empty(samples)
     for s in range(samples):
-        g = perturb_gradient(problem.grad_stacked(x), spec, state)
+        g = perturb_gradient(problem.grad_stacked(x), state)
         total += g
         sq_norms[s] = np.sum((g - exact) ** 2)
     mean_err = np.linalg.norm(total / samples - exact)
@@ -120,13 +120,13 @@ def test_identical_seeds_identical_streams():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((3, 2))
     spec = OracleSpec(delta=0.05, sigma=0.7, seed=42)
-    a = [perturb_gradient(problem.grad_stacked(x), spec, OracleState(spec, (3, 2)))
+    a = [perturb_gradient(problem.grad_stacked(x), OracleState(spec, (3, 2)))
          for _ in range(1)]
     s1, s2 = OracleState(spec, (3, 2)), OracleState(spec, (3, 2))
     for _ in range(5):
         np.testing.assert_array_equal(
-            perturb_gradient(problem.grad_stacked(x), spec, s1),
-            perturb_gradient(problem.grad_stacked(x), spec, s2))
+            perturb_gradient(problem.grad_stacked(x), s1),
+            perturb_gradient(problem.grad_stacked(x), s2))
 
 
 def test_averaged_oracle_bias_within_lemma_bound():
@@ -143,7 +143,7 @@ def test_averaged_oracle_bias_within_lemma_bound():
     x = np.tile(xbar, (4, 1)) + dev
     spec = OracleSpec(delta=delta, sigma=0.0, seed=17)
     state = OracleState(spec, (4, 3))
-    sampled_mean = perturb_gradient(problem.grad_stacked(x), spec, state).mean(axis=0)
+    sampled_mean = perturb_gradient(problem.grad_stacked(x), state).mean(axis=0)
     bias_sq = float(np.sum((sampled_mean - problem.grad_f(xbar)) ** 2))
     bound = (2.0 * delta ** 2 + 2.0 * profile.L_l ** 2 * delta_prime) / n
     assert bias_sq <= bound * (1.0 + 1e-9)
@@ -158,7 +158,7 @@ def test_mean_projection_of_noise_small():
     x = np.zeros((n, d))
     sq = []
     for _ in range(4000):
-        g = perturb_gradient(problem.grad_stacked(x), spec, state)
+        g = perturb_gradient(problem.grad_stacked(x), state)
         sq.append(np.sum(average_projection(g).mean(axis=0) ** 2))
     assert np.mean(sq) <= 1.2 * spec.sigma ** 2 / n ** 2
 
@@ -179,7 +179,7 @@ def test_dimension_mismatch_rejected():
     spec = OracleSpec(delta=0.1, sigma=0.0, seed=0)
     state = OracleState(spec, (4, 2))
     with pytest.raises(ValueError, match="shape"):
-        perturb_gradient(problem.grad_stacked(np.zeros((3, 2))), spec, state)
+        perturb_gradient(problem.grad_stacked(np.zeros((3, 2))), state)
 
 
 def _reference_perturb(grad, spec, bias_dir, rng):
@@ -215,4 +215,4 @@ def test_precomputed_oracle_terms_return_the_reference_bits(bias_mode, noise_mod
     grads = np.random.default_rng(4).standard_normal((2,) + shape)
     for grad in grads:
         expected = _reference_perturb(grad, spec, bias_dir, rng)
-        np.testing.assert_array_equal(perturb_gradient(grad, spec, state), expected)
+        np.testing.assert_array_equal(perturb_gradient(grad, state), expected)

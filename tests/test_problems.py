@@ -11,7 +11,6 @@ from plnet import (
     build_robust_ls,
     centralized_gd,
     centralized_gda,
-    inner_objective,
     pl_qg_report,
 )
 from plnet.problems import row_norms
@@ -134,16 +133,15 @@ def test_inner_objective_solve_and_consistency():
     rng = np.random.default_rng(30)
     for _ in range(5):
         x = rng.standard_normal(2)
-        inner = inner_objective(problem, x)
-        assert np.linalg.norm(problem.grad_y(x, inner.y_star)) <= 1e-10
-        assert inner.gap(inner.y_star) == pytest.approx(0.0, abs=1e-12)
+        y_star, g_star = problem.y_star_of(x), problem.f_of_max(x)
+        assert np.linalg.norm(problem.grad_y(x, y_star)) <= 1e-10
+        assert g_star - problem.phi(x, y_star) == pytest.approx(0.0, abs=1e-12)
         # maximizer: random deviations never beat it
         for _ in range(10):
-            y = inner.y_star + 0.5 * rng.standard_normal(2)
-            assert inner.value(y) <= inner.g_star + 1e-12
+            y = y_star + 0.5 * rng.standard_normal(2)
+            assert problem.phi(x, y) <= g_star + 1e-12
     s = problem.saddle
-    inner_at_opt = inner_objective(problem, s.x)
-    assert inner_at_opt.g_star == pytest.approx(problem.phi_star, abs=1e-10)
+    assert problem.f_of_max(s.x) == pytest.approx(problem.phi_star, abs=1e-10)
 
 
 def test_danskin_gradient_matches_finite_differences():
@@ -356,11 +354,11 @@ def _per_sample_pl_qg(problem, num_points, seed):
         worst[:2] = np.maximum(worst[:2], ratios(
             problem.f_of_max(x) - s.value, problem.danskin_grad(x),
             dist_sq(problem.x_hessian_of_max(), x - s.x), prof.mu_x))
-        inner = inner_objective(problem, x)
-        y = inner.y_star + rng.standard_normal(problem.d_y)
+        y_star = problem.y_star_of(x)
+        y = y_star + rng.standard_normal(problem.d_y)
         worst[2:] = np.maximum(worst[2:], ratios(
-            inner.gap(y), inner.grad(y),
-            dist_sq(problem.y_hessian_neg(), y - inner.y_star), prof.mu_y))
+            problem.phi(x, y_star) - problem.phi(x, y), problem.grad_y(x, y),
+            dist_sq(problem.y_hessian_neg(), y - y_star), prof.mu_y))
     return list(worst)
 
 
