@@ -40,6 +40,16 @@ EDGE_MIN_NODES = 400
 EDGE_MAX_FILL = 1 / 128
 
 
+def edge_gossip(n, edges):
+    """Whether gossip applies a round with ``edges`` edges on ``n`` nodes from
+    its edge list rather than its dense matrix: the one crossover predicate.
+
+    Reads the constants above at call time, so patching them moves every
+    use of the crossover at once.
+    """
+    return n >= EDGE_MIN_NODES and edges <= EDGE_MAX_FILL * n ** 2
+
+
 class CommClock:
     """Global communication-round cursor owned by one run.
 
@@ -101,12 +111,13 @@ def run_consensus(z0, rounds, model, clock):
     mean invariant, so the projection of the output equals the projection
     of the input up to floating point.
 
-    A round on at least ``EDGE_MIN_NODES`` nodes with at most
-    ``EDGE_MAX_FILL * n**2`` edges is applied from the model's edge weights
-    (:meth:`~plnet.topology.MixingModel.weights_at`); every other round
-    multiplies by :meth:`~plnet.topology.MixingModel.matrix_at`, as
-    ``W.dot(z)``: the same ``dgemm`` and the same bits as ``W @ z``, at a
-    cheaper dispatch.
+    A round for which :func:`edge_gossip` holds (at least
+    ``EDGE_MIN_NODES`` nodes, at most ``EDGE_MAX_FILL * n**2`` edges) is
+    applied from the model's edge weights
+    (:meth:`~plnet.topology.MixingModel.weights_at`) and never forms a dense
+    matrix; every other round multiplies by the matrix the model caches for
+    it (:meth:`~plnet.topology.MixingModel.matrix_at`), as ``W.dot(z)``: the
+    same ``dgemm`` and the same bits as ``W @ z``, at a cheaper dispatch.
 
     Parameters
     ----------
@@ -129,7 +140,7 @@ def run_consensus(z0, rounds, model, clock):
     for t in range(t0, t0 + rounds):
         if large:
             i, j, w = model.weights_at(t)
-            if len(w) <= EDGE_MAX_FILL * model.n ** 2:
+            if edge_gossip(model.n, len(w)):
                 z = _edge_round(z, i, j, w, model._edge_index(t, z.shape[1]))
                 continue
         z = model.matrix_at(t).dot(z)

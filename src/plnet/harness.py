@@ -19,7 +19,6 @@ environment, not of a run.
 import csv
 import io
 import json
-import math
 import os
 
 import numpy as np
@@ -40,17 +39,6 @@ SWEEP_HEADER = ["axis", "value", "run_id", "seed", "final_f_gap",
 
 class ConfigError(ValueError):
     """Invalid experiment config; message is anchored to file and key."""
-
-
-def _fmt(x):
-    """Serialize one CSV cell: floats at 17 significant digits, blanks for NaN."""
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        if math.isnan(x):
-            return ""
-        return format(x, ".17g")
-    return str(x)
 
 
 def _read_config(path):
@@ -238,7 +226,7 @@ def _theory_budget(cfg, problem, model, source):
 
     An explicit step size below 1/L_g selects the small-step variant so
     the overlaid rate is 1 - gamma*mu, matching the run; one above 1/L_g
-    gets the budget at 1/L_g, whose step ``_settings`` then refuses.
+    gets the budget at 1/L_g, whose step ``_resolve_steps`` then refuses.
     Aperiodic graph sequences are refused: their ``lam`` is sampled, not a
     bound. So are random starts: budgets are sized from the zero start's gaps.
     """
@@ -304,25 +292,40 @@ def _init_state(shape, mode, stream):
     return np.tile(rng.standard_normal(shape[1]), (shape[0], 1))
 
 
+def _resolve_steps(algo, budget, source):
+    """Fill the step sizes ``algo`` leaves unset from ``budget``, in place,
+    and refuse a set one that is not the budget's own.
+
+    A step above the budget's voids its descent guarantee. A DGD budget is
+    sized for the configured step (the small-step variant below 1/L_g), so
+    only a step above 1/L_g can differ from it; the saddle budget has no
+    small-step variant, so an MGDA step below its own would run the
+    budget's iteration counts at a slower rate than they were sized for.
+    """
+    for key, label in (("gamma", "1/L_g"), ("gamma_x", "1/L_x"), ("gamma_y", "1/L_yy_g")):
+        limit = getattr(budget, key, None)
+        if limit is not None and not (limit * (1.0 - 1e-12) <= algo.setdefault(key, limit)
+                                      <= limit * (1.0 + 1e-12)):
+            raise ConfigError(f"{source}: algorithm.{key}: {algo[key]} "
+                              f"{'exceeds' if algo[key] > limit else 'is below'} "
+                              f"the budget's step {label} = {limit}")
+
+
 def _settings(cfg, problem, model, source):
     """Concrete algorithm settings and the theory budget for one config.
 
     The budget is evaluated on the base instance when ``theory_auto`` or
     ``overlay_bounds`` asks for it, and every configured step size must then
-    be at most the budget's own. With ``theory_auto`` the iteration and
-    round counts, and any step size the config leaves unset, come from it.
-    Returns ``(algorithm dict, budget or None)``; ``cfg`` is not modified.
+    be the budget's own (:func:`_resolve_steps`). With ``theory_auto`` the
+    iteration and round counts, and any step size the config leaves unset,
+    come from it. Returns ``(algorithm dict, budget or None)``; ``cfg`` is
+    not modified.
     """
     algo = dict(cfg["algorithm"])
     if not (algo["theory_auto"] or cfg["overlay_bounds"]):
         return algo, None
     budget = _theory_budget(cfg, problem, model, source)
-    # a step the config leaves unset is the budget's; a set one may not exceed it
-    for key, label in (("gamma", "1/L_g"), ("gamma_x", "1/L_x"), ("gamma_y", "1/L_yy_g")):
-        limit = getattr(budget, key, None)
-        if limit is not None and algo.setdefault(key, limit) > limit * (1.0 + 1e-12):
-            raise ConfigError(f"{source}: algorithm.{key}: {algo[key]} exceeds the "
-                              f"budget's step {label} = {limit}")
+    _resolve_steps(algo, budget, source)
     if not algo["theory_auto"]:
         return algo, budget
     if (budget.T if algo["kind"] == "dgd" else budget.T_tot) is None:
@@ -399,12 +402,18 @@ def _wall_times(cfg, record):
 
 
 def _write_csv(path, header, rows):
+    """Write the list ``rows`` under ``header``, formatted a column at a time:
+    floats at 17 significant digits, NaN and None as blanks, the rest by
+    ``str``. Blocks of 128 rows bound the formatted cells held at once."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "wt", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for start in range(0, len(rows), 128):
+            columns = (["" if v is None else str(v) if not isinstance(v, float)
+                        else "" if v != v else format(v, ".17g") for v in column]
+                       for column in zip(*rows[start:start + 128]))
+            writer.writerows(zip(*columns))
     return path
 
 
@@ -572,7 +581,11 @@ def validate(config_or_path):
 
 
 def theory_report(config_or_path):
-    """Evaluate the budget for a config; returns (budget, constants dict)."""
+    """Evaluate the budget for a config; returns (budget, constants dict).
+
+    Makes the step-size check ``run`` and ``validate`` make, so a config
+    whose steps the budget does not cover gets no budget here either.
+    """
     cfg, source = _load(config_or_path)
     if cfg["algorithm"]["kind"] not in ("dgd", "mgda"):
         raise ConfigError(f"{source}: algorithm.kind: theory budgets apply to the "
@@ -581,4 +594,5 @@ def theory_report(config_or_path):
     problem = _build_problem(cfg)
     model = _build_model(cfg)
     budget = _theory_budget(cfg, problem, model, source)
+    _resolve_steps(dict(cfg["algorithm"]), budget, source)
     return budget, _constants(problem, model)

@@ -28,13 +28,19 @@ is exact; for ``per-step-connected`` it is estimated from sampled windows
 and is not a bound.
 
 A :class:`MixingModel` builds each round's edge weights once and derives
-its dense matrix and edge-list gossip index from them, in one cache entry.
+from them what gossip multiplies by, in one cache entry per round: the
+dense matrix on rounds gossip applies densely, the edge-list index on
+rounds it applies from the edge list (the crossover is
+:func:`plnet.consensus.edge_gossip`). A dense matrix asked for on an
+edge-list round, as :func:`estimate_lambda` does, is built and not kept.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import consensus
 
 __all__ = [
     "GraphSequence",
@@ -292,8 +298,12 @@ class MixingModel:
     round, as a dense matrix through :meth:`matrix_at` or as edge arrays
     through :meth:`weights_at`. Each round has one cache entry, keyed by
     ``k % period`` (aperiodic sequences: ``k``, latest round only), that
-    holds the weights ``(i, j, w)`` and, built from them on first use, the
-    dense matrix and the edge-list index of each column count. The
+    holds the weights ``(i, j, w)`` and, built from them on first use, what
+    gossip multiplies by: the dense matrix on a round that
+    :func:`plnet.consensus.edge_gossip` sends down the dense path, the
+    edge-list index of each column count on one it sends down the edge
+    list. :meth:`matrix_at` on an edge-list round builds the matrix from
+    the cached weights and returns it without keeping it. The
     per-window contraction factor ``lam`` is measured lazily, on first use,
     by :func:`estimate_lambda`: exactly for periodic sequences, as a
     sampled estimate for aperiodic ones.
@@ -324,6 +334,8 @@ class MixingModel:
         entry = self._rounds.get(k if period is None else k % period)
         if entry is None or entry[1] is None:
             entry = self._round(k)
+            if consensus.edge_gossip(self.n, len(entry[0][2])):
+                return metropolis_matrix(self.seq, k, entry[0])
             entry[1] = metropolis_matrix(self.seq, k, entry[0])
         return entry[1]
 
@@ -384,19 +396,19 @@ def estimate_lambda(model, horizon=None):
         starts = 10 * tau if horizon is None else int(horizon)
         if starts < 1:
             raise ValueError("horizon must be >= 1")
-    n = model.n
-    avg = np.full((n, n), 1.0 / n)
     worst = 0.0
     for s in range(starts):
         window = model.matrix_at(s)
         for k in range(s + 1, s + tau):
             window = model.matrix_at(k) @ window
+        # same bits as W - full((n, n), 1/n); frees an uncached W before the solve
+        window = window - 1.0 / model.n
         if tau == 1:
             # one symmetric Metropolis matrix: its singular values are the
             # absolute eigenvalues, which eigvalsh finds about 3x faster
-            top = np.abs(np.linalg.eigvalsh(window - avg)).max()
+            top = np.abs(np.linalg.eigvalsh(window)).max()
         else:
-            top = np.linalg.svd(window - avg, compute_uv=False)[0]
+            top = np.linalg.svd(window, compute_uv=False)[0]
         worst = max(worst, top)
     if worst >= 1.0 - CONTRACTION_TOL:
         raise NonContractiveSequenceError(

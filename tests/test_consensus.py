@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,3 +261,77 @@ def test_one_model_serves_two_column_counts(monkeypatch):
             states[d] = run_consensus(states[d], 2, shared, clocks[d])
             np.testing.assert_array_equal(states[d], fresh[d][step])
     assert sorted(built) == [0, 1, 2]
+
+
+# rings on EDGE_MIN_NODES nodes, whose every round gossips from the edge list
+EDGE_LIST_RINGS = [("static", {}), ("tau-connected", {"tau": 3})]
+
+
+def _ring_model(kind, params, n=consensus.EDGE_MIN_NODES):
+    return MixingModel(make_graph_sequence(n, kind, topology="ring", **params))
+
+
+@pytest.mark.parametrize("kind, params", EDGE_LIST_RINGS)
+def test_lam_equals_the_explicit_window_spectrum(kind, params):
+    model = _ring_model(kind, params)
+    n, tau = model.n, model.tau
+    avg = np.full((n, n), 1.0 / n)
+    worst = 0.0
+    for s in range(tau):
+        window = topology.metropolis_matrix(model.seq, s)
+        for k in range(s + 1, s + tau):
+            window = topology.metropolis_matrix(model.seq, k) @ window
+        if tau == 1:
+            top = np.abs(np.linalg.eigvalsh(window - avg)).max()
+        else:
+            top = np.linalg.svd(window - avg, compute_uv=False)[0]
+        worst = max(worst, top)
+    assert model.lam == 1.0 - worst
+
+
+@pytest.mark.parametrize("kind, params", EDGE_LIST_RINGS)
+def test_lam_keeps_no_dense_matrix_of_an_edge_list_round(kind, params, monkeypatch):
+    model = _ring_model(kind, params)
+    expected = [topology.metropolis_matrix(model.seq, k) for k in range(model.tau)]
+    model.lam
+    assert all(entry[1] is None for entry in model._rounds.values())
+    built = _count_edge_builds(monkeypatch)
+    for k in range(model.tau):
+        assert consensus.edge_gossip(model.n, len(model.weights_at(k)[2]))
+        served = model.matrix_at(k)
+        assert served is not model.matrix_at(k)
+        np.testing.assert_array_equal(served, expected[k])
+    assert all(entry[1] is None for entry in model._rounds.values())
+    assert built == []
+
+
+def test_lam_keeps_the_dense_matrix_of_a_dense_round(monkeypatch):
+    model = _ring_model("tau-connected", {"tau": 3}, n=12)
+    model.lam
+    built = _count_edge_builds(monkeypatch)
+    for k in range(6):
+        assert not consensus.edge_gossip(model.n, len(model.weights_at(k)[2]))
+        assert model.matrix_at(k) is model.matrix_at(k + 3)
+    assert built == []
+
+
+@pytest.mark.parametrize("kind, params, arrays", [("static", {}, 2),
+                                                  ("tau-connected", {"tau": 3}, 3)])
+def test_estimate_lambda_holds_at_most_a_window_and_one_more_matrix(kind, params,
+                                                                    arrays):
+    # numpy's n x n buffers, as tracemalloc sees them (LAPACK's workspace is
+    # not traced): the window and its shifted copy on a static ring, and a
+    # window, the next round's matrix and their product on tau 3
+    model = _ring_model(kind, params)
+    for k in range(model.tau):
+        model.weights_at(k)
+    n_sq_bytes = 8 * model.n ** 2
+    slack = 8 * 10 * model.n
+    tracemalloc.start()
+    try:
+        estimate_lambda(model)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * n_sq_bytes + slack
+    assert retained <= slack

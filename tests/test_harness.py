@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -581,3 +582,74 @@ def test_mgda_theory_auto_refuses_an_unreachable_inner_target(tmp_path):
     with pytest.raises(ConfigError, match=r"<config>: algorithm\.theory_auto: "
                                           "consensus target unreachable"):
         harness.run(cfg)
+
+
+def _per_cell_csv(path, header, rows):
+    """The per-cell CSV writer the column writer replaced, as the reference."""
+    def cell(x):
+        if x is None:
+            return ""
+        if isinstance(x, float):
+            return "" if math.isnan(x) else format(x, ".17g")
+        return str(x)
+
+    with open(path, "wt", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell(v) for v in row])
+
+
+def test_column_csv_writer_matches_the_per_cell_writer(tmp_path):
+    header = ["name", "count", "x", "y", "z"]
+    rows = [["a,b", 3, 0.1, np.float64(1.0 / 3.0), float("nan")],
+            ['say "hi"', -1, -0.0, None, float("inf")],
+            ["plain", 0, 1e300, np.float64("nan"), -float("inf")],
+            ["", 2**70, 5e-324, np.float64(-0.0), 2.5]]
+    for cases in ([], rows[:1], rows * 40):  # 160 rows span two blocks
+        harness._write_csv(str(tmp_path / "new.csv"), header, cases)
+        _per_cell_csv(str(tmp_path / "old.csv"), header, cases)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert len(read_rows(tmp_path / "new.csv")) == len(cases)
+
+
+def test_cli_theory_makes_the_step_check_of_run(tmp_path, capsys):
+    # `plnet theory` used to print a budget for a step that run refuses
+    cfg = minimal_config(tmp_path, problem={"kind": "least_squares", "n": 4},
+                         graph={"topology": "ring"}, overlay_bounds=True,
+                         algorithm={"gamma": 0.64, "eps": 1e-6, "delta_prime": 1e-8},
+                         oracle={"sigma": 0.1})
+    assert 0.64 > 1.0 / harness._build_problem(harness.resolve_config(cfg)).profile.L_g
+    path = write_config(tmp_path, cfg)
+    for command in ("theory", "run"):
+        assert cli.main([command, path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: algorithm.gamma: ")
+
+
+@pytest.mark.parametrize("scaled, key, label", [(("gamma_x", "gamma_y"), "gamma_x", "1/L_x"),
+                                                (("gamma_y",), "gamma_y", "1/L_yy_g")])
+def test_theory_auto_rejects_mgda_steps_below_the_budget(tmp_path, capsys, scaled, key,
+                                                         label):
+    # the saddle budget has no small-step variant: at 0.1/L its iteration
+    # counts used to end this run at f_gap 0.031, against the budget's own
+    # target eps_x + floor_x = 1.1e-3
+    cfg = {
+        "problem": {"kind": "robust_ls", "n": 6, "d_x": 2, "d_y": 2, "seed": 0},
+        "graph": {"kind": "static", "topology": "ring"},
+        "algorithm": {"kind": "mgda", "theory_auto": True, "eps": 1e-3,
+                      "eps_y": 1e-4, "delta_prime": 1e-6, "delta_prime_y": 1e-6},
+        "output": str(tmp_path / "mgda"),
+    }
+    prof = harness._build_problem(harness.resolve_config(cfg)).saddle_profile
+    steps = {"gamma_x": 1.0 / prof.L_x, "gamma_y": 1.0 / prof.L_yy_g}
+    cfg["algorithm"].update({k: 0.1 * steps[k] for k in scaled})
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "theory"):
+        assert cli.main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: algorithm.{key}: ")
+        assert f"is below the budget's step {label} = " in err
+    assert cli.main(["validate", path]) == 1
+    assert f"FAIL theory: {path}: algorithm.{key}: " in capsys.readouterr().out
+    cfg["algorithm"].update(steps)
+    assert not harness.run(cfg)[2]
