@@ -9,13 +9,13 @@ optimality gaps track. Centralized references without any communication
 are provided for the full-graph equivalence checks.
 """
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import CommClock, average_projection, consensus_error, run_consensus
+from .consensus import (CommClock, _mean_and_error, average_projection, consensus_error,
+                        run_consensus)
 from .oracles import OracleSpec, OracleState, perturb_gradient
 from .problems import row_norms
 
@@ -41,33 +41,26 @@ class DivergenceError(RuntimeError):
 class DGDConfig:
     """Settings for decentralized gradient descent.
 
-    ``rounds_schedule`` is the number of gossip rounds per iteration,
-    either a constant or a per-iteration sequence of at least
-    ``iterations`` entries; every count must be a nonnegative integer.
+    ``rounds_schedule`` is the number of gossip rounds after every
+    iteration: one nonnegative integer for the whole run, which
+    ``rounds_at(k)`` returns for every ``k``.
     """
 
     gamma: float
     iterations: int
-    rounds_schedule: object = 1
+    rounds_schedule: int = 1
     oracle: OracleSpec = OracleSpec()
     record_every: int = 1
 
     def rounds_at(self, k):
-        return self._rounds[k] if isinstance(self._rounds, tuple) else self._rounds
+        return self.rounds_schedule
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("step size must be positive")
         if self.iterations < 0 or self.record_every < 1:
             raise ValueError("invalid iteration counts")
-        scalar = np.ndim(self.rounds_schedule) == 0
-        counts = tuple([self.rounds_schedule] if scalar else self.rounds_schedule)
-        if (not all(isinstance(r, (int, np.integer)) and r >= 0 for r in counts)
-                or not scalar and len(counts) < self.iterations):
-            raise ValueError("rounds_schedule: needs a nonnegative integer count for "
-                             f"each of the {self.iterations} iterations")
-        counts = tuple(map(int, counts))
-        object.__setattr__(self, "_rounds", counts[0] if scalar else counts)
+        _check_rounds("rounds_schedule", self.rounds_schedule)
 
 
 @dataclass(frozen=True)
@@ -95,9 +88,12 @@ class MGDAConfig:
         if min(self.outer_iterations, self.inner_iterations) < 0 or self.record_every < 1:
             raise ValueError("invalid iteration counts")
         for key in ("rounds_x", "rounds_y"):
-            rounds = getattr(self, key)
-            if not isinstance(rounds, (int, np.integer)) or rounds < 0:
-                raise ValueError(f"{key}: needs a nonnegative integer count, got {rounds!r}")
+            _check_rounds(key, getattr(self, key))
+
+
+def _check_rounds(key, rounds):
+    if not isinstance(rounds, (int, np.integer)) or rounds < 0:
+        raise ValueError(f"{key}: needs a nonnegative integer count, got {rounds!r}")
 
 
 @dataclass
@@ -137,24 +133,14 @@ def _record(record, k, xs, ys=None, comm_rounds=0):
     """
     record.ks.append(k)
     record.comm_rounds.append(comm_rounds)
-    record.xbar.append(_average(xs, record.consensus_err_x))
+    xbar, err = _mean_and_error(xs)
+    record.xbar.append(xbar)
+    record.consensus_err_x.append(err)
     if ys is not None:
-        record.ybar.append(_average(ys, record.consensus_err_y))
+        ybar, err = _mean_and_error(ys)
+        record.ybar.append(ybar)
+        record.consensus_err_y.append(err)
     record.wall_time.append(time.perf_counter() - record.started)
-
-
-def _average(stack, errors):
-    """Row mean of ``stack``; appends ``||stack - mean||`` to ``errors``.
-
-    The same bits as ``stack.mean(axis=0)`` and ``np.linalg.norm`` of the
-    difference, which compute exactly this (a sum divided by the row count,
-    and the square root of the raveled difference's dot product), in fewer
-    numpy calls.
-    """
-    mean = np.add.reduce(stack, axis=0) / len(stack)
-    r = (stack - mean).ravel("K")
-    errors.append(math.sqrt(r.dot(r)))
-    return mean
 
 
 def _evaluate(record, problem):
@@ -201,7 +187,7 @@ def dgd_run(problem, model, config, x0):
 
     Each iteration takes one oracle call per node on the stacked state,
     steps ``Z = X - gamma * G``, and replaces ``X`` by the gossip output of
-    ``Z`` over the scheduled number of rounds.
+    ``Z`` over ``config.rounds_schedule`` rounds.
 
     Parameters
     ----------
@@ -227,6 +213,7 @@ def dgd_run(problem, model, config, x0):
                        stochastic=config.oracle.sigma > 0)
     clock = CommClock()
     state = OracleState(config.oracle, (n, d), stream=0)
+    rounds = config.rounds_schedule
     skipped_cons = 0.0  # worst consensus error among unrecorded iterates
     for k in range(config.iterations):
         if k % config.record_every == 0:
@@ -235,7 +222,7 @@ def dgd_run(problem, model, config, x0):
             skipped_cons = max(skipped_cons, consensus_error(x))
         grad = perturb_gradient(problem.grad_stacked(x), state)
         z = x - config.gamma * grad
-        x = run_consensus(z, config.rounds_at(k), model, clock)
+        x = run_consensus(z, rounds, model, clock)
         _check_finite(x, k + 1, "iterate")
     _record(record, config.iterations, x, comm_rounds=clock.t0)
     _evaluate(record, problem)

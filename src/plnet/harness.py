@@ -41,6 +41,20 @@ class ConfigError(ValueError):
     """Invalid experiment config; message is anchored to file and key."""
 
 
+# every key a config may set, by its label prefix; a key no code reads is
+# refused, so a misspelled one cannot quietly run the default
+_KNOWN_KEYS = {prefix: frozenset(keys.split()) for prefix, keys in {
+    "": "problem graph algorithm oracle seeds seed_scope init overlay_bounds "
+        "record_wall_time output",
+    "problem.": "kind n seed d d_i d_x d_y alpha",
+    "graph.": "kind topology tau seed degree edges",
+    "algorithm.": "kind gamma gamma_x gamma_y iterations outer_iterations inner_iterations "
+                  "rounds rounds_x rounds_y record_every theory_auto eps eps_y "
+                  "delta_prime delta_prime_y",
+    "oracle.": "delta sigma bias_mode seed",
+}.items()}
+
+
 def _read_config(path):
     try:
         with open(path, "rt", encoding="utf-8") as fh:
@@ -89,15 +103,20 @@ def resolve_config(cfg, source="<config>"):
     """Fill defaults and check cross-field consistency of a config dict."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{source}: top level must be an object")
-    out = json.loads(json.dumps(cfg))  # deep copy, JSON-typed
-    prob = out.setdefault("problem", {})
+    for prefix, known in _KNOWN_KEYS.items():
+        unknown = (cfg.get(prefix[:-1], {}) if prefix else cfg).keys() - known
+        if unknown:
+            raise ConfigError(f"{source}: {prefix}{min(unknown)}: unknown field")
+    out = {"seed_scope": "oracle", "init": "zero", "overlay_bounds": False,
+           "record_wall_time": False, "output": "trace",
+           **json.loads(json.dumps(cfg))}  # deep copy, JSON-typed
+    prob = out["problem"] = {"seed": 0, **out.get("problem", {})}
     kind = _require(out, "kind", source, "problem")
     if kind not in ("least_squares", "quadratic", "robust_ls"):
         raise ConfigError(f"{source}: problem.kind: unknown kind {kind!r}")
     n = _require(out, "n", source, "problem")
     if not isinstance(n, int) or n < 1:
         raise ConfigError(f"{source}: problem.n: must be a positive integer")
-    prob.setdefault("seed", 0)
     if kind == "robust_ls":
         for key in ("d_x", "d_y"):
             _require(out, key, source, "problem")
@@ -108,40 +127,30 @@ def resolve_config(cfg, source="<config>"):
     else:
         _require(out, "d", source, "problem")
         prob.setdefault("d_i", prob["d"])
-    graph = out.setdefault("graph", {})
-    graph.setdefault("kind", "static")
+    graph = out["graph"] = {"kind": "static", "topology": "complete", "tau": 1, "seed": 0,
+                            **out.get("graph", {})}
     if graph["kind"] not in ("static", "per-step-connected", "tau-connected"):
         raise ConfigError(f"{source}: graph.kind: unknown kind {graph['kind']!r}")
-    graph.setdefault("topology", "complete")
-    graph.setdefault("tau", 1)
-    graph.setdefault("seed", 0)
-    algo = out.setdefault("algorithm", {})
+    algo = out["algorithm"] = {"record_every": 1, "theory_auto": False,
+                               **out.get("algorithm", {})}
     akind = _require(out, "kind", source, "algorithm")
     if akind not in ("dgd", "mgda", "centralized_gd", "centralized_gda"):
         raise ConfigError(f"{source}: algorithm.kind: unknown kind {akind!r}")
     if akind in ("mgda", "centralized_gda") and kind != "robust_ls":
         raise ConfigError(f"{source}: algorithm.kind: {akind} needs a robust_ls problem")
-    algo.setdefault("record_every", 1)
-    algo.setdefault("theory_auto", False)
     if algo["theory_auto"] and akind not in ("dgd", "mgda"):
         raise ConfigError(f"{source}: algorithm.theory_auto: budgets exist only "
                           "for dgd and mgda runs")
+    minimize = akind in ("dgd", "centralized_gd")
     if algo["theory_auto"]:
         _require_targets(out, source)
     else:
-        if akind in ("dgd", "centralized_gd"):
-            _require(out, "iterations", source, "algorithm")
-        else:
-            _require(out, "outer_iterations", source, "algorithm")
-            _require(out, "inner_iterations", source, "algorithm")
-    if akind in ("dgd", "centralized_gd"):
-        if not algo["theory_auto"]:
-            _require(out, "gamma", source, "algorithm")
+        for key in (("iterations", "gamma") if minimize else
+                    ("outer_iterations", "inner_iterations", "gamma_x", "gamma_y")):
+            _require(out, key, source, "algorithm")
+    if minimize:
         algo.setdefault("rounds", 1)
     else:
-        if not algo["theory_auto"]:
-            _require(out, "gamma_x", source, "algorithm")
-            _require(out, "gamma_y", source, "algorithm")
         algo.setdefault("rounds_x", algo.get("rounds", 1))
         algo.setdefault("rounds_y", algo.get("rounds", 1))
     for key in ("iterations", "outer_iterations", "inner_iterations", "rounds",
@@ -154,12 +163,8 @@ def resolve_config(cfg, source="<config>"):
         if akind != "dgd":
             raise ConfigError(f"{source}: overlay_bounds: only supported for dgd runs")
         _require_targets(out, source)
-    oracle = out.setdefault("oracle", {})
-    oracle.setdefault("delta", 0.0)
-    oracle.setdefault("sigma", 0.0)
-    oracle.setdefault("bias_mode", "fixed-direction")
-    oracle.setdefault("noise_mode", "gaussian-isotropic")
-    oracle.setdefault("seed", 0)
+    oracle = out["oracle"] = {"delta": 0.0, "sigma": 0.0, "bias_mode": "fixed-direction",
+                              "seed": 0, **out.get("oracle", {})}
     try:
         OracleSpec(**oracle)
     except ValueError as exc:
@@ -167,15 +172,10 @@ def resolve_config(cfg, source="<config>"):
     seeds = out.setdefault("seeds", [oracle["seed"]])
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"{source}: seeds: must be a nonempty list")
-    out.setdefault("seed_scope", "oracle")
     if out["seed_scope"] not in ("oracle", "problem-and-oracle"):
         raise ConfigError(f"{source}: seed_scope: unknown value")
-    out.setdefault("init", "zero")
     if out["init"] not in ("zero", "random"):
         raise ConfigError(f"{source}: init: must be 'zero' or 'random'")
-    out.setdefault("overlay_bounds", False)
-    out.setdefault("record_wall_time", False)
-    out.setdefault("output", "trace")
     return out
 
 

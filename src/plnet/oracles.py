@@ -8,7 +8,7 @@ interpreted on the full stacked gradient. With ``delta = sigma = 0`` the
 oracle returns the exact gradient bit-identically.
 
 :class:`OracleState` computes once per run what every call reuses: the
-fixed-direction bias ``delta * bias_dir`` as an array, and the noise scale
+fixed-direction bias ``delta * direction`` as an array, and the noise scale
 ``sigma / sqrt(size)`` of the gradient shape. :func:`perturb_gradient` adds
 them in the order it always has, so it returns the same bits and draws the
 same noise stream as when it formed them on every call.
@@ -20,16 +20,16 @@ import numpy as np
 
 __all__ = ["OracleSpec", "OracleState", "perturb_gradient"]
 
-BIAS_MODES = ("fixed-direction", "gradient-aligned", "zero")
-NOISE_MODES = ("gaussian-isotropic", "zero")
+BIAS_MODES = ("fixed-direction", "gradient-aligned")
 
 
 @dataclass(frozen=True)
 class OracleSpec:
     """Bias/noise model for a gradient oracle.
 
-    ``delta`` bounds the bias norm (attained exactly by the non-zero bias
-    modes), ``sigma**2`` is the noise second moment. ``fixed-direction``
+    ``delta`` bounds the bias norm and ``sigma**2`` is the noise second
+    moment; bias is off exactly when ``delta == 0`` and noise exactly when
+    ``sigma == 0``, the test the theory budgets apply. ``fixed-direction``
     bias uses one unit direction drawn from the seed per run;
     ``gradient-aligned`` scales the normalized current gradient, giving a
     persistent adversarial bias.
@@ -38,7 +38,6 @@ class OracleSpec:
     delta: float = 0.0
     sigma: float = 0.0
     bias_mode: str = "fixed-direction"
-    noise_mode: str = "gaussian-isotropic"
     seed: int = 0
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class OracleSpec:
             raise ValueError("delta and sigma must be >= 0")
         if self.bias_mode not in BIAS_MODES:
             raise ValueError(f"bias_mode must be one of {BIAS_MODES}")
-        if self.noise_mode not in NOISE_MODES:
-            raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
 
     @property
     def exact(self):
@@ -59,21 +56,20 @@ class OracleState:
 
     ``stream`` separates independent oracles inside one run (e.g. the two
     variable blocks of a saddle problem) while staying reproducible from the
-    single spec seed. ``bias`` is ``delta * bias_dir`` (None unless the
-    fixed-direction bias is on) and ``noise_scale`` is
-    ``sigma / sqrt(size)`` (None unless the noise is on).
+    single spec seed. ``bias`` is ``delta`` times a unit direction drawn
+    from the stream (None unless the fixed-direction bias is on) and
+    ``noise_scale`` is ``sigma / sqrt(size)`` (None unless the noise is on).
     """
 
     def __init__(self, spec, shape, stream=0):
         self.spec = spec
         self.shape = tuple(shape)
         self.rng = np.random.default_rng([spec.seed, stream])
-        self.bias_dir = self.bias = self.noise_scale = None
+        self.bias = self.noise_scale = None
         if spec.bias_mode == "fixed-direction" and spec.delta > 0:
             v = self.rng.standard_normal(self.shape)
-            self.bias_dir = v / np.linalg.norm(v)
-            self.bias = spec.delta * self.bias_dir
-        if spec.sigma > 0 and spec.noise_mode != "zero":
+            self.bias = spec.delta * (v / np.linalg.norm(v))
+        if spec.sigma > 0:
             self.noise_scale = spec.sigma / np.sqrt(np.prod(self.shape))
 
 
@@ -92,7 +88,7 @@ def perturb_gradient(grad, state):
     out = grad.copy()
     if state.bias is not None:
         out += state.bias
-    elif spec.bias_mode == "gradient-aligned" and spec.delta > 0:
+    elif spec.delta > 0:  # gradient-aligned
         norm = np.linalg.norm(grad)
         if norm > 0:
             out += (spec.delta / norm) * grad

@@ -248,7 +248,7 @@ class LeastSquaresProblem:
         # symmetric, so the row form equals A_i^T A_i x_i)
         self._gram = self.A.transpose(0, 2, 1) @ self.A
         self._gram_shift = -(self.y0[:, None, :] @ self.A)[:, 0]
-        self._minimizer = None
+        self._minimizer = self._f_star = None
         self._profile = None
 
     # objective and gradients -------------------------------------------------
@@ -285,7 +285,9 @@ class LeastSquaresProblem:
 
     @property
     def f_star(self):
-        return self.f(self.minimizer)
+        if self._f_star is None:
+            self._f_star = self.f(self.minimizer)
+        return self._f_star
 
     def grad_stacked_at_opt(self):
         return self.grad_stacked(np.tile(self.minimizer, (self.n, 1)))

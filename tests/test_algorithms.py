@@ -161,16 +161,6 @@ def test_mgda_config_rejects_bad_round_counts(key, value):
                **{key: np.int64(0)})
 
 
-def test_comm_rounds_match_schedule():
-    problem, prof = build_least_squares(3, 2, seed=14)
-    schedule = [3, 1, 4, 1, 5]
-    config = DGDConfig(gamma=1.0 / prof.L_g, iterations=5,
-                       rounds_schedule=schedule)
-    record, _ = dgd_run(problem, complete_model(3), config, np.zeros((3, 2)))
-    assert record.meta["total_comm_rounds"] == sum(schedule)
-    assert record.comm_rounds[-1] == sum(schedule)
-
-
 def test_mgda_zero_coupling_reduces_to_dgd():
     rng = np.random.default_rng(15)
     a = rng.standard_normal((4, 3, 3))
@@ -442,13 +432,6 @@ def test_bad_round_schedule_is_rejected_before_the_run(schedule, iterations):
     # iterations had already run
     with pytest.raises(ValueError, match="rounds_schedule"):
         DGDConfig(gamma=0.1, iterations=iterations, rounds_schedule=schedule)
-
-
-def test_long_round_schedule_uses_its_first_entries():
-    problem = unit_quadratic(3, 2)
-    config = DGDConfig(gamma=0.5, iterations=3, rounds_schedule=[2, 0, 1, 9])
-    record, _ = dgd_run(problem, complete_model(3), config, np.zeros((3, 2)))
-    assert record.comm_rounds == [0, 2, 2, 3]
 
 
 @pytest.mark.parametrize("rows", [1, 2, 9])

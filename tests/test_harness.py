@@ -489,6 +489,27 @@ def test_cli_budget_errors_name_the_config_and_key(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: algorithm.theory_auto: ")
 
 
+def test_cli_refuses_a_misspelled_oracle_key(tmp_path, capsys):
+    # an unknown oracle key used to escape resolve_config as a TypeError from
+    # OracleSpec, so `plnet run` printed a traceback instead of exiting 2
+    path = write_config(tmp_path, minimal_config(tmp_path, oracle={"sigam": 0.1}))
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: oracle.sigam: unknown field\n"
+
+
+@pytest.mark.parametrize("section, key", [(None, "overlay_bound"), ("problem", "sed"),
+                                          ("graph", "degre"), ("algorithm", "gama"),
+                                          ("oracle", "noise_mode")])
+def test_unknown_config_keys_are_refused(tmp_path, section, key):
+    # a misspelled key used to be ignored, and the run used the default;
+    # oracle.noise_mode names a removed option: noise is off only at sigma = 0
+    cfg = minimal_config(tmp_path)
+    (cfg if section is None else cfg[section])[key] = 1
+    label = key if section is None else f"{section}.{key}"
+    with pytest.raises(ConfigError, match=rf"^<config>: {label}: unknown field$"):
+        harness.resolve_config(cfg)
+
+
 def test_overlay_bounds_rejects_a_step_above_one_over_L_g(tmp_path):
     # the bounds assume gamma <= 1/L_g; a larger step used to run silently
     # and write rows above the bound printed next to them

@@ -83,14 +83,15 @@ def test_gradient_aligned_bias_norm():
 def test_bias_bound_holds_every_call():
     problem, _ = build_least_squares(4, 3, seed=10)
     rng = np.random.default_rng(11)
-    for mode in ("fixed-direction", "gradient-aligned", "zero"):
-        spec = OracleSpec(delta=0.2, sigma=0.0, bias_mode=mode)
+    for mode, delta in (("fixed-direction", 0.2), ("gradient-aligned", 0.2),
+                        ("fixed-direction", 0.0), ("gradient-aligned", 0.0)):
+        spec = OracleSpec(delta=delta, sigma=0.0, bias_mode=mode)
         state = OracleState(spec, (4, 3))
         for _ in range(20):
             x = rng.standard_normal((4, 3))
             diff = perturb_gradient(problem.grad_stacked(x), state) \
                 - problem.grad_stacked(x)
-            assert np.linalg.norm(diff) <= 0.2 * (1.0 + 1e-12)
+            assert np.linalg.norm(diff) <= delta * (1.0 + 1e-12)
 
 
 def test_noise_mean_and_second_moment_monte_carlo():
@@ -169,7 +170,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         OracleSpec(bias_mode="martian")
     with pytest.raises(ValueError):
-        OracleSpec(noise_mode="heavy-tail")
+        OracleSpec(sigma=-1.0)
+    with pytest.raises(ValueError):
+        OracleSpec(bias_mode="zero")  # bias is off only at delta = 0
 
 
 def test_dimension_mismatch_rejected():
@@ -185,31 +188,35 @@ def test_dimension_mismatch_rejected():
 def _reference_perturb(grad, spec, bias_dir, rng):
     """The oracle formula as first written, with every term formed per call."""
     out = grad.copy()
-    if spec.delta > 0 and spec.bias_mode != "zero":
+    if spec.delta > 0:
         if spec.bias_mode == "fixed-direction":
             out += spec.delta * bias_dir
         else:  # gradient-aligned
             norm = np.linalg.norm(grad)
             if norm > 0:
                 out += (spec.delta / norm) * grad
-    if spec.sigma > 0 and spec.noise_mode != "zero":
+    if spec.sigma > 0:
         scale = spec.sigma / np.sqrt(grad.size)
         out += scale * rng.standard_normal(grad.shape)
     return out
 
 
-@pytest.mark.parametrize("bias_mode", ["fixed-direction", "gradient-aligned", "zero"])
-@pytest.mark.parametrize("noise_mode", ["gaussian-isotropic", "zero"])
-def test_precomputed_oracle_terms_return_the_reference_bits(bias_mode, noise_mode):
+# the case ids name the bias and noise each case switches on ("zero": off,
+# through delta = 0 or sigma = 0)
+@pytest.mark.parametrize("bias_mode, delta", [("fixed-direction", 0.3),
+                                              ("gradient-aligned", 0.3),
+                                              ("fixed-direction", 0.0)],
+                         ids=["fixed-direction", "gradient-aligned", "zero"])
+@pytest.mark.parametrize("sigma", [0.7, 0.0], ids=["gaussian-isotropic", "zero"])
+def test_precomputed_oracle_terms_return_the_reference_bits(bias_mode, delta, sigma):
     # OracleState precomputes delta * bias_dir and sigma / sqrt(size); two
     # consecutive calls must equal the per-call formula, noise stream included
-    spec = OracleSpec(delta=0.3, sigma=0.7, bias_mode=bias_mode,
-                      noise_mode=noise_mode, seed=11)
+    spec = OracleSpec(delta=delta, sigma=sigma, bias_mode=bias_mode, seed=11)
     shape = (5, 3)
     state = OracleState(spec, shape, stream=1)
     rng = np.random.default_rng([spec.seed, 1])
     bias_dir = None
-    if bias_mode == "fixed-direction":
+    if bias_mode == "fixed-direction" and delta > 0:
         v = rng.standard_normal(shape)
         bias_dir = v / np.linalg.norm(v)
     grads = np.random.default_rng(4).standard_normal((2,) + shape)
