@@ -92,6 +92,12 @@ def _require(cfg, key, source, section=None):
     return scope[key]
 
 
+def _check_int(value, least, label, source):
+    """Refuse ``value`` unless it is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{source}: {label}: must be an integer >= {least}")
+
+
 def _require_targets(cfg, source):
     """Require the accuracy and consensus targets a theory budget needs."""
     mgda = cfg["algorithm"]["kind"] == "mgda"
@@ -104,7 +110,10 @@ def resolve_config(cfg, source="<config>"):
     if not isinstance(cfg, dict):
         raise ConfigError(f"{source}: top level must be an object")
     for prefix, known in _KNOWN_KEYS.items():
-        unknown = (cfg.get(prefix[:-1], {}) if prefix else cfg).keys() - known
+        scope = cfg.get(prefix[:-1], {}) if prefix else cfg
+        if not isinstance(scope, dict):
+            raise ConfigError(f"{source}: {prefix[:-1]}: must be an object")
+        unknown = scope.keys() - known
         if unknown:
             raise ConfigError(f"{source}: {prefix}{min(unknown)}: unknown field")
     out = {"seed_scope": "oracle", "init": "zero", "overlay_bounds": False,
@@ -114,9 +123,7 @@ def resolve_config(cfg, source="<config>"):
     kind = _require(out, "kind", source, "problem")
     if kind not in ("least_squares", "quadratic", "robust_ls"):
         raise ConfigError(f"{source}: problem.kind: unknown kind {kind!r}")
-    n = _require(out, "n", source, "problem")
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"{source}: problem.n: must be a positive integer")
+    _require(out, "n", source, "problem")
     if kind == "robust_ls":
         for key in ("d_x", "d_y"):
             _require(out, key, source, "problem")
@@ -127,28 +134,29 @@ def resolve_config(cfg, source="<config>"):
     else:
         _require(out, "d", source, "problem")
         prob.setdefault("d_i", prob["d"])
+    for key in ("n", "d", "d_x", "d_y", "d_i"):
+        if key in prob:
+            _check_int(prob[key], 1, f"problem.{key}", source)
+    _check_int(prob["seed"], 0, "problem.seed", source)
     graph = out["graph"] = {"kind": "static", "topology": "complete", "tau": 1, "seed": 0,
                             **out.get("graph", {})}
     if graph["kind"] not in ("static", "per-step-connected", "tau-connected"):
         raise ConfigError(f"{source}: graph.kind: unknown kind {graph['kind']!r}")
+    _check_int(graph["seed"], 0, "graph.seed", source)
     algo = out["algorithm"] = {"record_every": 1, "theory_auto": False,
                                **out.get("algorithm", {})}
     akind = _require(out, "kind", source, "algorithm")
-    if akind not in ("dgd", "mgda", "centralized_gd", "centralized_gda"):
+    if akind not in ("dgd", "mgda"):
         raise ConfigError(f"{source}: algorithm.kind: unknown kind {akind!r}")
-    if akind in ("mgda", "centralized_gda") and kind != "robust_ls":
-        raise ConfigError(f"{source}: algorithm.kind: {akind} needs a robust_ls problem")
-    if algo["theory_auto"] and akind not in ("dgd", "mgda"):
-        raise ConfigError(f"{source}: algorithm.theory_auto: budgets exist only "
-                          "for dgd and mgda runs")
-    minimize = akind in ("dgd", "centralized_gd")
+    if akind == "mgda" and kind != "robust_ls":
+        raise ConfigError(f"{source}: algorithm.kind: mgda needs a robust_ls problem")
     if algo["theory_auto"]:
         _require_targets(out, source)
     else:
-        for key in (("iterations", "gamma") if minimize else
+        for key in (("iterations", "gamma") if akind == "dgd" else
                     ("outer_iterations", "inner_iterations", "gamma_x", "gamma_y")):
             _require(out, key, source, "algorithm")
-    if minimize:
+    if akind == "dgd":
         algo.setdefault("rounds", 1)
     else:
         algo.setdefault("rounds_x", algo.get("rounds", 1))
@@ -156,9 +164,7 @@ def resolve_config(cfg, source="<config>"):
     for key in ("iterations", "outer_iterations", "inner_iterations", "rounds",
                 "rounds_x", "rounds_y", "record_every"):
         least = 1 if key == "record_every" else 0
-        value = algo.get(key, least)
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ConfigError(f"{source}: algorithm.{key}: must be an integer >= {least}")
+        _check_int(algo.get(key, least), least, f"algorithm.{key}", source)
     if out.get("overlay_bounds"):
         if akind != "dgd":
             raise ConfigError(f"{source}: overlay_bounds: only supported for dgd runs")
@@ -172,10 +178,13 @@ def resolve_config(cfg, source="<config>"):
     seeds = out.setdefault("seeds", [oracle["seed"]])
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"{source}: seeds: must be a nonempty list")
+    for idx, seed in enumerate(seeds):
+        _check_int(seed, 0, f"seeds[{idx}]", source)
     if out["seed_scope"] not in ("oracle", "problem-and-oracle"):
         raise ConfigError(f"{source}: seed_scope: unknown value")
-    if out["init"] not in ("zero", "random"):
-        raise ConfigError(f"{source}: init: must be 'zero' or 'random'")
+    if out["init"] != "zero":
+        raise ConfigError(f"{source}: init: must be 'zero': runs and budgets "
+                          "start from the zero point")
     return out
 
 
@@ -228,11 +237,8 @@ def _theory_budget(cfg, problem, model, source):
     the overlaid rate is 1 - gamma*mu, matching the run; one above 1/L_g
     gets the budget at 1/L_g, whose step ``_resolve_steps`` then refuses.
     Aperiodic graph sequences are refused: their ``lam`` is sampled, not a
-    bound. So are random starts: budgets are sized from the zero start's gaps.
+    bound.
     """
-    if cfg["init"] != "zero":
-        raise ConfigError(f"{source}: init: no theory budget from a {cfg['init']} "
-                          "start: budgets are sized from the gaps at the zero start")
     if model.seq.period is None:
         raise ConfigError(f"{source}: graph.kind: no theory budget on "
                           f"{cfg['graph']['kind']} graphs: their contraction "
@@ -244,11 +250,11 @@ def _theory_budget(cfg, problem, model, source):
         grad_norm = float(np.linalg.norm(problem.grad_stacked_at_opt()))
         gamma = algo.get("gamma")
         theory_gamma = 1.0 / problem.profile.L_g
-        if gamma is not None and gamma > theory_gamma * (1 + 1e-12):
+        if gamma is not None and gamma > theory_gamma * (1 + theory.STEP_REL_TOL):
             gamma = None
         try:
             if oracle["sigma"] > 0 or (
-                    gamma is not None and gamma < theory_gamma * (1 - 1e-12)):
+                    gamma is not None and gamma < theory_gamma * (1 - theory.STEP_REL_TOL)):
                 return theory.budget_min_stochastic(
                     problem.profile, model, algo["eps"], algo["delta_prime"],
                     oracle["delta"], oracle["sigma"], f0_gap, grad_norm,
@@ -270,8 +276,7 @@ def _theory_budget(cfg, problem, model, source):
         F_gap0=problem.n * f_gap0, G_gap0=problem.n * max(g_gap0, 0.0),
         grad_F_at_opt=float(np.linalg.norm(problem.grad_x_stacked_at_saddle())),
         grad_G_at_opt=float(np.linalg.norm(
-            problem.grad_y_stacked_at_inner_opt(x0))),
-        mode="stochastic" if oracle["sigma"] > 0 else "deterministic")
+            problem.grad_y_stacked_at_inner_opt(x0))))
 
 
 def _budget_dict(budget):
@@ -283,13 +288,6 @@ def _budget_dict(budget):
         if hasattr(budget, key):
             out[key] = getattr(budget, key)
     return out
-
-
-def _init_state(shape, mode, stream):
-    if mode == "zero":
-        return np.zeros(shape)
-    rng = np.random.default_rng(stream)
-    return np.tile(rng.standard_normal(shape[1]), (shape[0], 1))
 
 
 def _resolve_steps(algo, budget, source):
@@ -304,8 +302,9 @@ def _resolve_steps(algo, budget, source):
     """
     for key, label in (("gamma", "1/L_g"), ("gamma_x", "1/L_x"), ("gamma_y", "1/L_yy_g")):
         limit = getattr(budget, key, None)
-        if limit is not None and not (limit * (1.0 - 1e-12) <= algo.setdefault(key, limit)
-                                      <= limit * (1.0 + 1e-12)):
+        if limit is not None and not (
+                limit * (1.0 - theory.STEP_REL_TOL) <= algo.setdefault(key, limit)
+                <= limit * (1.0 + theory.STEP_REL_TOL)):
             raise ConfigError(f"{source}: algorithm.{key}: {algo[key]} "
                               f"{'exceeds' if algo[key] > limit else 'is below'} "
                               f"the budget's step {label} = {limit}")
@@ -342,32 +341,21 @@ def _settings(cfg, problem, model, source):
 def _single_run(cfg, algo, problem, model, run_seed):
     """One run of concrete settings ``algo`` on one instance; returns its record."""
     oracle = OracleSpec(**dict(cfg["oracle"], seed=run_seed))
-    kind = algo["kind"]
-    if kind == "centralized_gd":
-        return algorithms.centralized_gd(
-            problem, algo["gamma"], algo["iterations"],
-            record_every=algo["record_every"])[0]
-    if kind == "centralized_gda":
-        return algorithms.centralized_gda(
-            problem, algo["gamma_x"], algo["gamma_y"],
-            algo["outer_iterations"], algo["inner_iterations"],
-            record_every=algo["record_every"])[0]
-    if kind == "dgd":
+    if algo["kind"] == "dgd":
         config = algorithms.DGDConfig(
             gamma=algo["gamma"], iterations=algo["iterations"],
             rounds_schedule=algo["rounds"], oracle=oracle,
             record_every=algo["record_every"])
-        x0 = _init_state((problem.n, problem.d), cfg["init"], [run_seed, 97])
-        return algorithms.dgd_run(problem, model, config, x0)[0]
+        return algorithms.dgd_run(problem, model, config,
+                                  np.zeros((problem.n, problem.d)))[0]
     config = algorithms.MGDAConfig(
         gamma_x=algo["gamma_x"], gamma_y=algo["gamma_y"],
         outer_iterations=algo["outer_iterations"],
         inner_iterations=algo["inner_iterations"],
         rounds_x=algo["rounds_x"], rounds_y=algo["rounds_y"], oracle=oracle,
         record_every=algo["record_every"])
-    x0 = _init_state((problem.n, problem.d_x), cfg["init"], [run_seed, 97])
-    y0 = _init_state((problem.n, problem.d_y), cfg["init"], [run_seed, 98])
-    return algorithms.mgda_run(problem, model, config, x0, y0)[0]
+    return algorithms.mgda_run(problem, model, config, np.zeros((problem.n, problem.d_x)),
+                               np.zeros((problem.n, problem.d_y)))[0]
 
 
 def _execute(cfg, source):
@@ -378,7 +366,7 @@ def _execute(cfg, source):
     RunRecord or the DivergenceError that ended it.
     """
     problem = _build_problem(cfg)
-    model = _build_model(cfg) if cfg["algorithm"]["kind"] in ("dgd", "mgda") else None
+    model = _build_model(cfg)
     algo, budget = _settings(cfg, problem, model, source)
     results = []
     for idx, seed in enumerate(cfg["seeds"]):
@@ -455,7 +443,7 @@ def run(config_or_path, output=None):
     sidecar_path = f"{out_base}.meta.json"
     sidecar = {
         "config": cfg,
-        "constants": _constants(problem, model) if model else {"n": problem.n},
+        "constants": _constants(problem, model),
         "budget": _budget_dict(budget),
         "runs": run_meta,
     }
@@ -587,9 +575,6 @@ def theory_report(config_or_path):
     whose steps the budget does not cover gets no budget here either.
     """
     cfg, source = _load(config_or_path)
-    if cfg["algorithm"]["kind"] not in ("dgd", "mgda"):
-        raise ConfigError(f"{source}: algorithm.kind: theory budgets apply to the "
-                          "decentralized algorithms")
     _require_targets(cfg, source)
     problem = _build_problem(cfg)
     model = _build_model(cfg)

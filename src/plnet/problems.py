@@ -14,11 +14,10 @@ Two families are provided, both with standard-normal data split across
   is linear and solved in closed form.
 
 Smoothness and PL constants are computed from eigenvalues. PL constants
-are normalized by ``1/n`` so they match the averaged objective exactly;
-the unnormalized values (eigenvalues of the plain sums) are recorded
-alongside. Per-node smoothness constants come from one stacked ``eigvalsh``
-or ``svd`` call over the per-node blocks, and ``pl_qg_report`` draws all
-its samples at once and makes one batched call per quantity.
+are normalized by ``1/n`` so they match the averaged objective exactly.
+Per-node smoothness constants come from one stacked ``eigvalsh`` or ``svd``
+call over the per-node blocks, and ``pl_qg_report`` draws all its samples
+at once and makes one batched call per quantity.
 
 The stacked gradients, one row per node, are what the decentralized
 runners call on every local step. Both families are quadratic, so row
@@ -121,12 +120,10 @@ class SmoothnessProfile:
 
     ``L_l`` is the largest per-node gradient Lipschitz constant, ``L_g``
     their mean, and ``mu`` the PL constant of the averaged objective.
-    ``mu_unnormalized`` is the same eigenvalue without the ``1/n`` factor.
     """
 
     L_per_node: tuple
     mu: float
-    mu_unnormalized: float
 
     @property
     def n(self):
@@ -154,9 +151,8 @@ class SaddleSmoothness:
     Per-node constants come from operator norms of the data blocks; ``_l``
     values are maxima over nodes and ``_g`` values means. ``mu_x`` and
     ``mu_y`` are smallest nonzero eigenvalues of the averaged curvature
-    blocks (``mu_y`` includes the ``alpha - 1`` concavity factor); both are
-    also recorded without the ``1/n`` normalization. ``mu_y`` is ``None``
-    for the degenerate case of vanishing coupling blocks.
+    blocks (``mu_y`` includes the ``alpha - 1`` concavity factor). ``mu_y``
+    is ``None`` for the degenerate case of vanishing coupling blocks.
     """
 
     L_xx_per_node: tuple
@@ -165,8 +161,6 @@ class SaddleSmoothness:
     L_yy_per_node: tuple
     mu_x: float
     mu_y: float | None
-    mu_x_unnormalized: float
-    mu_y_unnormalized: float | None
 
     @property
     def n(self):
@@ -304,8 +298,7 @@ class LeastSquaresProblem:
             L_g = sum(per_node) / len(per_node)
             if L_g < mu <= L_g * (1.0 + MU_CLAMP_RELATIVE_TOL):
                 mu = L_g
-            self._profile = SmoothnessProfile(
-                L_per_node=per_node, mu=mu, mu_unnormalized=mu * self.n)
+            self._profile = SmoothnessProfile(L_per_node=per_node, mu=mu)
         return self._profile
 
 
@@ -478,10 +471,7 @@ class RobustLeastSquaresProblem:
             self._profile = SaddleSmoothness(
                 L_xx_per_node=lxx, L_xy_per_node=cross,
                 L_yx_per_node=cross, L_yy_per_node=lyy,
-                mu_x=mu_x, mu_y=mu_y,
-                mu_x_unnormalized=mu_x * self.n,
-                mu_y_unnormalized=None if mu_y is None else mu_y * self.n,
-            )
+                mu_x=mu_x, mu_y=mu_y)
         return self._profile
 
     def dist_to_saddle(self, x, y):

@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 OVERLAY_REL_TOL = 1e-9
+# relative slack within which a step size counts as a budget's own step
+STEP_REL_TOL = 1e-12
 
 
 def rounds_for_target(drift, target_sq, tau, lam):
@@ -210,9 +212,9 @@ def budget_min_stochastic(profile, mixing, eps, delta_prime, delta, sigma,
     notes = ("guarantees hold in expectation over oracle noise",)
     if gamma is None:
         gamma = 1.0 / L_g
-    if gamma > 1.0 / L_g * (1.0 + 1e-12):
+    if gamma > 1.0 / L_g * (1.0 + STEP_REL_TOL):
         raise ValueError("step size must satisfy gamma <= 1/L_g")
-    if gamma >= 1.0 / L_g * (1.0 - 1e-12):
+    if gamma >= 1.0 / L_g * (1.0 - STEP_REL_TOL):
         delta_tot_sq = 18.0 * (L_l ** 2 * delta_prime + sigma ** 2 + delta ** 2)
         kappa = L_g / mu
     else:
@@ -288,23 +290,23 @@ class SaddleBudget:
 
 def budget_saddle(profile, mixing, eps_x, eps_y, delta_prime_x, delta_prime_y,
                   delta=0.0, sigma=0.0, *, F_gap0, G_gap0, grad_F_at_opt,
-                  grad_G_at_opt, mode="deterministic"):
+                  grad_G_at_opt):
     """Budget for multi-step gradient descent ascent.
 
     Gap inputs are stacked-scale: ``F_gap0`` bounds the initial
     gap of the max-function summed over nodes, ``G_gap0`` the inner
     maximization gap summed over nodes. ``grad_F_at_opt`` is the stacked
     x-gradient norm at the saddle point, ``grad_G_at_opt`` the stacked
-    y-gradient norm at the inner maximizer of the start.
+    y-gradient norm at the inner maximizer of the start. The budget is
+    ``"stochastic"`` when ``sigma > 0`` and ``"deterministic"`` otherwise.
     """
     if min(eps_x, eps_y) <= 0:
         raise ValueError("accuracy targets must be positive")
     if min(delta_prime_x, delta_prime_y) < 0:
         raise ValueError("consensus targets must be >= 0")
-    if mode not in ("deterministic", "stochastic"):
-        raise ValueError("mode must be deterministic or stochastic")
     if profile.mu_y is None:
         raise ValueError("degenerate inner block: no PL constant for y")
+    mode = "stochastic" if sigma > 0 else "deterministic"
     mu_x, mu_y, n = profile.mu_x, profile.mu_y, profile.n
     L_x = profile.L_x
     L_yy_g = profile.L_yy_g

@@ -245,8 +245,7 @@ def test_criterion_8_budget_determinism_and_monotonicity():
             mu = float(rng.uniform(0.05, l_g))
             n = int(rng.integers(2, 12))
             per_node = (l_l,) + (max((n * l_g - l_l) / (n - 1), 1e-9),) * (n - 1)
-            profile = SmoothnessProfile(L_per_node=per_node, mu=mu,
-                                        mu_unnormalized=mu * n)
+            profile = SmoothnessProfile(L_per_node=per_node, mu=mu)
             mix = MixStub(int(rng.integers(1, 4)),
                           float(rng.uniform(0.05, 1.0)))
             args = dict(eps=float(rng.uniform(1e-8, 1e-2)),

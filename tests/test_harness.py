@@ -314,17 +314,15 @@ def test_cli_sweep(tmp_path, capsys):
                      "--values", "0,0.2"]) == 0
 
 
-@pytest.mark.parametrize("kind", ["centralized_gd", "centralized_gda"])
-def test_theory_auto_rejected_for_centralized_runs(tmp_path, kind):
-    cfg = {
-        "problem": {"kind": "robust_ls", "n": 2, "d_x": 2, "d_y": 2},
-        "algorithm": {"kind": kind, "theory_auto": True, "eps": 1e-3,
-                      "delta_prime": 1e-3, "eps_y": 1e-3, "delta_prime_y": 1e-3},
-        "output": str(tmp_path / "central"),
-    }
-    with pytest.raises(ConfigError, match="algorithm.theory_auto"):
-        harness.resolve_config(cfg)
-    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+def test_centralized_kinds_are_refused(tmp_path, capsys):
+    # the centralized runners are library references: the harness runs only
+    # the decentralized methods its budgets cover
+    for kind in ("centralized_gd", "centralized_gda"):
+        cfg = minimal_config(tmp_path, algorithm={"kind": kind})
+        path = write_config(tmp_path, cfg, name=f"{kind}.json")
+        assert cli.main(["run", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: algorithm.kind: unknown kind ")
 
 
 def test_overlay_bounds_requires_eps_and_delta_prime(tmp_path):
@@ -417,33 +415,6 @@ def test_sampled_lam_is_labelled_in_sidecar_and_validate(tmp_path):
             assert detail == lam
         else:
             assert detail.startswith(lam) and "sampled estimate, not a bound" in detail
-
-
-def test_mgda_random_starts_use_their_own_streams(tmp_path, monkeypatch):
-    starts = []
-    original = harness.algorithms.mgda_run
-
-    def capture(problem, model, config, x0, y0):
-        starts.append((x0, y0))
-        return original(problem, model, config, x0, y0)
-
-    monkeypatch.setattr(harness.algorithms, "mgda_run", capture)
-    cfg = {
-        "problem": {"kind": "robust_ls", "n": 3, "d_x": 2, "d_y": 2,
-                    "alpha": 2.0, "seed": 1},
-        "algorithm": {"kind": "mgda", "gamma_x": 0.05, "gamma_y": 0.05,
-                      "outer_iterations": 1, "inner_iterations": 1},
-        "seeds": [0, 1, 2],
-        "init": "random",
-        "output": str(tmp_path / "starts"),
-    }
-    harness.run(cfg)
-    assert len(starts) == 3
-    xs = [x0[0] for x0, _ in starts]
-    ys = [y0[0] for _, y0 in starts]
-    for y in ys:
-        assert not any(np.array_equal(y, x) for x in xs)
-    assert all(not np.array_equal(a, b) for i, a in enumerate(ys) for b in ys[i + 1:])
 
 
 @pytest.mark.parametrize("kind, key, value", [
@@ -573,22 +544,51 @@ def test_step_above_one_over_L_g_gets_the_anchored_error_with_noise_too(tmp_path
         harness.run(cfg)
 
 
-def test_budgets_are_refused_for_random_starts(tmp_path, capsys):
-    # the budget is sized from the zero start's gaps; a random start runs
-    # from a different, often much larger, gap
-    cfg = minimal_config(tmp_path, problem={"kind": "least_squares", "n": 4, "d": 2},
-                         graph={"topology": "path"}, init="random",
-                         algorithm={"theory_auto": True, "gamma": 0.1, "eps": 1e-6,
-                                    "delta_prime": 1e-6})
+def test_random_starts_are_refused(tmp_path, capsys):
+    # runs and budgets start from the zero point; a random start used to run
+    # whenever no budget was asked for
+    cfg = minimal_config(tmp_path, init="random",
+                         algorithm={"eps": 1e-6, "delta_prime": 1e-6})
     path = write_config(tmp_path, cfg)
     for command in ("run", "theory"):
         assert cli.main([command, path]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: init: ")
     assert cli.main(["validate", path]) == 1
-    assert f"FAIL theory: {path}: init: " in capsys.readouterr().out
-    # without a budget a random start still runs
-    cfg["algorithm"]["theory_auto"] = False
-    assert not harness.run(cfg)[2]
+    assert f"FAIL config: {path}: init: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section, value", [("oracle", []), ("graph", "ring"),
+                                            ("problem", None), ("algorithm", 1)])
+def test_cli_refuses_a_section_that_is_not_an_object(tmp_path, capsys, section, value):
+    # such a section used to escape resolve_config as an AttributeError
+    # traceback, and `plnet run` exited 1
+    cfg = minimal_config(tmp_path)
+    cfg[section] = value
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {section}: must be an object\n"
+
+
+@pytest.mark.parametrize("section, key, value, label", [
+    (None, "seeds", ["a"], "seeds[0]"), (None, "seeds", [0, 1.5], "seeds[1]"),
+    (None, "seeds", [-1], "seeds[0]"), (None, "seeds", [True], "seeds[0]"),
+    ("problem", "seed", "a", "problem.seed"), ("graph", "seed", 1.5, "graph.seed"),
+    ("problem", "d", 2.5, "problem.d"), ("problem", "d_i", 0, "problem.d_i"),
+    ("problem", "d_x", 2.5, "problem.d_x"), ("problem", "d_y", 0, "problem.d_y")])
+def test_cli_refuses_bad_seed_and_size_fields(tmp_path, capsys, section, key, value, label):
+    # these used to end `plnet run` in a traceback once the instance was
+    # built, and a bool seed ran as seed 1
+    cfg = minimal_config(tmp_path)
+    if key in ("d_x", "d_y"):
+        cfg["problem"] = {"kind": "robust_ls", "n": 2, "d_x": 2, "d_y": 2}
+        cfg["algorithm"] = {"kind": "mgda", "gamma_x": 0.1, "gamma_y": 0.1,
+                            "outer_iterations": 2, "inner_iterations": 2}
+    (cfg if section is None else cfg[section])[key] = value
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {label}: ")
+    assert cli.main(["validate", path]) == 1
+    assert f"FAIL config: {path}: {label}: " in capsys.readouterr().out
 
 
 def test_mgda_theory_auto_refuses_an_unreachable_inner_target(tmp_path):

@@ -38,7 +38,6 @@ def test_one_dimensional_instances_build_with_mu_equal_to_L_g():
     # ULP above L_g, and the profile check then refused the instance
     problem, prof = build_least_squares(3, 1, seed=0)
     assert prof.mu == prof.L_g
-    assert prof.mu_unnormalized == prof.mu * 3
     for n in range(1, 13):
         for seed in range(40):
             _, prof = build_least_squares(n, 1, seed=seed)
@@ -207,7 +206,6 @@ def test_saddle_smoothness_formula_consistency():
     _, prof = build_robust_ls(3, 2, 2, alpha=2.0, seed=41)
     assert prof.L_x == pytest.approx(prof.L_xx_g + prof.L_xy_g / prof.mu_y,
                                      abs=1e-12)
-    assert prof.mu_x_unnormalized == pytest.approx(3 * prof.mu_x, abs=1e-12)
 
 
 class _Untouchable:

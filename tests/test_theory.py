@@ -31,7 +31,7 @@ def profile_with(L_g, mu, L_l=None, n=2):
     L_l = L_g if L_l is None else L_l
     per_node = (L_l,) + (max((n * L_g - L_l) / (n - 1), 1e-9),) * (n - 1) \
         if n > 1 else (L_g,)
-    return SmoothnessProfile(L_per_node=per_node, mu=mu, mu_unnormalized=mu * n)
+    return SmoothnessProfile(L_per_node=per_node, mu=mu)
 
 
 def saddle_profile_with(l_xx=4.0, l_xy=2.0, l_yx=2.0, l_yy=3.0,
@@ -39,8 +39,7 @@ def saddle_profile_with(l_xx=4.0, l_xy=2.0, l_yx=2.0, l_yy=3.0,
     return SaddleSmoothness(
         L_xx_per_node=(l_xx,) * n, L_xy_per_node=(l_xy,) * n,
         L_yx_per_node=(l_yx,) * n, L_yy_per_node=(l_yy,) * n,
-        mu_x=mu_x, mu_y=mu_y,
-        mu_x_unnormalized=mu_x * n, mu_y_unnormalized=mu_y * n)
+        mu_x=mu_x, mu_y=mu_y)
 
 
 def test_iteration_count_ceiling():
@@ -137,14 +136,13 @@ def test_saddle_inexactness_cancellation():
     assert budget.Delta_x > 0
 
 
-def full_saddle_budget(mode="deterministic", eps_scale=1.0):
+def full_saddle_budget(sigma=0.0, eps_scale=1.0):
     return budget_saddle(
         saddle_profile_with(l_xx=6.0, l_xy=3.0, l_yx=3.0, l_yy=5.0,
                             mu_x=0.2, mu_y=0.2, n=4),
         MixStub(2, 0.4), eps_x=1e-4 * eps_scale, eps_y=1e-4 * eps_scale,
-        delta_prime_x=1e-7, delta_prime_y=1e-7, delta=0.01, sigma=0.0,
-        F_gap0=10.0, G_gap0=8.0, grad_F_at_opt=4.0, grad_G_at_opt=3.0,
-        mode=mode)
+        delta_prime_x=1e-7, delta_prime_y=1e-7, delta=0.01, sigma=sigma,
+        F_gap0=10.0, G_gap0=8.0, grad_F_at_opt=4.0, grad_G_at_opt=3.0)
 
 
 def test_saddle_budget_complete_and_total_rounds():
@@ -179,13 +177,16 @@ def test_inner_drift_carries_extra_n_factor():
 
 
 def test_stochastic_saddle_mode_formulas():
-    budget = full_saddle_budget(mode="stochastic")
+    # a positive sigma selects the stochastic budget
+    budget = full_saddle_budget(sigma=0.02)
+    assert budget.mode == "stochastic"
     prof = saddle_profile_with(l_xx=6.0, l_xy=3.0, l_yx=3.0, l_yy=5.0,
                                mu_x=0.2, mu_y=0.2, n=4)
-    dy_sq = 19.0 * (prof.L_yy_l ** 2 * 1e-7 + prof.L_yx_l ** 2 * 1e-7 + 0.01 ** 2)
+    dy_sq = 19.0 * (prof.L_yy_l ** 2 * 1e-7 + prof.L_yx_l ** 2 * 1e-7
+                    + 0.02 ** 2 + 0.01 ** 2)
     assert budget.Delta_y ** 2 == pytest.approx(dy_sq, rel=1e-12)
     dx_sq = (22.0 * prof.L_xy_l ** 2 * 1e-7 + 19.0 * prof.L_xx_l ** 2 * 1e-7
-             + 19.0 * 0.01 ** 2
+             + 19.0 * 0.01 ** 2 + 18.0 * 0.02 ** 2
              + 6.0 * prof.L_xy_l ** 2 * (2.0 * 1e-4 / prof.mu_y
                                          + dy_sq / (prof.mu_y ** 2 * 4)))
     assert budget.Delta_x ** 2 == pytest.approx(dx_sq, rel=1e-12)
