@@ -314,15 +314,23 @@ def test_cli_sweep(tmp_path, capsys):
                      "--values", "0,0.2"]) == 0
 
 
-def test_centralized_kinds_are_refused(tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["centralized_gd", "centralized_gda"])
+def test_theory_auto_rejected_for_centralized_runs(tmp_path, capsys, kind):
     # the centralized runners are library references: the harness runs only
-    # the decentralized methods its budgets cover
-    for kind in ("centralized_gd", "centralized_gda"):
-        cfg = minimal_config(tmp_path, algorithm={"kind": kind})
-        path = write_config(tmp_path, cfg, name=f"{kind}.json")
-        assert cli.main(["run", path]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {path}: algorithm.kind: unknown kind ")
+    # the decentralized methods its budgets cover, so theory_auto never reaches
+    # them and the kind itself is refused
+    cfg = {
+        "problem": {"kind": "robust_ls", "n": 2, "d_x": 2, "d_y": 2},
+        "algorithm": {"kind": kind, "theory_auto": True, "eps": 1e-3,
+                      "delta_prime": 1e-3, "eps_y": 1e-3, "delta_prime_y": 1e-3},
+        "output": str(tmp_path / "central"),
+    }
+    with pytest.raises(ConfigError, match=r"algorithm\.kind: unknown kind "):
+        harness.resolve_config(cfg)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: algorithm.kind: unknown kind ")
 
 
 def test_overlay_bounds_requires_eps_and_delta_prime(tmp_path):
