@@ -17,14 +17,16 @@ environment, not of a run.
 """
 
 import csv
-import io
 import json
+import math
+import operator
 import os
+from collections import namedtuple
 
 import numpy as np
 
 from . import algorithms, problems, theory, topology
-from .oracles import OracleSpec
+from .oracles import BIAS_MODES, OracleSpec
 
 __all__ = ["ConfigError", "load_config", "run", "sweep", "validate", "theory_report"]
 
@@ -41,18 +43,70 @@ class ConfigError(ValueError):
     """Invalid experiment config; message is anchored to file and key."""
 
 
-# every key a config may set, by its label prefix; a key no code reads is
-# refused, so a misspelled one cannot quietly run the default
-_KNOWN_KEYS = {prefix: frozenset(keys.split()) for prefix, keys in {
-    "": "problem graph algorithm oracle seeds seed_scope init overlay_bounds "
-        "record_wall_time output",
-    "problem.": "kind n seed d d_i d_x d_y alpha",
-    "graph.": "kind topology tau seed degree edges",
-    "algorithm.": "kind gamma gamma_x gamma_y iterations outer_iterations inner_iterations "
-                  "rounds rounds_x rounds_y record_every theory_auto eps eps_y "
-                  "delta_prime delta_prime_y",
-    "oracle.": "delta sigma bias_mode seed",
-}.items()}
+# One row per config field, walked in this order; section "" is the top level.
+# A key with no row is refused, so a misspelled one cannot quietly run the
+# default. ``kind`` is int (not bool), float (finite, int or float), bool, str,
+# list, or the tuple of an enum's values; ``bound`` is the (op, limit) that the
+# value, or a list's length, must satisfy. ``default`` fills an absent field, or
+# is _REQUIRED; ``when`` limits either to the configs it holds for. ``item`` is
+# the row of each list entry. Defaults read from other fields, and the rules
+# that join fields, are resolve_config's code after the walk.
+_Field = namedtuple("_Field", "kind bound default when item", defaults=(None,) * 4)
+_REQUIRED = object()
+_SECTIONS = ("problem", "graph", "algorithm", "oracle")
+_OPS = {">=": operator.ge, ">": operator.gt, "==": operator.eq}
+_NOUNS = {int: "an integer", float: "a finite number", bool: "true or false",
+          str: "a string", list: "a list"}
+
+
+def _saddle(cfg):
+    return cfg["problem"]["kind"] == "robust_ls"
+
+
+def _fixed(kind):
+    """Predicate: the algorithm is ``kind`` with its steps and counts set by hand."""
+    return lambda cfg: cfg["algorithm"]["kind"] == kind and not cfg["algorithm"]["theory_auto"]
+
+
+_SCHEMA = {(section, key): field for (section, keys), field in {
+    ("problem", "kind"): _Field(("least_squares", "quadratic", "robust_ls"), None, _REQUIRED),
+    ("problem", "n"): _Field(int, (">=", 1), _REQUIRED),
+    ("problem", "seed"): _Field(int, (">=", 0), 0),
+    ("problem", "d"): _Field(int, (">=", 1), _REQUIRED, lambda cfg: not _saddle(cfg)),
+    ("problem", "d_x d_y"): _Field(int, (">=", 1), _REQUIRED, _saddle),
+    ("problem", "d_i"): _Field(int, (">=", 1)),
+    ("problem", "alpha"): _Field(float, (">", 1), 2.0, _saddle),
+    ("graph", "kind"): _Field(("static", "per-step-connected", "tau-connected"), None, "static"),
+    ("graph", "topology"): _Field(("complete", "ring", "path", "star", "empty", "random"), None,
+                                  "complete"),
+    ("graph", "tau"): _Field(int, (">=", 1), 1),
+    ("graph", "seed"): _Field(int, (">=", 0), 0),
+    ("graph", "degree"): _Field(int, (">=", 1)),
+    ("graph", "edges"): _Field(list, item=_Field(list, ("==", 2), item=_Field(int, (">=", 0)))),
+    ("algorithm", "kind"): _Field(("dgd", "mgda"), None, _REQUIRED),
+    ("algorithm", "theory_auto"): _Field(bool, None, False),
+    ("algorithm", "iterations"): _Field(int, (">=", 0), _REQUIRED, _fixed("dgd")),
+    ("algorithm", "gamma"): _Field(float, (">", 0), _REQUIRED, _fixed("dgd")),
+    ("algorithm", "outer_iterations inner_iterations"): _Field(int, (">=", 0), _REQUIRED,
+                                                               _fixed("mgda")),
+    ("algorithm", "gamma_x gamma_y"): _Field(float, (">", 0), _REQUIRED, _fixed("mgda")),
+    ("algorithm", "rounds"): _Field(int, (">=", 0), 1,
+                                    lambda cfg: cfg["algorithm"]["kind"] == "dgd"),
+    ("algorithm", "rounds_x rounds_y"): _Field(int, (">=", 0)),
+    ("algorithm", "record_every"): _Field(int, (">=", 1), 1),
+    ("algorithm", "eps eps_y"): _Field(float, (">", 0)),
+    ("algorithm", "delta_prime delta_prime_y"): _Field(float, (">=", 0)),
+    ("oracle", "delta sigma"): _Field(float, (">=", 0), 0.0),
+    ("oracle", "bias_mode"): _Field(BIAS_MODES, None, "fixed-direction"),
+    ("oracle", "seed"): _Field(int, (">=", 0), 0),
+    ("", "seeds"): _Field(list, (">=", 1), item=_Field(int, (">=", 0))),
+    ("", "seed_scope"): _Field(("oracle", "problem-and-oracle"), None, "oracle"),
+    ("", "init"): _Field(str, None, "zero"),
+    ("", "overlay_bounds record_wall_time"): _Field(bool, None, False),
+    ("", "output"): _Field(str, None, "trace"),
+}.items() for key in keys.split()}
+_KNOWN = {section: {key for s, key in _SCHEMA if s == section} for section in ("",) + _SECTIONS}
+_KNOWN[""].update(_SECTIONS)
 
 
 def _read_config(path):
@@ -84,104 +138,77 @@ def _load(config_or_path):
     return resolve_config(raw, source), source
 
 
-def _require(cfg, key, source, section=None):
-    scope = cfg if section is None else cfg.get(section, {})
-    label = key if section is None else f"{section}.{key}"
-    if key not in scope:
-        raise ConfigError(f"{source}: {label}: missing required field")
-    return scope[key]
-
-
-def _check_int(value, least, label, source):
-    """Refuse ``value`` unless it is an integer (not a bool) >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{source}: {label}: must be an integer >= {least}")
+def _check(value, field, label, source):
+    """``value`` as the resolved config holds it (lists copied, a float subclass
+    made a float), once it has the type and bound of ``field``."""
+    kind, bound = field.kind, field.bound
+    if type(kind) is tuple:
+        if value not in kind:
+            raise ConfigError(f"{source}: {label}: unknown {label.rpartition('.')[2]} "
+                              f"{value!r}, expected one of {', '.join(kind)}")
+        return value
+    if kind is float:
+        ok = type(value) is int or isinstance(value, float) and math.isfinite(value)
+        value = float(value) if ok and type(value) is not int else value
+    else:
+        ok = isinstance(value, (list, tuple)) if kind is list else type(value) is kind
+    if not ok or bound and not _OPS[bound[0]](len(value) if kind is list else value, bound[1]):
+        rule = f"{' of length' if kind is list else ''} {bound[0]} {bound[1]}" if bound else ""
+        raise ConfigError(f"{source}: {label}: must be {_NOUNS[kind]}{rule}")
+    if kind is list:
+        return [_check(entry, field.item, f"{label}[{idx}]", source)
+                for idx, entry in enumerate(value)]
+    return value
 
 
 def _require_targets(cfg, source):
     """Require the accuracy and consensus targets a theory budget needs."""
-    mgda = cfg["algorithm"]["kind"] == "mgda"
+    algo = cfg["algorithm"]
+    mgda = algo["kind"] == "mgda"
     for key in ("eps", "delta_prime") + (("eps_y", "delta_prime_y") if mgda else ()):
-        _require(cfg, key, source, "algorithm")
+        if key not in algo:
+            raise ConfigError(f"{source}: algorithm.{key}: missing required field")
 
 
 def resolve_config(cfg, source="<config>"):
-    """Fill defaults and check cross-field consistency of a config dict."""
+    """The resolved copy of a config dict: each field checked against ``_SCHEMA``
+    and defaulted, then the rules that join fields checked."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{source}: top level must be an object")
-    for prefix, known in _KNOWN_KEYS.items():
-        scope = cfg.get(prefix[:-1], {}) if prefix else cfg
+    scopes = {"": cfg, **{section: cfg.get(section, {}) for section in _SECTIONS}}
+    for section, scope in scopes.items():
         if not isinstance(scope, dict):
-            raise ConfigError(f"{source}: {prefix[:-1]}: must be an object")
-        unknown = scope.keys() - known
+            raise ConfigError(f"{source}: {section}: must be an object")
+        unknown = scope.keys() - _KNOWN[section]
         if unknown:
-            raise ConfigError(f"{source}: {prefix}{min(unknown)}: unknown field")
-    out = {"seed_scope": "oracle", "init": "zero", "overlay_bounds": False,
-           "record_wall_time": False, "output": "trace",
-           **json.loads(json.dumps(cfg))}  # deep copy, JSON-typed
-    prob = out["problem"] = {"seed": 0, **out.get("problem", {})}
-    kind = _require(out, "kind", source, "problem")
-    if kind not in ("least_squares", "quadratic", "robust_ls"):
-        raise ConfigError(f"{source}: problem.kind: unknown kind {kind!r}")
-    _require(out, "n", source, "problem")
-    if kind == "robust_ls":
-        for key in ("d_x", "d_y"):
-            _require(out, key, source, "problem")
-        prob.setdefault("d_i", prob["d_x"])
-        prob.setdefault("alpha", 2.0)
-        if prob["alpha"] <= 1:
-            raise ConfigError(f"{source}: problem.alpha: must be > 1")
-    else:
-        _require(out, "d", source, "problem")
-        prob.setdefault("d_i", prob["d"])
-    for key in ("n", "d", "d_x", "d_y", "d_i"):
-        if key in prob:
-            _check_int(prob[key], 1, f"problem.{key}", source)
-    _check_int(prob["seed"], 0, "problem.seed", source)
-    graph = out["graph"] = {"kind": "static", "topology": "complete", "tau": 1, "seed": 0,
-                            **out.get("graph", {})}
-    if graph["kind"] not in ("static", "per-step-connected", "tau-connected"):
-        raise ConfigError(f"{source}: graph.kind: unknown kind {graph['kind']!r}")
-    _check_int(graph["seed"], 0, "graph.seed", source)
-    algo = out["algorithm"] = {"record_every": 1, "theory_auto": False,
-                               **out.get("algorithm", {})}
-    akind = _require(out, "kind", source, "algorithm")
-    if akind not in ("dgd", "mgda"):
-        raise ConfigError(f"{source}: algorithm.kind: unknown kind {akind!r}")
-    if akind == "mgda" and kind != "robust_ls":
-        raise ConfigError(f"{source}: algorithm.kind: mgda needs a robust_ls problem")
-    if algo["theory_auto"]:
-        _require_targets(out, source)
-    else:
-        for key in (("iterations", "gamma") if akind == "dgd" else
-                    ("outer_iterations", "inner_iterations", "gamma_x", "gamma_y")):
-            _require(out, key, source, "algorithm")
-    if akind == "dgd":
-        algo.setdefault("rounds", 1)
-    else:
+            label = f"{section}.{min(unknown)}" if section else min(unknown)
+            raise ConfigError(f"{source}: {label}: unknown field")
+    out = {section: {} for section in _SECTIONS}
+    for (section, key), field in _SCHEMA.items():
+        resolved = out[section] if section else out
+        label = f"{section}.{key}" if section else key
+        if key in scopes[section]:
+            resolved[key] = _check(scopes[section][key], field, label, source)
+        elif field.default is not None and (field.when is None or field.when(out)):
+            if field.default is _REQUIRED:
+                raise ConfigError(f"{source}: {label}: missing required field")
+            resolved[key] = field.default
+    prob, graph, algo = out["problem"], out["graph"], out["algorithm"]
+    prob.setdefault("d_i", prob["d_x"] if _saddle(out) else prob["d"])
+    for idx, (i, j) in enumerate(graph.get("edges", ())):
+        if i == j or max(i, j) >= prob["n"]:
+            raise ConfigError(f"{source}: graph.edges[{idx}]: must join two distinct "
+                              "nodes below problem.n")
+    if algo["kind"] == "mgda":
+        if not _saddle(out):
+            raise ConfigError(f"{source}: algorithm.kind: mgda needs a robust_ls problem")
         algo.setdefault("rounds_x", algo.get("rounds", 1))
         algo.setdefault("rounds_y", algo.get("rounds", 1))
-    for key in ("iterations", "outer_iterations", "inner_iterations", "rounds",
-                "rounds_x", "rounds_y", "record_every"):
-        least = 1 if key == "record_every" else 0
-        _check_int(algo.get(key, least), least, f"algorithm.{key}", source)
-    if out.get("overlay_bounds"):
-        if akind != "dgd":
-            raise ConfigError(f"{source}: overlay_bounds: only supported for dgd runs")
+    if out["overlay_bounds"] and algo["kind"] != "dgd":
+        raise ConfigError(f"{source}: overlay_bounds: only supported for dgd runs")
+    if algo["theory_auto"] or out["overlay_bounds"]:
         _require_targets(out, source)
-    oracle = out["oracle"] = {"delta": 0.0, "sigma": 0.0, "bias_mode": "fixed-direction",
-                              "seed": 0, **out.get("oracle", {})}
-    try:
-        OracleSpec(**oracle)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: oracle: {exc}") from exc
-    seeds = out.setdefault("seeds", [oracle["seed"]])
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError(f"{source}: seeds: must be a nonempty list")
-    for idx, seed in enumerate(seeds):
-        _check_int(seed, 0, f"seeds[{idx}]", source)
-    if out["seed_scope"] not in ("oracle", "problem-and-oracle"):
-        raise ConfigError(f"{source}: seed_scope: unknown value")
+    out.setdefault("seeds", [out["oracle"]["seed"]])
     if out["init"] != "zero":
         raise ConfigError(f"{source}: init: must be 'zero': runs and budgets "
                           "start from the zero point")
@@ -453,47 +480,41 @@ def run(config_or_path, output=None):
     return csv_path, sidecar_path, failures
 
 
-AXIS_SECTIONS = ("problem", "graph", "algorithm", "oracle")
-
-
 def _axis_field(cfg, axis):
-    """``(section, key)`` of a numeric sweep axis in a resolved config."""
-    if "." in axis:
-        section, key = axis.split(".", 1)
-        if section not in AXIS_SECTIONS or key not in cfg.get(section, {}):
-            raise ConfigError(f"sweep axis {axis!r} not found in config")
-    else:
-        hits = [s for s in AXIS_SECTIONS if axis in cfg.get(s, {})]
-        if not hits:
-            raise ConfigError(f"sweep axis {axis!r} not found in config")
-        if len(hits) > 1:
-            raise ConfigError(f"sweep axis {axis!r} is ambiguous across {hits}; "
-                              "use a dotted path")
-        section, key = hits[0], axis
-    if not isinstance(cfg[section][key], (int, float)):
+    """``(section, key)`` of a sweep axis: a field of the resolved ``cfg`` that
+    ``_SCHEMA`` types as an integer or a number."""
+    hits = [(section, key) for section, key in _SCHEMA
+            if section and axis in (key, f"{section}.{key}") and key in cfg[section]]
+    if not hits:
+        raise ConfigError(f"sweep axis {axis!r} not found in config")
+    if len(hits) > 1:
+        raise ConfigError(f"sweep axis {axis!r} is ambiguous across "
+                          f"{[section for section, _ in hits]}; use a dotted path")
+    if _SCHEMA[hits[0]].kind not in (int, float):
         raise ConfigError(f"sweep axis {axis!r} is not numeric")
-    return section, key
+    return hits[0]
 
 
 def sweep(config_or_path, axis, values, output=None):
     """Run the config once per axis value; write one summary row per run.
 
-    Returns ``(csv_path, failures)``. The axis is a numeric config field,
-    named bare (searched across sections) or as ``section.key``. Each value
-    is written into the config as given and the result resolved afresh, so
-    defaults derived from the axis (MGDA ``rounds_x``/``rounds_y`` from
-    ``rounds``) follow it.
+    Returns ``(csv_path, failures)``. The axis is an integer or number
+    field of the resolved config, named bare (searched across sections) or
+    as ``section.key``. Each value is written into the config as given, and
+    every swept config is resolved, and so checked like any config, before
+    the first run; defaults derived from the axis (MGDA ``rounds_x``/
+    ``rounds_y`` from ``rounds``) follow it.
     """
     raw, source = _raw_config(config_or_path)
     base = resolve_config(raw, source)
     section, key = _axis_field(base, axis)
     out_base = output if output is not None else base["output"]
+    configs = [resolve_config({**raw, section: {**raw.get(section, {}), key: value}}, source)
+               for value in values]
     rows = []
     failures = []
-    for value in values:
-        swept = json.loads(json.dumps(raw))
-        swept.setdefault(section, {})[key] = type(base[section][key])(value)
-        _, _, _, results = _execute(resolve_config(swept, source), source)
+    for value, cfg in zip(values, configs):
+        _, _, _, results = _execute(cfg, source)
         for run_id, seed, record in results:
             if isinstance(record, algorithms.DivergenceError):
                 failures.append((f"{axis}={value}", run_id, str(record)))

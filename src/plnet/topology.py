@@ -232,10 +232,11 @@ def make_graph_sequence(n, kind, **params):
     Raises
     ------
     ValueError
-        If ``n < 1``, the topology is unknown, an explicit edge is a
-        self-loop or names a node outside ``0 .. n-1``, or a
-        ``tau-connected`` request has a disconnected base graph (its union
-        can then never be connected within ``tau`` steps).
+        If ``n < 1``, ``tau`` is not an integer >= 1 (a bool is not one), the
+        topology is unknown, an explicit edge is a self-loop or names a node
+        outside ``0 .. n-1``, or a ``tau-connected`` request has a
+        disconnected base graph (its union can then never be connected
+        within ``tau`` steps).
     """
     if n < 1:
         raise ValueError("node count must be >= 1")
@@ -248,9 +249,10 @@ def make_graph_sequence(n, kind, **params):
         return GraphSequence(n=n, kind=kind, tau=1, period=None,
                              _seed=seed, _degree=degree)
     if kind == "tau-connected":
-        tau = int(params.get("tau", 1))
-        if tau < 1:
-            raise ValueError("tau must be >= 1")
+        tau = params.get("tau", 1)
+        if isinstance(tau, bool) or not isinstance(tau, (int, np.integer)) or tau < 1:
+            raise ValueError(f"tau must be an integer >= 1, got {tau!r}")
+        tau = int(tau)
         i, j = _base_graph(n, params, "ring")
         if not _is_connected(n, i, j):
             raise ValueError(

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -682,3 +684,82 @@ def test_theory_auto_rejects_mgda_steps_below_the_budget(tmp_path, capsys, scale
     assert f"FAIL theory: {path}: algorithm.{key}: " in capsys.readouterr().out
     cfg["algorithm"].update(steps)
     assert not harness.run(cfg)[2]
+
+
+def _demo_path_config(tmp_path):
+    demos = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs"
+    cfg = json.loads((demos / "least_squares_path.json").read_text(encoding="utf-8"))
+    return dict(cfg, output=str(tmp_path / "escape"))
+
+
+def _fixed_step(cfg):
+    cfg["overlay_bounds"] = False
+    cfg["algorithm"].update(theory_auto=False, iterations=10, gamma=0.1)
+
+
+def _tau_connected_ring(cfg):
+    cfg["graph"] = {"kind": "tau-connected", "topology": "ring"}
+
+
+def _random_graph(cfg):
+    cfg["graph"]["topology"] = "random"
+
+
+def _robust_ls(cfg):
+    cfg["problem"] = {"kind": "robust_ls", "n": 10, "d_x": 2, "d_y": 2, "seed": 0}
+    cfg["algorithm"] = {"kind": "mgda", "gamma_x": 1e-3, "gamma_y": 1e-3,
+                        "outer_iterations": 2, "inner_iterations": 2}
+    cfg["overlay_bounds"] = False
+
+
+@pytest.mark.parametrize("label, value, edit", [
+    # these ran and exited 0, describing a run that never happened
+    ("graph.tau", 1.5, _tau_connected_ring),
+    ("oracle.sigma", float("nan"), None),
+    ("algorithm.theory_auto", "no", None),
+    ("overlay_bounds", "false", _fixed_step),
+    ("algorithm.gamma", True, _fixed_step),
+    # these ended in a traceback
+    ("graph.tau", 0, _tau_connected_ring),
+    ("graph.topology", "hexagon", None),
+    ("graph.edges", [[0, 1, 2]], None),
+    ("oracle.sigma", "0.1", None),
+    ("algorithm.eps", "1e-6", None),
+    ("problem.alpha", "2", _robust_ls),
+    ("graph.degree", "a", _random_graph),
+    ("algorithm.gamma", 0, _fixed_step),
+    ("algorithm.gamma", -1, _fixed_step),
+    # this exited 2 with "algorithm: no theory budget: math domain error"
+    ("algorithm.eps", float("inf"), None)])
+def test_cli_refuses_each_escaping_config_value_at_its_key(tmp_path, capsys, label, value, edit):
+    cfg = _demo_path_config(tmp_path)
+    if edit is not None:
+        edit(cfg)
+    section, _, key = label.rpartition(".")
+    (cfg[section] if section else cfg)[key] = value
+    path = write_config(tmp_path, cfg)
+    anchor = rf"{re.escape(path)}: {re.escape(label)}(\[\d+\])*: "
+    for command in ("run", "theory"):
+        assert cli.main([command, path]) == 2
+        assert re.match(rf"error: {anchor}", capsys.readouterr().err)
+    assert cli.main(["validate", path]) == 1
+    assert re.match(rf"FAIL config: {anchor}", capsys.readouterr().out)
+
+
+def test_sweep_values_are_checked_not_cast(tmp_path):
+    # a sweep used to cast each value to the base field's type: problem.n 4.7
+    # ran n = 4 while the CSV said 4.7, and iterations 3.9 ran 3 iterations
+    path = write_config(tmp_path, minimal_config(tmp_path))
+    for axis, value, label in (("problem.n", 4.7, "problem.n"),
+                               ("iterations", 3.9, "algorithm.iterations"),
+                               ("rounds", True, "algorithm.rounds")):
+        with pytest.raises(ConfigError, match=rf"config\.json: {label}: must be an integer"):
+            harness.sweep(path, axis, [2, value])
+        assert not (tmp_path / "trace.sweep.csv").exists()
+    # a bool field is not a numeric axis, though a bool is an int
+    for axis in ("theory_auto", "algorithm.theory_auto"):
+        with pytest.raises(ConfigError, match="is not numeric"):
+            harness.sweep(path, axis, [0, 1])
+    sweep_path, failures = harness.sweep(path, "problem.n", [2, 3])
+    assert not failures
+    assert [r["value"] for r in read_rows(sweep_path)] == ["2", "3"]

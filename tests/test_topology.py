@@ -59,6 +59,14 @@ def test_rejects_disconnected_tau_base():
         make_graph_sequence(4, "tau-connected", tau=2, edges=[(0, 1), (2, 3)])
 
 
+@pytest.mark.parametrize("tau", [0, -1, 1.5, 2.0, True, "2"])
+def test_rejects_a_tau_that_is_not_an_integer_of_at_least_one(tau):
+    # tau used to be read through int(...): 1.5 and True ran as tau 1
+    with pytest.raises(ValueError, match="tau must be an integer >= 1"):
+        make_graph_sequence(6, "tau-connected", tau=tau, topology="ring")
+    assert make_graph_sequence(6, "tau-connected", tau=np.int64(2), topology="ring").tau == 2
+
+
 def test_rejects_self_loop_and_bad_edges():
     with pytest.raises(ValueError):
         make_graph_sequence(3, "static", edges=[(1, 1)])
