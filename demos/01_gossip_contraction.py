@@ -9,7 +9,6 @@ the measured consensus-error decay against the geometric envelope
 import numpy as np
 
 from plnet import (
-    CommClock,
     MixingModel,
     consensus_error,
     estimate_lambda,
@@ -55,7 +54,7 @@ for name, model in models.items():
     worst = 0.0
     for _ in range(20):
         z = rng.standard_normal((model.n, 4))
-        out = run_consensus(z, rounds, model, CommClock())
+        out = run_consensus(z, rounds, model)
         worst = max(worst, consensus_error(out) / consensus_error(z))
     envelope = (1.0 - model.lam) ** (rounds // model.tau)
     assert worst <= envelope + 1e-10

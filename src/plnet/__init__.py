@@ -16,12 +16,10 @@ from .algorithms import (
     DivergenceError,
     MGDAConfig,
     RunRecord,
-    centralized_gd,
-    centralized_gda,
     dgd_run,
     mgda_run,
 )
-from .consensus import CommClock, average_projection, consensus_error, run_consensus
+from .consensus import average_projection, consensus_error, run_consensus
 from .oracles import OracleSpec, OracleState
 from .problems import (
     LeastSquaresProblem,
@@ -63,9 +61,6 @@ __all__ = [
     "DivergenceError",
     "dgd_run",
     "mgda_run",
-    "centralized_gd",
-    "centralized_gda",
-    "CommClock",
     "average_projection",
     "consensus_error",
     "run_consensus",

@@ -5,8 +5,7 @@ Both methods alternate a local (possibly biased and noisy) gradient step
 with a multi-round gossip call on the stacked state. Double stochasticity
 of the mixing matrices makes the row mean follow the plain inexact
 gradient method on the averaged objective, which is what the recorded
-optimality gaps track. Centralized references without any communication
-are provided for the full-graph equivalence checks.
+optimality gaps track.
 """
 
 import time
@@ -14,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import (CommClock, _mean_and_error, average_projection, consensus_error,
-                        run_consensus)
+from .consensus import _mean_and_error, average_projection, consensus_error, run_consensus
 from .oracles import OracleSpec, OracleState, perturb_gradient
 from .problems import row_norms
 
@@ -26,8 +24,6 @@ __all__ = [
     "DivergenceError",
     "dgd_run",
     "mgda_run",
-    "centralized_gd",
-    "centralized_gda",
 ]
 
 CONSENSUS_START_TOL = 1e-12
@@ -125,11 +121,10 @@ class RunRecord:
 def _record(record, k, xs, ys=None, comm_rounds=0):
     """Append the averaged iterate of the stacked state ``xs`` (and ``ys``).
 
-    Records the round clock, the row averages and the consensus errors
+    Records the round index, the row averages and the consensus errors
     ``||xs - xbar||`` (and ``||ys - ybar||``); :func:`_evaluate` fills the
-    remaining columns when the run ends. A centralized runner passes its
-    iterate as a one-row stack, whose consensus error is 0 and whose mean
-    is the iterate.
+    remaining columns when the run ends. A one-row stack records its row
+    as the average and a consensus error of 0.
     """
     record.ks.append(k)
     record.comm_rounds.append(comm_rounds)
@@ -194,7 +189,7 @@ def dgd_run(problem, model, config, x0):
     problem
         A problem exposing ``grad_stacked``, ``f`` and ``grad_f``.
     model : topology.MixingModel
-        Mixing sequence shared by all iterations (one clock per run).
+        Mixing sequence shared by all iterations (one round index per run).
     config : DGDConfig
     x0 : ndarray
         Stacked ``(n, d)`` start; a start whose rows differ is projected
@@ -209,25 +204,25 @@ def dgd_run(problem, model, config, x0):
     x = _prepare_start(x0, record)
     n, d = x.shape
     record.meta.update(f_star=problem.f_star, f_star_source="analytic",
-                       gamma=config.gamma, algorithm="dgd",
                        stochastic=config.oracle.sigma > 0)
-    clock = CommClock()
+    t = 0  # global index of the next gossip round; a Python int, as JSON needs
     state = OracleState(config.oracle, (n, d), stream=0)
-    rounds = config.rounds_schedule
+    rounds = int(config.rounds_schedule)
     skipped_cons = 0.0  # worst consensus error among unrecorded iterates
     for k in range(config.iterations):
         if k % config.record_every == 0:
-            _record(record, k, x, comm_rounds=clock.t0)
+            _record(record, k, x, comm_rounds=t)
         else:
             skipped_cons = max(skipped_cons, consensus_error(x))
         grad = perturb_gradient(problem.grad_stacked(x), state)
         z = x - config.gamma * grad
-        x = run_consensus(z, rounds, model, clock)
+        x = run_consensus(z, rounds, model, t)
+        t += rounds
         _check_finite(x, k + 1, "iterate")
-    _record(record, config.iterations, x, comm_rounds=clock.t0)
+    _record(record, config.iterations, x, comm_rounds=t)
     _evaluate(record, problem)
     record.extras["max_consensus_err_x"] = max(skipped_cons, *record.consensus_err_x)
-    record.meta["total_comm_rounds"] = clock.t0
+    record.meta["total_comm_rounds"] = t
     return record, x
 
 
@@ -237,7 +232,7 @@ def mgda_run(problem, model, config, x0, y0, budget=None):
     Per outer iteration the inner loop ascends the stacked y-state
     ``inner_iterations`` times (gossiping after each step), then the outer
     x-state takes one descent step at the refreshed y and gossips. Both
-    states gossip over ``model``, and a single global clock orders x- and
+    states gossip over ``model``, and one global round index orders x- and
     y-communication. Starts whose rows differ are projected onto their
     average, as in :func:`dgd_run`.
 
@@ -256,21 +251,22 @@ def mgda_run(problem, model, config, x0, y0, budget=None):
     x = _prepare_start(x0, record)
     y = _prepare_start(y0, record)
     record.meta.update(f_star=problem.phi_star, f_star_source="analytic",
-                       gamma_x=config.gamma_x, gamma_y=config.gamma_y,
-                       algorithm="mgda", stochastic=config.oracle.sigma > 0)
-    clock = CommClock()
+                       stochastic=config.oracle.sigma > 0)
+    t = 0  # global index of the next gossip round; a Python int, as JSON needs
+    rounds_x, rounds_y = int(config.rounds_x), int(config.rounds_y)
     state_x = OracleState(config.oracle, x.shape, stream=0)
     state_y = OracleState(config.oracle, y.shape, stream=1)
     max_cons_x = max_cons_y = 0.0
     drift, misses = [], []
     for k in range(config.outer_iterations):
         if k % config.record_every == 0:
-            _record(record, k, x, y, comm_rounds=clock.t0)
+            _record(record, k, x, y, comm_rounds=t)
         ys = [y]
         for _ in range(config.inner_iterations):
             grad_y = perturb_gradient(problem.grad_y_stacked(x, ys[-1]), state_y)
             z_y = ys[-1] + config.gamma_y * grad_y
-            ys.append(run_consensus(z_y, config.rounds_y, model, clock))
+            ys.append(run_consensus(z_y, rounds_y, model, t))
+            t += rounds_y
         _check_finite(ys[-1], k, "inner iterate")
         if budget is not None:
             # states entering this outer iteration; the final pair is added last
@@ -283,9 +279,10 @@ def mgda_run(problem, model, config, x0, y0, budget=None):
         y = ys[-1]
         grad_x = perturb_gradient(problem.grad_x_stacked(x, y), state_x)
         z_x = x - config.gamma_x * grad_x
-        x = run_consensus(z_x, config.rounds_x, model, clock)
+        x = run_consensus(z_x, rounds_x, model, t)
+        t += rounds_x
         _check_finite(x, k + 1, "iterate")
-    _record(record, config.outer_iterations, x, y, comm_rounds=clock.t0)
+    _record(record, config.outer_iterations, x, y, comm_rounds=t)
     _evaluate(record, problem)
     if budget is not None:
         record.extras.update(max_consensus_err_x=max(max_cons_x, consensus_error(x)),
@@ -294,7 +291,7 @@ def mgda_run(problem, model, config, x0, y0, budget=None):
                              inner_drift_max=max(drift, default=None))
         if misses:
             record.extras["inner_target_misses"] = misses
-    record.meta["total_comm_rounds"] = clock.t0
+    record.meta["total_comm_rounds"] = t
     return record, (x, y)
 
 
@@ -311,40 +308,3 @@ def _inner_drift_constant(problem, x_stack, y_stack, budget):
     grad_norm = float(np.linalg.norm(problem.grad_y_stacked_at_inner_opt(xbar)))
     inner_gap_stacked = problem.n * _inner_gap(problem, x_stack, y_stack)
     return budget.inner_drift(grad_norm, max(inner_gap_stacked, 0.0))
-
-
-def centralized_gd(problem, gamma, iterations, record_every=1):
-    """Plain gradient descent on the averaged objective from zero (no communication)."""
-    x = np.zeros(problem.d)
-    record = RunRecord()
-    record.meta.update(f_star=problem.f_star, f_star_source="analytic", gamma=gamma,
-                       algorithm="centralized_gd", stochastic=False)
-    for k in range(iterations):
-        if k % record_every == 0:
-            _record(record, k, x[None])
-        x = x - gamma * problem.grad_f(x)
-        _check_finite(x, k + 1, "iterate")
-    _record(record, iterations, x[None])
-    _evaluate(record, problem)
-    return record, x
-
-
-def centralized_gda(problem, gamma_x, gamma_y, outer_iterations, inner_iterations,
-                    record_every=1):
-    """Multi-step descent ascent on the averaged saddle objective from zero."""
-    x, y = np.zeros(problem.d_x), np.zeros(problem.d_y)
-    record = RunRecord()
-    record.meta.update(f_star=problem.phi_star, f_star_source="analytic",
-                       gamma_x=gamma_x, gamma_y=gamma_y,
-                       algorithm="centralized_gda", stochastic=False)
-    for k in range(outer_iterations):
-        if k % record_every == 0:
-            _record(record, k, x[None], y[None])
-        for _ in range(inner_iterations):
-            y = y + gamma_y * problem.grad_y(x, y)
-        _check_finite(y, k, "inner iterate")
-        x = x - gamma_x * problem.grad_x(x, y)
-        _check_finite(x, k + 1, "iterate")
-    _record(record, outer_iterations, x[None], y[None])
-    _evaluate(record, problem)
-    return record, (x, y)

@@ -16,9 +16,15 @@ def _cmd_run(args):
     return 1 if failures else 0
 
 
+def _number(text):
+    try:
+        return float(text) if "." in text or "e" in text.lower() else int(text)
+    except ValueError:
+        raise harness.ConfigError(f"--values: {text!r} is not a number") from None
+
+
 def _cmd_sweep(args):
-    values = [float(v) if "." in v or "e" in v.lower() else int(v)
-              for v in args.values.split(",")]
+    values = [_number(v) for v in args.values.split(",")]
     csv_path, failures = harness.sweep(args.config, args.axis, values,
                                        output=args.output)
     print(f"sweep: {csv_path}")

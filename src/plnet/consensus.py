@@ -5,8 +5,8 @@ A stacked state is a plain ``(n, d)`` float array whose row ``i`` is node
 ``i``'s copy of the parameter vector. The consensus set is the subspace of
 states with all rows equal; projecting onto it replaces every row by the
 column-wise mean. Gossip applies one round of Metropolis mixing at a time,
-advancing a global communication clock so that time-varying sequences stay
-aligned across calls.
+starting from a global round index ``t0`` that the caller advances, so that
+time-varying sequences stay aligned across calls.
 
 A round costs what its graph costs. On small graphs, and on dense ones, it
 multiplies the state by the dense ``(n, n)`` mixing matrix. On large sparse
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-__all__ = ["CommClock", "average_projection", "consensus_error", "run_consensus"]
+__all__ = ["average_projection", "consensus_error", "run_consensus"]
 
 # Crossover between the dense product ``W @ z`` and the edge-list round,
 # measured once with d = 8 and one BLAS thread on a 2-vCPU x86-64 VM. Below
@@ -50,27 +50,6 @@ def edge_gossip(n, edges):
     use of the crossover at once.
     """
     return n >= EDGE_MIN_NODES and edges <= EDGE_MAX_FILL * n ** 2
-
-
-class CommClock:
-    """Global communication-round cursor owned by one run.
-
-    Monotonically nondecreasing; each gossip call of length ``T`` advances
-    it by exactly ``T``.
-    """
-
-    def __init__(self, t0=0):
-        if t0 < 0:
-            raise ValueError("clock must start at a nonnegative round")
-        self.t0 = int(t0)
-
-    def advance(self, rounds):
-        if rounds < 0:
-            raise ValueError("cannot advance the clock backwards")
-        self.t0 += int(rounds)
-
-    def __repr__(self):
-        return f"CommClock(t0={self.t0})"
 
 
 def average_projection(x):
@@ -117,13 +96,13 @@ def _edge_round(z, i, j, w, index):
     return z + delta.reshape(n, d)
 
 
-def run_consensus(z0, rounds, model, clock):
-    """Run ``rounds`` gossip rounds starting from the clock's current time.
+def run_consensus(z0, rounds, model, t0=0):
+    """Run ``rounds`` gossip rounds starting from global round ``t0``.
 
-    Applies ``W(t0 + rounds - 1) ... W(t0 + 1) W(t0)`` to ``z0`` and
-    advances ``clock`` by ``rounds``. Double stochasticity keeps the row
-    mean invariant, so the projection of the output equals the projection
-    of the input up to floating point.
+    Applies ``W(t0 + rounds - 1) ... W(t0 + 1) W(t0)`` to ``z0``; the next
+    call of the same run starts at ``t0 + rounds``. Double stochasticity
+    keeps the row mean invariant, so the projection of the output equals the
+    projection of the input up to floating point.
 
     A round for which :func:`edge_gossip` holds (at least
     ``EDGE_MIN_NODES`` nodes, at most ``EDGE_MAX_FILL * n**2`` edges) is
@@ -141,16 +120,15 @@ def run_consensus(z0, rounds, model, clock):
         Number of communication rounds; 0 returns ``z0`` unchanged.
     model : topology.MixingModel
         Source of mixing weights.
-    clock : CommClock
-        Global round cursor, advanced in place.
+    t0 : int
+        Global index of the first round.
     """
-    if rounds < 0:
-        raise ValueError("round count must be >= 0")
+    if rounds < 0 or t0 < 0:
+        raise ValueError("round count and first round must be >= 0")
     if rounds == 0:
         return z0
     z = np.asarray(z0, dtype=float)
     large = model.n >= EDGE_MIN_NODES
-    t0 = clock.t0
     for t in range(t0, t0 + rounds):
         if large:
             i, j, w = model.weights_at(t)
@@ -158,5 +136,4 @@ def run_consensus(z0, rounds, model, clock):
                 z = _edge_round(z, i, j, w, model._edge_index(t, z.shape[1]))
                 continue
         z = model.matrix_at(t).dot(z)
-    clock.advance(rounds)
     return z

@@ -199,9 +199,12 @@ def resolve_config(cfg, source="<config>"):
         if i == j or max(i, j) >= prob["n"]:
             raise ConfigError(f"{source}: graph.edges[{idx}]: must join two distinct "
                               "nodes below problem.n")
+    if prob["kind"] == "quadratic" and prob["d_i"] != prob["d"]:
+        raise ConfigError(f"{source}: problem.d_i: must equal problem.d on a quadratic problem")
+    if (algo["kind"] == "mgda") != _saddle(out):
+        raise ConfigError(f"{source}: algorithm.kind: {algo['kind']} cannot run a "
+                          f"{prob['kind']} problem: mgda runs robust_ls, dgd the others")
     if algo["kind"] == "mgda":
-        if not _saddle(out):
-            raise ConfigError(f"{source}: algorithm.kind: mgda needs a robust_ls problem")
         algo.setdefault("rounds_x", algo.get("rounds", 1))
         algo.setdefault("rounds_y", algo.get("rounds", 1))
     if out["overlay_bounds"] and algo["kind"] != "dgd":
@@ -234,6 +237,19 @@ def _build_model(cfg):
     params = {k: v for k, v in graph.items() if k != "kind"}
     seq = topology.make_graph_sequence(n, graph["kind"], **params)
     return topology.MixingModel(seq)
+
+
+def _network(cfg, source):
+    """The mixing model of a config's graph, refused at ``graph`` if it cannot
+    mix. A periodic sequence has its contraction factor measured here; a
+    per-step-connected one draws a connected graph every round."""
+    try:
+        model = _build_model(cfg)
+        if model.seq.period is not None:
+            model.lam
+    except ValueError as exc:
+        raise ConfigError(f"{source}: graph: {exc}") from exc
+    return model
 
 
 def _constants(problem, model):
@@ -393,7 +409,7 @@ def _execute(cfg, source):
     RunRecord or the DivergenceError that ended it.
     """
     problem = _build_problem(cfg)
-    model = _build_model(cfg)
+    model = _network(cfg, source)
     algo, budget = _settings(cfg, problem, model, source)
     results = []
     for idx, seed in enumerate(cfg["seeds"]):
@@ -409,11 +425,22 @@ def _execute(cfg, source):
     return problem, model, budget, results
 
 
-def _wall_times(cfg, record):
-    """The record's wall-time column as published: measured only on request."""
-    if cfg["record_wall_time"]:
-        return record.wall_time
-    return [0.0] * len(record.wall_time)
+def _trace_rows(cfg, budget, run_id, seed, record):
+    """The trace CSV rows of one run: one per recorded iterate, or the single
+    ``k = -1`` row of a run that diverged.
+
+    Bounds are overlaid on request (violation flagging, seed-averaged for the
+    stochastic mode, is theory.overlay_bounds' job); wall times are
+    published as measured only on request, and as 0 otherwise.
+    """
+    if isinstance(record, algorithms.DivergenceError):
+        return [[run_id, seed, -1, 0, *[float("nan")] * 5, None, 0.0]]
+    ks = record.ks
+    bounds = budget.bounds(ks, record.f_gap[0]) if cfg["overlay_bounds"] else [None] * len(ks)
+    wall = record.wall_time if cfg["record_wall_time"] else [0.0] * len(ks)
+    return [[run_id, seed, *cells] for cells in zip(
+        ks, record.comm_rounds, record.f_gap, record.consensus_err_x,
+        record.consensus_err_y, record.grad_norm_x, record.grad_norm_y, bounds, wall)]
 
 
 def _write_csv(path, header, rows):
@@ -442,30 +469,16 @@ def run(config_or_path, output=None):
     cfg, source = _load(config_or_path)
     out_base = output if output is not None else cfg["output"]
     problem, model, budget, results = _execute(cfg, source)
-    rows = []
-    run_meta = []
-    failures = []
+    rows, run_meta, failures = [], [], []
     for run_id, seed, record in results:
+        rows.extend(_trace_rows(cfg, budget, run_id, seed, record))
         if isinstance(record, algorithms.DivergenceError):
             failures.append((run_id, str(record)))
-            rows.append([run_id, seed, -1, 0, float("nan"), float("nan"),
-                         float("nan"), float("nan"), float("nan"), None, 0.0])
-            run_meta.append({"run_id": run_id, "seed": seed,
-                             "status": f"diverged: {record}"})
-            continue
-        bounds = [None] * len(record.ks)
-        if cfg["overlay_bounds"]:
-            # bound trace only; violation flagging (seed-averaged for the
-            # stochastic mode) is theory.overlay_bounds' job
-            bounds = budget.bounds(record.ks, record.f_gap[0])
-        rows.extend([run_id, seed, *cells] for cells in zip(
-            record.ks, record.comm_rounds, record.f_gap, record.consensus_err_x,
-            record.consensus_err_y, record.grad_norm_x, record.grad_norm_y,
-            bounds, _wall_times(cfg, record)))
-        run_meta.append({"run_id": run_id, "seed": seed, "status": "ok",
-                         "f_star_source": record.meta.get("f_star_source"),
-                         "total_comm_rounds": record.meta.get("total_comm_rounds", 0)})
-    rows.sort(key=lambda r: (r[0], r[2]))
+            run_meta.append({"run_id": run_id, "seed": seed, "status": f"diverged: {record}"})
+        else:
+            run_meta.append({"run_id": run_id, "seed": seed, "status": "ok",
+                             "f_star_source": record.meta["f_star_source"],
+                             "total_comm_rounds": record.meta["total_comm_rounds"]})
     csv_path = _write_csv(f"{out_base}.csv", CSV_HEADER, rows)
     sidecar_path = f"{out_base}.meta.json"
     sidecar = {
@@ -496,7 +509,8 @@ def _axis_field(cfg, axis):
 
 
 def sweep(config_or_path, axis, values, output=None):
-    """Run the config once per axis value; write one summary row per run.
+    """Run the config once per axis value; write one summary row per run: the
+    run's last trace row.
 
     Returns ``(csv_path, failures)``. The axis is an integer or number
     field of the resolved config, named bare (searched across sections) or
@@ -511,22 +525,15 @@ def sweep(config_or_path, axis, values, output=None):
     out_base = output if output is not None else base["output"]
     configs = [resolve_config({**raw, section: {**raw.get(section, {}), key: value}}, source)
                for value in values]
-    rows = []
-    failures = []
+    rows, failures = [], []
     for value, cfg in zip(values, configs):
-        _, _, _, results = _execute(cfg, source)
+        _, _, budget, results = _execute(cfg, source)
         for run_id, seed, record in results:
+            _, _, _, rounds, *errors, _, _, _, wall = _trace_rows(cfg, budget, run_id, seed,
+                                                                  record)[-1]
+            rows.append([axis, str(value), run_id, seed, *errors, rounds, wall])
             if isinstance(record, algorithms.DivergenceError):
                 failures.append((f"{axis}={value}", run_id, str(record)))
-                rows.append([axis, str(value), run_id, seed, float("nan"),
-                             float("nan"), float("nan"), 0, 0.0])
-                continue
-            rows.append([
-                axis, str(value), run_id, seed, record.f_gap[-1],
-                record.consensus_err_x[-1], record.consensus_err_y[-1],
-                record.meta.get("total_comm_rounds", 0),
-                _wall_times(base, record)[-1],
-            ])
     return _write_csv(f"{out_base}.sweep.csv", SWEEP_HEADER, rows), failures
 
 
@@ -598,7 +605,7 @@ def theory_report(config_or_path):
     cfg, source = _load(config_or_path)
     _require_targets(cfg, source)
     problem = _build_problem(cfg)
-    model = _build_model(cfg)
+    model = _network(cfg, source)
     budget = _theory_budget(cfg, problem, model, source)
     _resolve_steps(dict(cfg["algorithm"]), budget, source)
     return budget, _constants(problem, model)

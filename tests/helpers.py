@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from plnet import algorithms
+
 
 def central_diff(fn, x, h=None):
     """Central finite differences of a scalar function at x."""
@@ -46,3 +48,41 @@ def edge_list(edges):
     """Edge endpoint arrays ``(i, j)`` as a list of ``(int, int)`` pairs."""
     i, j = edges
     return list(zip(i.tolist(), j.tolist()))
+
+
+def centralized_gd(problem, gamma, iterations, record_every=1):
+    """Plain gradient descent on the averaged objective from zero (no communication).
+
+    The centralized reference of the full-graph equivalence checks; it records
+    through ``algorithms._record`` and ``algorithms._evaluate`` as the runners do.
+    """
+    x = np.zeros(problem.d)
+    record = algorithms.RunRecord()
+    record.meta.update(f_star=problem.f_star, f_star_source="analytic", stochastic=False)
+    for k in range(iterations):
+        if k % record_every == 0:
+            algorithms._record(record, k, x[None])
+        x = x - gamma * problem.grad_f(x)
+        algorithms._check_finite(x, k + 1, "iterate")
+    algorithms._record(record, iterations, x[None])
+    algorithms._evaluate(record, problem)
+    return record, x
+
+
+def centralized_gda(problem, gamma_x, gamma_y, outer_iterations, inner_iterations,
+                    record_every=1):
+    """Multi-step descent ascent on the averaged saddle objective from zero."""
+    x, y = np.zeros(problem.d_x), np.zeros(problem.d_y)
+    record = algorithms.RunRecord()
+    record.meta.update(f_star=problem.phi_star, f_star_source="analytic", stochastic=False)
+    for k in range(outer_iterations):
+        if k % record_every == 0:
+            algorithms._record(record, k, x[None], y[None])
+        for _ in range(inner_iterations):
+            y = y + gamma_y * problem.grad_y(x, y)
+        algorithms._check_finite(y, k, "inner iterate")
+        x = x - gamma_x * problem.grad_x(x, y)
+        algorithms._check_finite(x, k + 1, "iterate")
+    algorithms._record(record, outer_iterations, x[None], y[None])
+    algorithms._evaluate(record, problem)
+    return record, (x, y)

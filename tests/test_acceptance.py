@@ -21,7 +21,6 @@ from plnet import (
     SmoothnessProfile,
     build_least_squares,
     build_robust_ls,
-    centralized_gd,
     consensus_error,
     dgd_run,
     estimate_lambda,
@@ -34,11 +33,10 @@ from plnet import (
     run_consensus,
     validate_mixing,
 )
-from plnet.consensus import CommClock
 from plnet.theory import budget_min_deterministic, budget_min_stochastic, \
     iterations_for_target, rounds_for_target
 
-from helpers import central_diff, rel_err
+from helpers import central_diff, centralized_gd, rel_err
 
 
 class stopwatch:
@@ -90,7 +88,7 @@ def test_criterion_2_contraction_decay():
                 factor = (1.0 - lam) ** (rounds // model.tau)
                 for _ in range(30):
                     z = rng.standard_normal((model.n, 3))
-                    out = run_consensus(z, rounds, model, CommClock())
+                    out = run_consensus(z, rounds, model)
                     assert consensus_error(out) <= \
                         factor * consensus_error(z) + 1e-10, (name, rounds)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from plnet import (
-    CommClock,
     DGDConfig,
     DivergenceError,
     LeastSquaresProblem,
@@ -12,8 +11,6 @@ from plnet import (
     RobustLeastSquaresProblem,
     build_least_squares,
     build_robust_ls,
-    centralized_gd,
-    centralized_gda,
     consensus_error,
     dgd_run,
     make_graph_sequence,
@@ -22,6 +19,8 @@ from plnet import (
 )
 from plnet import algorithms
 from plnet.oracles import OracleState, perturb_gradient
+
+from helpers import centralized_gd, centralized_gda
 
 
 def unit_quadratic(n, d, seed=0):
@@ -87,13 +86,12 @@ def test_mean_trajectory_follows_averaged_gradient():
     model = MixingModel(make_graph_sequence(4, "static", topology="ring"))
     spec = OracleSpec(delta=0.05, sigma=0.3, seed=3)
     state = OracleState(spec, (4, 3))
-    clock = CommClock()
     gamma = 1.0 / prof.L_g
     x = np.zeros((4, 3))
-    for _ in range(25):
+    for step in range(25):
         grad = perturb_gradient(problem.grad_stacked(x), state)
         z = x - gamma * grad
-        x_next = run_consensus(z, 3, model, clock)
+        x_next = run_consensus(z, 3, model, 3 * step)
         predicted = x.mean(axis=0) - gamma * grad.mean(axis=0)
         assert np.linalg.norm(x_next.mean(axis=0) - predicted) <= 1e-10
         x = x_next

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from plnet import (
-    CommClock,
     DGDConfig,
     MixingModel,
     average_projection,
@@ -55,20 +54,18 @@ def test_consensus_error_translation_invariant():
     assert consensus_error(x + shift) == pytest.approx(consensus_error(x), abs=1e-12)
 
 
-def test_zero_rounds_returns_input_and_keeps_clock():
+def test_zero_rounds_returns_input():
     model = MixingModel(make_graph_sequence(3, "static", topology="path"))
-    clock = CommClock()
     z = np.ones((3, 2))
-    out = run_consensus(z, 0, model, clock)
-    assert out is z
-    assert clock.t0 == 0
+    assert run_consensus(z, 0, model) is z
+    assert run_consensus(z, 0, model, 5) is z
 
 
 def test_complete_graph_single_round_averages():
     model = MixingModel(make_graph_sequence(4, "static", topology="complete"))
     rng = np.random.default_rng(3)
     z = rng.standard_normal((4, 3))
-    out = run_consensus(z, 1, model, CommClock())
+    out = run_consensus(z, 1, model)
     np.testing.assert_allclose(out, average_projection(z), atol=1e-12)
 
 
@@ -77,7 +74,7 @@ def test_path_graph_spectral_decay_oracle():
     model = MixingModel(make_graph_sequence(3, "static", topology="path"))
     rng = np.random.default_rng(4)
     z = rng.standard_normal((3, 4))
-    out = run_consensus(z, 10, model, CommClock())
+    out = run_consensus(z, 10, model)
     assert consensus_error(out) <= (2.0 / 3.0) ** 10 * consensus_error(z) + 1e-10
 
 
@@ -94,7 +91,7 @@ def test_mean_preserved_across_kinds(rounds):
     rng = np.random.default_rng(5)
     for model in _models_all_kinds():
         z = rng.standard_normal((model.n, 3))
-        out = run_consensus(z, rounds, model, CommClock())
+        out = run_consensus(z, rounds, model)
         drift = np.linalg.norm(average_projection(out) - average_projection(z))
         assert drift <= 1e-10
 
@@ -107,20 +104,23 @@ def test_geometric_decay_across_kinds(rounds):
         factor = (1.0 - lam) ** (rounds // model.tau)
         for _ in range(10):
             z = rng.standard_normal((model.n, 2))
-            out = run_consensus(z, rounds, model, CommClock())
+            out = run_consensus(z, rounds, model)
             assert consensus_error(out) <= factor * consensus_error(z) + 1e-10
 
 
-def test_clock_advances_by_rounds():
+def test_calls_continue_from_their_first_round():
+    # rounds t0 .. t0 + rounds - 1: 5 rounds from 0 then 3 from 5 are 8 from 0
+    model = MixingModel(make_graph_sequence(6, "tau-connected", tau=3, topology="ring"))
+    z = np.random.default_rng(8).standard_normal((6, 2))
+    np.testing.assert_array_equal(run_consensus(run_consensus(z, 5, model), 3, model, 5),
+                                  run_consensus(z, 8, model))
+
+
+@pytest.mark.parametrize("rounds, t0", [(-1, 0), (0, -1), (2, -3)])
+def test_negative_rounds_and_first_round_are_refused(rounds, t0):
     model = MixingModel(make_graph_sequence(4, "static", topology="ring"))
-    clock = CommClock()
-    z = np.ones((4, 2))
-    run_consensus(z, 5, model, clock)
-    assert clock.t0 == 5
-    run_consensus(z, 3, model, clock)
-    assert clock.t0 == 8
-    with pytest.raises(ValueError):
-        clock.advance(-1)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        run_consensus(np.ones((4, 2)), rounds, model, t0)
 
 
 def test_matrix_sequences_bit_identical_across_runs():
@@ -160,7 +160,7 @@ def test_complete_graph_above_the_crossover_stays_dense(monkeypatch):
 
     monkeypatch.setattr(MixingModel, "matrix_at", counting)
     z = np.random.default_rng(7).standard_normal((n, 2))
-    out = run_consensus(z, 4, model, CommClock(3))
+    out = run_consensus(z, 4, model, 3)
     assert served == [3, 4, 5, 6]
     np.testing.assert_allclose(out, average_projection(z), rtol=0, atol=1e-12)
 
@@ -182,7 +182,7 @@ def test_dense_per_step_round_above_the_crossover_builds_its_graph_once(monkeypa
     monkeypatch.setattr(topology.GraphSequence, "edges_at", counting_edges)
     monkeypatch.setattr(MixingModel, "matrix_at", counting_matrix)
     z = np.random.default_rng(3).standard_normal((n, 2))
-    out = run_consensus(z, 5, model, CommClock(2))
+    out = run_consensus(z, 5, model, 2)
     assert built == served == [2, 3, 4, 5, 6]
     expected = z
     for k in range(2, 7):
@@ -203,13 +203,11 @@ def test_dense_gossip_equals_round_by_round_product_bit_for_bit(d, layout):
     z0 = rng.standard_normal((30, 2 * d))
     z0 = {"C": np.ascontiguousarray(z0[:, :d]), "F": np.asfortranarray(z0[:, :d]),
           "sliced": z0[:, ::2]}[layout]
-    clock = CommClock(t0=2)
-    out = run_consensus(z0, 7, model, clock)
+    out = run_consensus(z0, 7, model, 2)
     expected = z0
     for t in range(2, 9):
         expected = topology.metropolis_matrix(seq, t) @ expected
     np.testing.assert_array_equal(out, expected)
-    assert clock.t0 == 9
 
 
 def _count_edge_builds(monkeypatch):
@@ -232,7 +230,7 @@ def test_periodic_weights_are_built_once_for_both_forms(monkeypatch):
     model.lam
     built = _count_edge_builds(monkeypatch)
     z = np.random.default_rng(4).standard_normal((n, 3))
-    out = run_consensus(z, 6, model, CommClock())
+    out = run_consensus(z, 6, model)
     assert built == []
     expected = z
     for _ in range(6):
@@ -249,16 +247,16 @@ def test_one_model_serves_two_column_counts(monkeypatch):
     starts = {2: rng.standard_normal((n, 2)), 3: rng.standard_normal((n, 3))}
     fresh = {}
     for d, z in starts.items():
-        clock, model, fresh[d] = CommClock(), MixingModel(seq), []
-        for _ in range(4):
-            z = run_consensus(z, 2, model, clock)
+        model, fresh[d] = MixingModel(seq), []
+        for step in range(4):
+            z = run_consensus(z, 2, model, 2 * step)
             fresh[d].append(z)
     built = _count_edge_builds(monkeypatch)
-    shared, clocks = MixingModel(seq), {2: CommClock(), 3: CommClock()}
+    shared = MixingModel(seq)
     states = dict(starts)
     for step in range(4):
         for d in (2, 3):
-            states[d] = run_consensus(states[d], 2, shared, clocks[d])
+            states[d] = run_consensus(states[d], 2, shared, 2 * step)
             np.testing.assert_array_equal(states[d], fresh[d][step])
     assert sorted(built) == [0, 1, 2]
 

@@ -318,7 +318,7 @@ def test_cli_sweep(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["centralized_gd", "centralized_gda"])
 def test_theory_auto_rejected_for_centralized_runs(tmp_path, capsys, kind):
-    # the centralized runners are library references: the harness runs only
+    # the centralized runners are test references: the harness runs only
     # the decentralized methods its budgets cover, so theory_auto never reaches
     # them and the kind itself is refused
     cfg = {
@@ -712,6 +712,19 @@ def _robust_ls(cfg):
     cfg["overlay_bounds"] = False
 
 
+def _robust_ls_problem(cfg):
+    cfg["problem"] = {"kind": "robust_ls", "n": 10, "d_x": 2, "d_y": 2, "seed": 0}
+
+
+def _robust_ls_problem_fixed_step(cfg):
+    _robust_ls_problem(cfg)
+    _fixed_step(cfg)
+
+
+def _quadratic(cfg):
+    cfg["problem"]["kind"] = "quadratic"
+
+
 @pytest.mark.parametrize("label, value, edit", [
     # these ran and exited 0, describing a run that never happened
     ("graph.tau", 1.5, _tau_connected_ring),
@@ -730,7 +743,14 @@ def _robust_ls(cfg):
     ("algorithm.gamma", 0, _fixed_step),
     ("algorithm.gamma", -1, _fixed_step),
     # this exited 2 with "algorithm: no theory budget: math domain error"
-    ("algorithm.eps", float("inf"), None)])
+    ("algorithm.eps", float("inf"), None),
+    # these passed `plnet validate`, then ended `plnet run` in a traceback
+    ("algorithm.kind", "dgd", _robust_ls_problem),
+    ("algorithm.kind", "dgd", _robust_ls_problem_fixed_step),
+    # this ended `plnet run` in a traceback
+    ("problem.d_i", 3, _quadratic),
+    # this was refused already, by a rule for mgda alone
+    ("algorithm.kind", "mgda", None)])
 def test_cli_refuses_each_escaping_config_value_at_its_key(tmp_path, capsys, label, value, edit):
     cfg = _demo_path_config(tmp_path)
     if edit is not None:
@@ -763,3 +783,32 @@ def test_sweep_values_are_checked_not_cast(tmp_path):
     sweep_path, failures = harness.sweep(path, "problem.n", [2, 3])
     assert not failures
     assert [r["value"] for r in read_rows(sweep_path)] == ["2", "3"]
+
+
+@pytest.mark.parametrize("graph, edit", [
+    # a ValueError traceback
+    ({"kind": "tau-connected", "topology": "empty"}, None),
+    # a NonContractiveSequenceError traceback after the CSV was written
+    ({"kind": "static", "topology": "empty"}, _fixed_step),
+    # exit 2, but anchored at "algorithm: no theory budget"
+    ({"kind": "static", "topology": "empty"}, None)],
+    ids=["tau-connected", "static-fixed", "static-theory_auto"])
+def test_cli_refuses_a_graph_that_cannot_mix_before_any_output(tmp_path, capsys, graph, edit):
+    cfg = _demo_path_config(tmp_path)
+    if edit is not None:
+        edit(cfg)
+    cfg["graph"] = graph
+    path = write_config(tmp_path, cfg)
+    for command in (["run", path], ["theory", path], ["sweep", path, "--axis", "n",
+                                                      "--values", "4,6"]):
+        assert cli.main(command) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: graph: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_cli_sweep_refuses_a_value_that_is_not_a_number(tmp_path, capsys):
+    # this ended in "ValueError: invalid literal for int() with base 10: 'abc'"
+    path = write_config(tmp_path, minimal_config(tmp_path))
+    assert cli.main(["sweep", path, "--axis", "n", "--values", "2,abc"]) == 2
+    assert capsys.readouterr().err == "error: --values: 'abc' is not a number\n"
+    assert not (tmp_path / "trace.sweep.csv").exists()

@@ -9,13 +9,11 @@ from plnet import (
     analytic_saddle,
     build_least_squares,
     build_robust_ls,
-    centralized_gd,
-    centralized_gda,
     pl_qg_report,
 )
 from plnet.problems import row_norms
 
-from helpers import central_diff, rel_err
+from helpers import central_diff, centralized_gd, centralized_gda, rel_err
 
 
 def test_single_node_identity_instance():

@@ -21,7 +21,7 @@ from plnet import (
     make_graph_sequence,
     metropolis_matrix,
 )
-from plnet.consensus import CommClock, average_projection, run_consensus
+from plnet.consensus import average_projection, run_consensus
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                              database=None)
@@ -78,7 +78,7 @@ def test_gossip_preserves_the_mean(graph, rounds, d, seed):
     n, edges = graph
     model = MixingModel(make_graph_sequence(n, "static", edges=edges))
     z = np.random.default_rng(seed).standard_normal((n, d))
-    out = run_consensus(z, rounds, model, CommClock())
+    out = run_consensus(z, rounds, model)
     drift = np.abs(average_projection(out) - average_projection(z)).max()
     assert drift <= 1e-12 * (1 + rounds) * np.abs(z).max()
 
@@ -120,7 +120,7 @@ def test_edge_list_round_matches_the_dense_product(model, rounds, t0, d, seed):
         patch.setattr(consensus, "EDGE_MIN_NODES", 0)
         patch.setattr(consensus, "EDGE_MAX_FILL", 1.0)
         patch.setattr(MixingModel, "matrix_at", refuse)
-        out = run_consensus(z, rounds, model, CommClock(t0))
+        out = run_consensus(z, rounds, model, t0)
     scale = np.abs(z).max()
     assert np.abs(out - _dense_gossip(z, rounds, model, t0)).max() <= 1e-12 * scale
     assert np.abs(out.mean(axis=0) - z.mean(axis=0)).max() <= 1e-12 * scale
@@ -131,7 +131,7 @@ def test_edge_list_round_matches_the_dense_product(model, rounds, t0, d, seed):
        st.integers(0, 2**32 - 1))
 def test_gossip_below_the_crossover_is_the_dense_product(model, rounds, t0, d, seed):
     z = np.random.default_rng(seed).standard_normal((model.n, d))
-    out = run_consensus(z, rounds, model, CommClock(t0))
+    out = run_consensus(z, rounds, model, t0)
     np.testing.assert_array_equal(out, _dense_gossip(z, rounds, model, t0))
 
 
