@@ -599,13 +599,13 @@ def validate(config_or_path):
 def theory_report(config_or_path):
     """Evaluate the budget for a config; returns (budget, constants dict).
 
-    Makes the step-size check ``run`` and ``validate`` make, so a config
-    whose steps the budget does not cover gets no budget here either.
+    The budget comes from :func:`_settings`, as ``run``'s does, so a config
+    ``run`` refuses (a step the budget does not cover, an unreachable
+    consensus target under ``theory_auto``) gets no budget here either.
     """
     cfg, source = _load(config_or_path)
     _require_targets(cfg, source)
     problem = _build_problem(cfg)
     model = _network(cfg, source)
-    budget = _theory_budget(cfg, problem, model, source)
-    _resolve_steps(dict(cfg["algorithm"]), budget, source)
+    _, budget = _settings({**cfg, "overlay_bounds": True}, problem, model, source)
     return budget, _constants(problem, model)

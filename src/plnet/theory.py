@@ -91,8 +91,9 @@ class TheoryBudget:
     ``N`` outer iterations, ``T`` gossip rounds per iteration (``None``
     when the consensus target is unreachable), drift constant ``D``,
     aggregate gradient inexactness ``Delta`` and the limiting gap
-    ``floor``. The constants used to evaluate the formulas are kept so
-    recomputation is bit-identical and bounds can be overlaid on traces.
+    ``floor``, with the targets and step they were evaluated for. ``mu``
+    is kept for the overlaid rate; the instance and network constants sit
+    in the sidecar's ``constants`` block.
     """
 
     mode: str
@@ -105,11 +106,6 @@ class TheoryBudget:
     delta_prime: float
     gamma: float
     mu: float
-    L_g: float
-    L_l: float
-    n: int
-    tau: int
-    lam: float
     notes: tuple = ()
 
     @property
@@ -154,9 +150,8 @@ def _budget_min(mode, profile, mixing, eps, delta_prime, gamma, kappa,
     return TheoryBudget(
         mode=mode, N=iterations_for_target(kappa, f0_gap, eps),
         T=rounds, D=drift, Delta=Delta, floor=Delta_sq / (2.0 * mu * n),
-        eps=eps, delta_prime=delta_prime, gamma=gamma,
-        mu=mu, L_g=profile.L_g, L_l=profile.L_l, n=n,
-        tau=mixing.tau, lam=mixing.lam, notes=notes + round_notes)
+        eps=eps, delta_prime=delta_prime, gamma=gamma, mu=mu,
+        notes=notes + round_notes)
 
 
 def _check_targets(eps, delta_prime, f0_gap):
@@ -256,13 +251,9 @@ class SaddleBudget:
     delta_prime_y: float
     gamma_x: float
     gamma_y: float
-    mu_x: float
     mu_y: float
-    L_x: float
     L_yy_g: float
     n: int
-    tau: int
-    lam: float
     notes: tuple = ()
 
     @property
@@ -274,7 +265,7 @@ class SaddleBudget:
     @property
     def inner_target(self):
         """Target gap of the inner maximization at the end of each outer step."""
-        return self.eps_y + self.Delta_y ** 2 / (2.0 * self.mu_y * self.n)
+        return self.eps_y + self.floor_y
 
     def inner_drift(self, grad_at_inner_opt_norm, inner_gap_stacked):
         """Inner-loop drift constant at one outer point.
@@ -342,8 +333,7 @@ def budget_saddle(profile, mixing, eps_x, eps_y, delta_prime_x, delta_prime_y,
         floor_y=delta_y ** 2 / (2.0 * mu_y * n),
         eps_x=eps_x, eps_y=eps_y,
         delta_prime_x=delta_prime_x, delta_prime_y=delta_prime_y,
-        gamma_x=gamma_x, gamma_y=gamma_y, mu_x=mu_x, mu_y=mu_y,
-        L_x=L_x, L_yy_g=L_yy_g, n=n, tau=mixing.tau, lam=mixing.lam)
+        gamma_x=gamma_x, gamma_y=gamma_y, mu_y=mu_y, L_yy_g=L_yy_g, n=n)
     # the inner drift constant is the budget's own formula, at the start
     d_y_const = budget.inner_drift(grad_G_at_opt, G_gap0)
     t_y, notes_y = rounds_for_target(d_y_const, delta_prime_y, mixing.tau, mixing.lam)

@@ -750,7 +750,9 @@ def _quadratic(cfg):
     # this ended `plnet run` in a traceback
     ("problem.d_i", 3, _quadratic),
     # this was refused already, by a rule for mgda alone
-    ("algorithm.kind", "mgda", None)])
+    ("algorithm.kind", "mgda", None),
+    # this was refused already, by a rule no case reached
+    ("overlay_bounds", True, _robust_ls)])
 def test_cli_refuses_each_escaping_config_value_at_its_key(tmp_path, capsys, label, value, edit):
     cfg = _demo_path_config(tmp_path)
     if edit is not None:
@@ -764,6 +766,69 @@ def test_cli_refuses_each_escaping_config_value_at_its_key(tmp_path, capsys, lab
         assert re.match(rf"error: {anchor}", capsys.readouterr().err)
     assert cli.main(["validate", path]) == 1
     assert re.match(rf"FAIL config: {anchor}", capsys.readouterr().out)
+
+
+def _mgda_unreachable_inner(tmp_path):
+    # exact inner consensus (delta_prime_y 0) is out of reach on a path
+    return {
+        "problem": {"kind": "robust_ls", "n": 4, "d_x": 2, "d_y": 2, "seed": 1},
+        "graph": {"kind": "static", "topology": "path"},
+        "algorithm": {"kind": "mgda", "theory_auto": True, "eps": 1e-2,
+                      "eps_y": 1e-3, "delta_prime": 1e-4, "delta_prime_y": 0.0},
+        "output": str(tmp_path / "mgda"),
+    }
+
+
+def _dgd_unreachable(tmp_path):
+    # exact consensus (delta_prime 0) is out of reach on a path
+    cfg = _demo_path_config(tmp_path)
+    cfg["algorithm"]["delta_prime"] = 0
+    return cfg
+
+
+@pytest.mark.parametrize("make", [_dgd_unreachable, _mgda_unreachable_inner],
+                         ids=["dgd", "mgda"])
+def test_theory_refuses_an_unreachable_target_as_run_does(tmp_path, capsys, make):
+    # `plnet theory` evaluated its budget on a path of its own, so it printed
+    # T None and exited 0 on configs that `plnet run` refuses
+    cfg = make(tmp_path)
+    anchor = "algorithm.theory_auto: consensus target unreachable"
+    with pytest.raises(ConfigError, match=rf"<config>: {re.escape(anchor)}"):
+        harness.theory_report(cfg)
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "theory"):
+        assert cli.main([command, path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {anchor}")
+
+
+def test_theory_prints_a_fixed_step_budget_with_an_unreachable_target(tmp_path, capsys):
+    # without theory_auto nothing is sized from T, so T None is reported
+    cfg = _demo_path_config(tmp_path)
+    cfg["algorithm"].update(theory_auto=False, gamma=0.1, iterations=10, rounds=2,
+                            delta_prime=0)
+    assert cli.main(["theory", write_config(tmp_path, cfg), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["budget"]["T"] is None
+
+
+def test_cli_theory_text_table(capsys):
+    # the text branch prints each block's keys once, and the budget block
+    # holds no copy of the instance and network constants
+    demos = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs"
+    assert cli.main(["theory", str(demos / "least_squares_path.json")]) == 0
+    blocks = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  "):
+            blocks[heading].append(line.split()[0])
+        else:
+            heading = line
+            blocks[heading] = []
+    assert list(blocks) == ["constants", "budget"]
+    for keys in blocks.values():
+        assert keys == sorted(set(keys))
+    assert {"L_g", "L_l", "lam", "mu", "n", "tau"} <= set(blocks["constants"])
+    assert {"N", "T", "D", "floor", "eps", "delta_prime", "gamma", "mu"} \
+        <= set(blocks["budget"])
+    assert not {"L_g", "L_l", "n", "tau", "lam", "mu_x", "L_x"} & set(blocks["budget"])
 
 
 def test_sweep_values_are_checked_not_cast(tmp_path):

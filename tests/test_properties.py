@@ -1,8 +1,14 @@
 """Property tests of Metropolis mixing and gossip over arbitrary edge sets,
 of the edge-list gossip round against the dense product, of the monotonicity
-of the minimization budgets, and of the per-node block form of the stacked
-gradients against the per-node definitions."""
+of the minimization budgets, of the minimization theorem on harness runs, and
+of the per-node block form of the stacked gradients against the per-node
+definitions."""
 
+import csv
+import json
+import math
+import os
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,10 +24,12 @@ from plnet import (
     budget_min_stochastic,
     build_least_squares,
     consensus,
+    harness,
     make_graph_sequence,
     metropolis_matrix,
 )
 from plnet.consensus import average_projection, run_consensus
+from plnet.theory import OVERLAY_REL_TOL
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                              database=None)
@@ -190,6 +198,50 @@ def test_budget_floor_nondecreasing_in_delta_and_sigma(instance, eps, delta_prim
                  _budgets(instance, eps, delta_prime, delta[0], sigma[1])):
         for b_low, b_high in zip(low, high):
             assert b_high.floor >= b_low.floor
+
+
+@st.composite
+def theory_auto_configs(draw):
+    """A ``theory_auto`` DGD least-squares config with bounds overlaid: an
+    exact or fixed-direction-biased oracle on a static or tau-connected ring,
+    path or random graph, recording every iterate of one seed."""
+    graph = {"kind": draw(st.sampled_from(["static", "tau-connected"])),
+             "topology": draw(st.sampled_from(["ring", "path", "random"])),
+             "seed": draw(st.integers(0, 2**16))}
+    if graph["kind"] == "tau-connected":
+        graph["tau"] = draw(st.integers(2, 3))
+    return {
+        "problem": {"kind": "least_squares", "n": draw(st.integers(2, 8)),
+                    "d": draw(st.integers(2, 4)), "seed": draw(st.integers(0, 2**16))},
+        "graph": graph,
+        "algorithm": {"kind": "dgd", "theory_auto": True, "record_every": 1,
+                      "eps": draw(st.sampled_from([1e-3, 1e-5])),
+                      "delta_prime": draw(st.sampled_from([1e-4, 1e-6]))},
+        "oracle": {"delta": draw(st.sampled_from([0.0, 0.01, 0.05])), "sigma": 0.0},
+        "seeds": [0],
+        "overlay_bounds": True,
+    }
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(theory_auto_configs())
+def test_theory_auto_runs_keep_the_minimization_theorem(cfg):
+    # the budget's N and T must deliver what the theorem promises on the run
+    # they size: consensus within sqrt(delta'), the gap under its overlaid
+    # bound at every iterate, and a final gap within eps of the floor
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, sidecar, failures = harness.run(cfg, output=os.path.join(tmp, "run"))
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(sidecar, encoding="utf-8") as fh:
+            budget = json.load(fh)["budget"]
+    assert not failures
+    target = math.sqrt(cfg["algorithm"]["delta_prime"])
+    for row in rows:
+        assert float(row["consensus_err_x"]) <= target
+        assert float(row["f_gap"]) <= (float(row["bound_f_gap"]) * (1.0 + OVERLAY_REL_TOL)
+                                       + 1e-15)
+    assert float(rows[-1]["f_gap"]) <= budget["eps"] + budget["floor"]
 
 
 # shapes (n, d_x, d_y, d_i), alpha, data scale, seed

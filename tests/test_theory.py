@@ -47,6 +47,24 @@ def test_iteration_count_ceiling():
     assert iterations_for_target(10.0, 100.0, 1.0) == 47
 
 
+@pytest.mark.parametrize("gap", [0.0, -1e-12])
+def test_iteration_count_at_a_gap_already_closed(gap):
+    assert iterations_for_target(10.0, gap, 1e-3) == 1
+
+
+def test_exact_consensus_on_an_exactly_averaging_window():
+    # a complete graph averages in one round (lam 1), so delta_prime 0 is
+    # reached in one window of tau rounds
+    assert rounds_for_target(5.0, 0.0, tau=3, lam=1.0) == (
+        3, ("target 0 reached in one exact-averaging window",))
+    complete = MixingModel(make_graph_sequence(4, "static", topology="complete"))
+    assert complete.lam == 1.0
+    budget = budget_min_deterministic(profile_with(L_g=4.0, mu=1.0, n=4), complete,
+                                      eps=1e-3, delta_prime=0.0, delta_bias=0.0,
+                                      f0_gap=1.0, grad_at_opt_norm=2.0)
+    assert budget.T == 1
+
+
 def test_deterministic_budget_zero_inexactness():
     profile = profile_with(L_g=4.0, mu=1.0, L_l=6.0, n=3)
     budget = budget_min_deterministic(profile, MixStub(1, 0.5), eps=1e-3,
