@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import _mean_and_error, average_projection, consensus_error, run_consensus
+from .consensus import _mean_and_error, consensus_error, run_consensus
 from .oracles import OracleSpec, OracleState, perturb_gradient
 from .problems import row_norms
 
@@ -167,13 +167,12 @@ def _check_finite(x, k, what):
             "step size is too large for this instance")
 
 
-def _prepare_start(x0, record):
-    """The stacked start, projected onto consensus (and flagged) if its rows differ."""
+def _check_start(x0, name):
+    """The stacked start as a float array, refused if its rows differ."""
     x0 = np.asarray(x0, dtype=float)
     if consensus_error(x0) > CONSENSUS_START_TOL * (1.0 + float(np.linalg.norm(x0))):
-        record.meta["auto_projected"] = True
-        return average_projection(x0)
-    record.meta.setdefault("auto_projected", False)
+        raise ValueError(f"{name}: rows of the stacked start differ; every node must "
+                         f"start from one point, e.g. average_projection({name})")
     return x0
 
 
@@ -192,21 +191,19 @@ def dgd_run(problem, model, config, x0):
         Mixing sequence shared by all iterations (one round index per run).
     config : DGDConfig
     x0 : ndarray
-        Stacked ``(n, d)`` start; a start whose rows differ is projected
-        onto their average (``meta["auto_projected"]``).
+        Stacked ``(n, d)`` start with equal rows; one whose rows differ is
+        refused with a ValueError before any oracle call or gossip round.
 
     Returns
     -------
     (RunRecord, ndarray)
         The trace and the final stacked state.
     """
+    x = _check_start(x0, "x0")
     record = RunRecord()
-    x = _prepare_start(x0, record)
-    n, d = x.shape
-    record.meta.update(f_star=problem.f_star, f_star_source="analytic",
-                       stochastic=config.oracle.sigma > 0)
+    record.meta.update(f_star=problem.f_star, stochastic=config.oracle.sigma > 0)
     t = 0  # global index of the next gossip round; a Python int, as JSON needs
-    state = OracleState(config.oracle, (n, d), stream=0)
+    state = OracleState(config.oracle, x.shape, stream=0)
     rounds = int(config.rounds_schedule)
     skipped_cons = 0.0  # worst consensus error among unrecorded iterates
     for k in range(config.iterations):
@@ -233,8 +230,8 @@ def mgda_run(problem, model, config, x0, y0, budget=None):
     ``inner_iterations`` times (gossiping after each step), then the outer
     x-state takes one descent step at the refreshed y and gossips. Both
     states gossip over ``model``, and one global round index orders x- and
-    y-communication. Starts whose rows differ are projected onto their
-    average, as in :func:`dgd_run`.
+    y-communication. ``x0`` and ``y0`` must each have equal rows; either
+    one off consensus is refused, as in :func:`dgd_run`.
 
     When ``budget`` (a theory.SaddleBudget) is given, the run also tracks
     the invariants the budget relies on: the worst consensus error of every
@@ -247,11 +244,9 @@ def mgda_run(problem, model, config, x0, y0, budget=None):
     (RunRecord, (ndarray, ndarray))
         The trace and the final stacked pair.
     """
+    x, y = _check_start(x0, "x0"), _check_start(y0, "y0")
     record = RunRecord()
-    x = _prepare_start(x0, record)
-    y = _prepare_start(y0, record)
-    record.meta.update(f_star=problem.phi_star, f_star_source="analytic",
-                       stochastic=config.oracle.sigma > 0)
+    record.meta.update(f_star=problem.phi_star, stochastic=config.oracle.sigma > 0)
     t = 0  # global index of the next gossip round; a Python int, as JSON needs
     rounds_x, rounds_y = int(config.rounds_x), int(config.rounds_y)
     state_x = OracleState(config.oracle, x.shape, stream=0)

@@ -34,10 +34,6 @@ CSV_HEADER = ["run_id", "seed", "k", "comm_rounds", "f_gap",
               "consensus_err_x", "consensus_err_y", "grad_norm_x",
               "grad_norm_y", "bound_f_gap", "wall_time_s"]
 
-SWEEP_HEADER = ["axis", "value", "run_id", "seed", "final_f_gap",
-                "final_consensus_err_x", "final_consensus_err_y",
-                "total_comm_rounds", "wall_time_s"]
-
 
 class ConfigError(ValueError):
     """Invalid experiment config; message is anchored to file and key."""
@@ -477,7 +473,6 @@ def run(config_or_path, output=None):
             run_meta.append({"run_id": run_id, "seed": seed, "status": f"diverged: {record}"})
         else:
             run_meta.append({"run_id": run_id, "seed": seed, "status": "ok",
-                             "f_star_source": record.meta["f_star_source"],
                              "total_comm_rounds": record.meta["total_comm_rounds"]})
     csv_path = _write_csv(f"{out_base}.csv", CSV_HEADER, rows)
     sidecar_path = f"{out_base}.meta.json"
@@ -509,8 +504,8 @@ def _axis_field(cfg, axis):
 
 
 def sweep(config_or_path, axis, values, output=None):
-    """Run the config once per axis value; write one summary row per run: the
-    run's last trace row.
+    """Run the config once per axis value; write one row per run: ``axis``,
+    the value, then the run's last trace row (``k = -1`` if it diverged).
 
     Returns ``(csv_path, failures)``. The axis is an integer or number
     field of the resolved config, named bare (searched across sections) or
@@ -529,12 +524,10 @@ def sweep(config_or_path, axis, values, output=None):
     for value, cfg in zip(values, configs):
         _, _, budget, results = _execute(cfg, source)
         for run_id, seed, record in results:
-            _, _, _, rounds, *errors, _, _, _, wall = _trace_rows(cfg, budget, run_id, seed,
-                                                                  record)[-1]
-            rows.append([axis, str(value), run_id, seed, *errors, rounds, wall])
+            rows.append([axis, str(value), *_trace_rows(cfg, budget, run_id, seed, record)[-1]])
             if isinstance(record, algorithms.DivergenceError):
                 failures.append((f"{axis}={value}", run_id, str(record)))
-    return _write_csv(f"{out_base}.sweep.csv", SWEEP_HEADER, rows), failures
+    return _write_csv(f"{out_base}.sweep.csv", ["axis", "value", *CSV_HEADER], rows), failures
 
 
 def validate(config_or_path):

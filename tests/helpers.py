@@ -58,7 +58,7 @@ def centralized_gd(problem, gamma, iterations, record_every=1):
     """
     x = np.zeros(problem.d)
     record = algorithms.RunRecord()
-    record.meta.update(f_star=problem.f_star, f_star_source="analytic", stochastic=False)
+    record.meta.update(f_star=problem.f_star, stochastic=False)
     for k in range(iterations):
         if k % record_every == 0:
             algorithms._record(record, k, x[None])
@@ -74,7 +74,7 @@ def centralized_gda(problem, gamma_x, gamma_y, outer_iterations, inner_iteration
     """Multi-step descent ascent on the averaged saddle objective from zero."""
     x, y = np.zeros(problem.d_x), np.zeros(problem.d_y)
     record = algorithms.RunRecord()
-    record.meta.update(f_star=problem.phi_star, f_star_source="analytic", stochastic=False)
+    record.meta.update(f_star=problem.phi_star, stochastic=False)
     for k in range(outer_iterations):
         if k % record_every == 0:
             algorithms._record(record, k, x[None], y[None])

@@ -9,6 +9,7 @@ from plnet import (
     MixingModel,
     OracleSpec,
     RobustLeastSquaresProblem,
+    average_projection,
     build_least_squares,
     build_robust_ls,
     consensus_error,
@@ -128,23 +129,35 @@ def test_divergent_step_size_aborts_with_diagnostic():
             dgd_run(problem, complete_model(4), config, np.zeros((4, 3)))
 
 
-def test_nonconsensual_start_handling():
+def test_nonconsensual_start_handling(monkeypatch):
+    # runs and budgets start every node from one point: a start whose rows
+    # differ is refused before any gossip round, not projected
+    calls = _gossip_outputs(monkeypatch)
     problem, prof = build_least_squares(3, 2, seed=11)
     rng = np.random.default_rng(12)
     x0 = rng.standard_normal((3, 2))
     config = DGDConfig(gamma=1.0 / prof.L_g, iterations=2, rounds_schedule=1)
-    record, _ = dgd_run(problem, complete_model(3), config, x0)
-    assert record.meta["auto_projected"]
-    assert record.consensus_err_x[0] == 0.0
-    # both saddle blocks are projected, so both first errors vanish
+    with pytest.raises(ValueError, match="x0: "):
+        dgd_run(problem, complete_model(3), config, x0)
+    assert not calls
     saddle, _ = build_robust_ls(3, 2, 2, alpha=2.0, seed=11)
     mgda_config = MGDAConfig(gamma_x=0.01, gamma_y=0.01, outer_iterations=2,
                              inner_iterations=2)
     y0 = rng.standard_normal((3, 2))
     assert consensus_error(x0) > 0 and consensus_error(y0) > 0
-    record, _ = mgda_run(saddle, complete_model(3), mgda_config, x0, y0)
-    assert record.meta["auto_projected"]
+    with pytest.raises(ValueError, match="x0: "):
+        mgda_run(saddle, complete_model(3), mgda_config, x0, average_projection(y0))
+    with pytest.raises(ValueError, match="y0: "):
+        mgda_run(saddle, complete_model(3), mgda_config, average_projection(x0), y0)
+    assert not calls
+    # the projected start is one call away and runs from consensus
+    record, _ = dgd_run(problem, complete_model(3), config, average_projection(x0))
+    assert record.consensus_err_x[0] == 0.0
+    record, _ = mgda_run(saddle, complete_model(3), mgda_config,
+                         average_projection(x0), average_projection(y0))
     assert record.consensus_err_x[0] == record.consensus_err_y[0] == 0.0
+    assert set(record.meta) == {"f_star", "stochastic", "total_comm_rounds"}
+    assert calls
 
 
 @pytest.mark.parametrize("key, value", [

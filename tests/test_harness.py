@@ -164,7 +164,7 @@ def test_sweep_axis_row_counts_and_monotonicity(tmp_path):
     assert len(rows) == 3 * 8
     means = {}
     for value in (0.0, 0.1, 0.5):
-        vals = [float(r["final_f_gap"]) for r in rows
+        vals = [float(r["f_gap"]) for r in rows
                 if r["value"] == str(value)]
         assert len(vals) == 8
         means[value] = np.mean(vals)
@@ -184,7 +184,7 @@ def test_sweep_rounds_reduce_consensus_error(tmp_path):
     sweep_path, _ = harness.sweep(write_config(tmp_path, cfg), "rounds",
                                   [1, 5, 20])
     rows = read_rows(sweep_path)
-    err = {v: np.mean([float(r["final_consensus_err_x"]) for r in rows
+    err = {v: np.mean([float(r["consensus_err_x"]) for r in rows
                        if r["value"] == str(v)])
            for v in (1, 5, 20)}
     assert err[1] >= err[5] >= err[20]
@@ -347,8 +347,9 @@ def test_overlay_bounds_requires_eps_and_delta_prime(tmp_path):
 
 
 def test_sweep_rows_equal_final_rows_of_run(tmp_path):
-    # a sweep row summarizes the run of the config with the axis value set
-    # before defaults are filled: MGDA "rounds" drives rounds_x and rounds_y
+    # a sweep row is the axis and value followed by the last trace row of the
+    # run of the config with the axis value set before defaults are filled:
+    # MGDA "rounds" drives rounds_x and rounds_y; a diverged run's row is k = -1
     dgd = {
         "problem": {"kind": "least_squares", "n": 5, "d": 3, "seed": 2},
         "graph": {"kind": "static", "topology": "ring"},
@@ -366,28 +367,46 @@ def test_sweep_rows_equal_final_rows_of_run(tmp_path):
                       "rounds": 2, "record_every": 6},
         "seeds": [0, 1],
     }
-    for name, cfg in (("dgd", dgd), ("mgda", mgda)):
+    cases = [("dgd", dgd, "rounds", [1, 3]), ("mgda", mgda, "rounds", [1, 3]),
+             ("dgd-gamma", dgd, "gamma", [0.02, 1e50])]
+    for name, cfg, axis, values in cases:
         cfg = dict(cfg, output=str(tmp_path / name))
-        sweep_path, failures = harness.sweep(cfg, "rounds", [1, 3])
-        assert not failures
+        with np.errstate(over="ignore", invalid="ignore"):
+            sweep_path, failures = harness.sweep(cfg, axis, values)
+        assert [value for value, _, _ in failures] == (
+            ["gamma=1e+50"] * 2 if axis == "gamma" else [])
+        with open(sweep_path) as fh:
+            assert fh.readline() == ",".join(["axis", "value", *harness.CSV_HEADER]) + "\n"
         rows = read_rows(sweep_path)
         assert len(rows) == 2 * 2
-        for value in (1, 3):
+        for value in values:
             single = json.loads(json.dumps(cfg))
-            single["algorithm"]["rounds"] = value
+            single["algorithm"][axis] = value
             single["output"] = str(tmp_path / f"{name}-{value}")
-            csv_path, _, _ = harness.run(single)
+            with np.errstate(over="ignore", invalid="ignore"):
+                csv_path, _, _ = harness.run(single)
             last = {}
             for row in read_rows(csv_path):
                 last[row["run_id"]] = row
             summaries = [r for r in rows if r["value"] == str(value)]
-            assert len(summaries) == len(last)
-            for summary in summaries:
-                final = last[summary["run_id"]]
-                assert summary["final_f_gap"] == final["f_gap"]
-                assert summary["final_consensus_err_x"] == final["consensus_err_x"]
-                assert summary["final_consensus_err_y"] == final["consensus_err_y"]
-                assert summary["total_comm_rounds"] == final["comm_rounds"]
+            assert summaries == [{"axis": axis, "value": str(value), **last[r["run_id"]]}
+                                 for r in summaries]
+            assert len(summaries) == len(last) == 2
+            assert {r["k"] == "-1" for r in summaries} == {value == 1e50}
+
+
+def test_sidecar_runs_entries_have_exact_keys(tmp_path):
+    # every run entry carries only what varies: a finished run adds its rounds
+    ok = minimal_config(tmp_path)
+    diverged = minimal_config(tmp_path, algorithm={"gamma": 1e8, "iterations": 500},
+                              problem={"kind": "least_squares", "n": 3, "d": 2})
+    keys = []
+    for cfg in (ok, diverged):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, sidecar, _ = harness.run(cfg)
+        keys.append([set(entry) for entry in json.loads(open(sidecar).read())["runs"]])
+    assert keys == [[{"run_id", "seed", "status", "total_comm_rounds"}],
+                    [{"run_id", "seed", "status"}]]
 
 
 def test_theory_budget_refused_on_aperiodic_graphs(tmp_path):
