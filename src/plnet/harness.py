@@ -214,25 +214,24 @@ def resolve_config(cfg, source="<config>"):
     return out
 
 
-def _build_problem(cfg, seed_override=None):
+def _build_problem(cfg, source="<config>", seed_override=None):
+    """A config's instance with its optimum solved, or a refusal at ``problem``;
+    ``seed_override`` re-draws the data, as a ``problem-and-oracle`` seed does."""
     prob = cfg["problem"]
     seed = prob["seed"] if seed_override is None else seed_override
-    if prob["kind"] == "robust_ls":
-        problem, _ = problems.build_robust_ls(
-            prob["n"], prob["d_x"], prob["d_y"], prob["d_i"], prob["alpha"], seed)
-    else:
-        problem, _ = problems.build_least_squares(
-            prob["n"], prob["d"], prob["d_i"], seed,
-            identity=prob["kind"] == "quadratic")
+    try:
+        if prob["kind"] == "robust_ls":
+            problem, _ = problems.build_robust_ls(
+                prob["n"], prob["d_x"], prob["d_y"], prob["d_i"], prob["alpha"], seed)
+            problem.phi_star
+        else:
+            problem, _ = problems.build_least_squares(
+                prob["n"], prob["d"], prob["d_i"], seed,
+                identity=prob["kind"] == "quadratic")
+            problem.f_star
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise ConfigError(f"{source}: problem: {exc}") from exc
     return problem
-
-
-def _build_model(cfg):
-    graph = cfg["graph"]
-    n = cfg["problem"]["n"]
-    params = {k: v for k, v in graph.items() if k != "kind"}
-    seq = topology.make_graph_sequence(n, graph["kind"], **params)
-    return topology.MixingModel(seq)
 
 
 def _network(cfg, source):
@@ -240,7 +239,8 @@ def _network(cfg, source):
     mix. A periodic sequence has its contraction factor measured here; a
     per-step-connected one draws a connected graph every round."""
     try:
-        model = _build_model(cfg)
+        model = topology.MixingModel(
+            topology.make_graph_sequence(cfg["problem"]["n"], **cfg["graph"]))
         if model.seq.period is not None:
             model.lam
     except ValueError as exc:
@@ -269,19 +269,14 @@ def _constants(problem, model):
     return out
 
 
-def _theory_budget(cfg, problem, model, source):
-    """Evaluate the budget matching the configured algorithm and oracle.
+def _theory_budget(cfg, problem, model):
+    """Evaluate the budget matching the configured algorithm and oracle on a
+    periodic ``model``, raising what the formulas raise (for :func:`_settings`).
 
     An explicit step size below 1/L_g selects the small-step variant so
     the overlaid rate is 1 - gamma*mu, matching the run; one above 1/L_g
     gets the budget at 1/L_g, whose step ``_resolve_steps`` then refuses.
-    Aperiodic graph sequences are refused: their ``lam`` is sampled, not a
-    bound.
     """
-    if model.seq.period is None:
-        raise ConfigError(f"{source}: graph.kind: no theory budget on "
-                          f"{cfg['graph']['kind']} graphs: their contraction "
-                          "factor is sampled, not a bound")
     algo, oracle = cfg["algorithm"], cfg["oracle"]
     if algo["kind"] == "dgd":
         x0 = np.zeros(problem.d)
@@ -291,18 +286,15 @@ def _theory_budget(cfg, problem, model, source):
         theory_gamma = 1.0 / problem.profile.L_g
         if gamma is not None and gamma > theory_gamma * (1 + theory.STEP_REL_TOL):
             gamma = None
-        try:
-            if oracle["sigma"] > 0 or (
-                    gamma is not None and gamma < theory_gamma * (1 - theory.STEP_REL_TOL)):
-                return theory.budget_min_stochastic(
-                    problem.profile, model, algo["eps"], algo["delta_prime"],
-                    oracle["delta"], oracle["sigma"], f0_gap, grad_norm,
-                    gamma=gamma)
-            return theory.budget_min_deterministic(
+        if oracle["sigma"] > 0 or (
+                gamma is not None and gamma < theory_gamma * (1 - theory.STEP_REL_TOL)):
+            return theory.budget_min_stochastic(
                 problem.profile, model, algo["eps"], algo["delta_prime"],
-                oracle["delta"], f0_gap, grad_norm)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: algorithm: no theory budget: {exc}") from exc
+                oracle["delta"], oracle["sigma"], f0_gap, grad_norm,
+                gamma=gamma)
+        return theory.budget_min_deterministic(
+            problem.profile, model, algo["eps"], algo["delta_prime"],
+            oracle["delta"], f0_gap, grad_norm)
     x0 = np.zeros(problem.d_x)
     y0 = np.zeros(problem.d_y)
     f_gap0 = problem.f_of_max(x0) - problem.phi_star
@@ -353,16 +345,24 @@ def _settings(cfg, problem, model, source):
     """Concrete algorithm settings and the theory budget for one config.
 
     The budget is evaluated on the base instance when ``theory_auto`` or
-    ``overlay_bounds`` asks for it, and every configured step size must then
-    be the budget's own (:func:`_resolve_steps`). With ``theory_auto`` the
-    iteration and round counts, and any step size the config leaves unset,
-    come from it. Returns ``(algorithm dict, budget or None)``; ``cfg`` is
-    not modified.
+    ``overlay_bounds`` asks for it. It needs a periodic graph (an aperiodic
+    one's ``lam`` is sampled, not a bound); one whose formulas fail or
+    overflow is refused at ``algorithm``. Every configured step size must be
+    the budget's own (:func:`_resolve_steps`); with ``theory_auto`` the counts,
+    and any step the config leaves unset, come from it. Returns
+    ``(algorithm dict, budget or None)``; ``cfg`` is not modified.
     """
     algo = dict(cfg["algorithm"])
     if not (algo["theory_auto"] or cfg["overlay_bounds"]):
         return algo, None
-    budget = _theory_budget(cfg, problem, model, source)
+    if model.seq.period is None:
+        raise ConfigError(f"{source}: graph.kind: no theory budget on "
+                          f"{cfg['graph']['kind']} graphs: their contraction "
+                          "factor is sampled, not a bound")
+    try:
+        budget = _theory_budget(cfg, problem, model)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{source}: algorithm: no theory budget: {exc}") from exc
     _resolve_steps(algo, budget, source)
     if not algo["theory_auto"]:
         return algo, budget
@@ -397,22 +397,27 @@ def _single_run(cfg, algo, problem, model, run_seed):
                                np.zeros((problem.n, problem.d_y)))[0]
 
 
+def _prepare(cfg, source):
+    """The problem, model, algorithm dict and budget (or None) of a config."""
+    problem = _build_problem(cfg, source)
+    model = _network(cfg, source)
+    return (problem, model, *_settings(cfg, problem, model, source))
+
+
 def _execute(cfg, source):
-    """Build the instance and network of a resolved config and run every seed.
+    """Prepare a resolved config (:func:`_prepare`) and run every seed.
 
     Returns ``(problem, model, budget, results)``; ``results`` lists
     ``(run_id, seed, outcome)`` per seed, where ``outcome`` is the run's
     RunRecord or the DivergenceError that ended it.
     """
-    problem = _build_problem(cfg)
-    model = _network(cfg, source)
-    algo, budget = _settings(cfg, problem, model, source)
+    problem, model, algo, budget = _prepare(cfg, source)
     results = []
     for idx, seed in enumerate(cfg["seeds"]):
         run_id = f"{algo['kind']}-{idx:03d}"
         prob_i = problem
         if cfg["seed_scope"] == "problem-and-oracle":
-            prob_i = _build_problem(cfg, seed_override=seed)
+            prob_i = _build_problem(cfg, source, seed_override=seed)
         try:
             outcome = _single_run(cfg, algo, prob_i, model, seed)
         except algorithms.DivergenceError as exc:
@@ -531,37 +536,40 @@ def sweep(config_or_path, axis, values, output=None):
 
 
 def validate(config_or_path):
-    """Run the construction and invariant checks behind a config.
+    """Run the stages of :func:`_prepare` one by one, plus sample checks.
 
-    Returns ``(checks, ok)`` where ``checks`` is a list of
-    ``(name, passed, detail)``. Failures are report entries, not errors.
-    A config that asks for a theory budget gets a ``theory`` check: the
-    budget and step-size checks ``run`` makes.
+    Returns ``(checks, ok)``, ``checks`` a list of ``(name, passed, detail)``.
+    A refused stage fails its ``problem``, ``contraction`` or ``theory`` (if
+    a budget is asked for) line with the message ``run`` prints; ``pl_qg``
+    and ``mixing`` sample the instance's inequalities and mixing matrices.
     """
-    checks = []
     try:
         cfg, source = _load(config_or_path)
-        checks.append(("config", True, "parsed and resolved"))
     except ConfigError as exc:
         return [("config", False, str(exc))], False
-    problem = None
+    checks = [("config", True, "parsed and resolved")]
+    problem = model = None
     try:
-        problem = _build_problem(cfg)
+        problem = _build_problem(cfg, source)
         checks.append(("problem", True, f"{problem.kind} built"))
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except ConfigError as exc:
         checks.append(("problem", False, str(exc)))
     if problem is not None:
         try:
             report = problems.pl_qg_report(problem, num_points=50,
                                            seed=cfg["problem"]["seed"])
-            checks.append(("pl_qg", report.ok(),
-                           f"max PL ratio {report.max_pl_ratio:.6g}, "
-                           f"max QG ratio {report.max_qg_ratio:.6g}"))
+            ratios = (("PL", report.max_pl_ratio), ("QG", report.max_qg_ratio),
+                      ("y-side PL", report.max_pl_ratio_y),
+                      ("y-side QG", report.max_qg_ratio_y))
+            checks.append(("pl_qg", report.ok(), ", ".join(
+                f"max {name} ratio {value:.6g}" for name, value in ratios if value is not None)))
         except ValueError as exc:
             checks.append(("pl_qg", False, str(exc)))
-    model = None
     try:
-        model = _build_model(cfg)
+        model = _network(cfg, source)
+    except ConfigError as exc:
+        checks.append(("contraction", False, str(exc)))
+    else:
         bad = []
         for k in range(3):
             rep = topology.validate_mixing(model.matrix_at(k), model.seq, k)
@@ -570,21 +578,15 @@ def validate(config_or_path):
         checks.append(("mixing", not bad,
                        "doubly stochastic with correct zero pattern"
                        if not bad else f"failed at rounds {bad}"))
-        lam = model.lam
-        detail = f"contraction factor {lam:.6g}"
+        detail = f"contraction factor {model.lam:.6g}"
         if model.seq.period is None:
             detail += " (sampled estimate, not a bound)"
-        checks.append(("contraction", bool(0.0 < lam <= 1.0), detail))
-    except topology.NonContractiveSequenceError as exc:
-        checks.append(("contraction", False, str(exc)))
-    except ValueError as exc:
-        checks.append(("mixing", False, str(exc)))
-    wants_budget = cfg["algorithm"]["theory_auto"] or cfg["overlay_bounds"]
-    if wants_budget and problem is not None and model is not None:
+        checks.append(("contraction", True, detail))
+    if problem is not None and model is not None:
         try:
-            _settings(cfg, problem, model, source)
-            checks.append(("theory", True, "budget evaluated, step sizes within it"))
-        except ValueError as exc:
+            if _settings(cfg, problem, model, source)[1] is not None:
+                checks.append(("theory", True, "budget evaluated, step sizes within it"))
+        except ConfigError as exc:
             checks.append(("theory", False, str(exc)))
     return checks, all(passed for _, passed, _ in checks)
 
@@ -592,13 +594,10 @@ def validate(config_or_path):
 def theory_report(config_or_path):
     """Evaluate the budget for a config; returns (budget, constants dict).
 
-    The budget comes from :func:`_settings`, as ``run``'s does, so a config
-    ``run`` refuses (a step the budget does not cover, an unreachable
-    consensus target under ``theory_auto``) gets no budget here either.
+    The config is prepared as ``run``'s is (:func:`_prepare`), so a config
+    ``run`` refuses gets no budget here either.
     """
     cfg, source = _load(config_or_path)
     _require_targets(cfg, source)
-    problem = _build_problem(cfg)
-    model = _network(cfg, source)
-    _, budget = _settings({**cfg, "overlay_bounds": True}, problem, model, source)
+    problem, model, _, budget = _prepare({**cfg, "overlay_bounds": True}, source)
     return budget, _constants(problem, model)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from plnet import cli, harness
+from plnet import cli, harness, problems
 from plnet.harness import ConfigError
 
 
@@ -787,6 +787,47 @@ def test_cli_refuses_each_escaping_config_value_at_its_key(tmp_path, capsys, lab
     assert re.match(rf"FAIL config: {anchor}", capsys.readouterr().out)
 
 
+def _robust_ls_theory_auto(cfg):
+    cfg["problem"] = {"kind": "robust_ls", "n": 6, "d_x": 2, "d_y": 2, "seed": 0}
+    cfg["graph"] = {"kind": "static", "topology": "ring"}
+    cfg["algorithm"] = {"kind": "mgda", "theory_auto": True, "eps": 1e-3, "eps_y": 1e-4,
+                        "delta_prime": 1e-6, "delta_prime_y": 1e-6}
+    cfg["overlay_bounds"] = False
+
+
+@pytest.mark.parametrize("label, value, edit, check, anchor", [
+    # these ended `plnet run` and `plnet theory` in a SingularSystemError and
+    # a LinAlgError traceback, and `plnet validate` blamed pl_qg and theory
+    ("problem.alpha", 1e200, _robust_ls_theory_auto, "problem", "problem"),
+    ("problem.alpha", 1e308, _robust_ls_theory_auto, "problem", "problem"),
+    # these ended all three commands in an OverflowError traceback
+    ("algorithm.delta_prime", 1e308, None, "theory", "algorithm: no theory budget"),
+    ("algorithm.eps", 1e-320, None, "theory", "algorithm: no theory budget"),
+    ("oracle.delta", 1e300, None, "theory", "algorithm: no theory budget"),
+    ("oracle.sigma", 1e300, None, "theory", "algorithm: no theory budget"),
+    ("algorithm.delta_prime_y", 1e308, _robust_ls_theory_auto, "theory",
+     "algorithm: no theory budget"),
+    ("algorithm.eps_y", 1e-320, _robust_ls_theory_auto, "theory",
+     "algorithm: no theory budget"),
+    ("oracle.sigma", 1e200, _robust_ls_theory_auto, "theory", "algorithm: no theory budget")])
+def test_cli_refuses_an_instance_or_budget_that_escapes_at_its_stage(tmp_path, capsys, label,
+                                                                     value, edit, check, anchor):
+    cfg = _demo_path_config(tmp_path)
+    if edit is not None:
+        edit(cfg)
+    section, _, key = label.rpartition(".")
+    cfg[section][key] = value
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "theory"):
+        assert cli.main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {anchor}: ")
+    assert cli.main(["validate", path]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == [f"FAIL {check}: {err.removeprefix('error: ').rstrip()}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def _mgda_unreachable_inner(tmp_path):
     # exact inner consensus (delta_prime_y 0) is out of reach on a path
     return {
@@ -818,6 +859,83 @@ def test_theory_refuses_an_unreachable_target_as_run_does(tmp_path, capsys, make
     for command in ("run", "theory"):
         assert cli.main([command, path]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {anchor}")
+
+
+def _static_empty(tmp_path):
+    return minimal_config(tmp_path, graph={"kind": "static", "edges": []})
+
+
+def _tau_connected_empty(tmp_path):
+    return minimal_config(tmp_path, graph={"kind": "tau-connected", "topology": "empty"})
+
+
+def _per_step_budget(tmp_path):
+    return minimal_config(tmp_path, graph={"kind": "per-step-connected", "degree": 2},
+                          algorithm={"theory_auto": True, "eps": 1e-6, "delta_prime": 1e-8})
+
+
+def _dgd_step_above_budget(tmp_path):
+    cfg = minimal_config(tmp_path, problem={"kind": "least_squares", "n": 4},
+                         graph={"topology": "ring"}, overlay_bounds=True,
+                         algorithm={"eps": 1e-6, "delta_prime": 1e-8})
+    L_g = harness._build_problem(harness.resolve_config(cfg)).profile.L_g
+    cfg["algorithm"]["gamma"] = 2.0 / L_g
+    return cfg
+
+
+def _mgda_step_above_budget(tmp_path):
+    cfg = _demo_path_config(tmp_path)
+    _robust_ls_theory_auto(cfg)
+    prof = harness._build_problem(harness.resolve_config(cfg)).saddle_profile
+    cfg["algorithm"]["gamma_x"] = 1.5 / prof.L_x
+    return cfg
+
+
+def _alpha_overflow(tmp_path):
+    cfg = _demo_path_config(tmp_path)
+    _robust_ls_theory_auto(cfg)
+    cfg["problem"]["alpha"] = 1e200
+    return cfg
+
+
+def _delta_prime_overflow(tmp_path):
+    cfg = _demo_path_config(tmp_path)
+    cfg["algorithm"]["delta_prime"] = 1e308
+    return cfg
+
+
+@pytest.mark.parametrize("make", [
+    _static_empty, _tau_connected_empty, _per_step_budget, _dgd_step_above_budget,
+    _mgda_step_above_budget, _dgd_unreachable, _alpha_overflow, _delta_prime_overflow])
+def test_validate_fails_with_the_message_run_prints(tmp_path, capsys, make):
+    # validate prepares a config through the stages run does, so a refusal
+    # is one failed line carrying run's message; its own copy of the build
+    # and budget steps had drifted from run's twice
+    path = write_config(tmp_path, make(tmp_path))
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    checks, ok = harness.validate(path)
+    assert not ok
+    assert [detail for _, passed, detail in checks if not passed] == [
+        err.removeprefix("error: ").rstrip("\n")]
+
+
+def test_validate_pl_qg_line_shows_every_ratio_it_judges(tmp_path, capsys, monkeypatch):
+    # the line printed only the x-side ratios, so a y-side failure read as
+    # two ratios far below 1 on a FAIL line
+    cfg = _demo_path_config(tmp_path)
+    _robust_ls(cfg)
+    monkeypatch.setattr(problems, "pl_qg_report",
+                        lambda *args, **kwargs: problems.PLQGReport(0.5, 0.5, 2.0, 0.5))
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 1
+    assert "FAIL pl_qg: max PL ratio 0.5, max QG ratio 0.5, max y-side PL ratio 2, " \
+           "max y-side QG ratio 0.5\n" in capsys.readouterr().out
+    monkeypatch.setattr(problems, "pl_qg_report",
+                        lambda *args, **kwargs: problems.PLQGReport(0.5, 0.25))
+    checks, ok = harness.validate(minimal_config(tmp_path))
+    assert ok
+    assert ("pl_qg", True, "max PL ratio 0.5, max QG ratio 0.25") in checks
 
 
 def test_theory_prints_a_fixed_step_budget_with_an_unreachable_target(tmp_path, capsys):
