@@ -311,13 +311,17 @@ def _theory_budget(cfg, problem, model):
 
 
 def _budget_dict(budget):
+    """A budget's sidecar block; a saddle budget's block fields get suffixes."""
     if budget is None:
         return None
-    out = {key: list(val) if isinstance(val, tuple) else val
-           for key, val in vars(budget).items()}
-    for key in ("N_tot", "T_tot"):
-        if hasattr(budget, key):
-            out[key] = getattr(budget, key)
+    if isinstance(budget, theory.TheoryBudget):
+        return {**vars(budget), "notes": list(budget.notes), "N_tot": budget.N_tot}
+    out = {"mode": budget.mode, "notes": list(budget.x.notes + budget.y.notes), "n": budget.n,
+           "mu_y": budget.y.mu, "L_yy_g": budget.L_yy_g, "T_tot": budget.T_tot}
+    for name, block in (("x", budget.x), ("y", budget.y)):
+        out[f"D_{name.upper()}"] = block.D
+        out.update((f"{key}_{name}", getattr(block, key)) for key in
+                   ("N", "T", "Delta", "floor", "eps", "delta_prime", "gamma"))
     return out
 
 
@@ -331,10 +335,11 @@ def _resolve_steps(algo, budget, source):
     small-step variant, so an MGDA step below its own would run the
     budget's iteration counts at a slower rate than they were sized for.
     """
-    for key, label in (("gamma", "1/L_g"), ("gamma_x", "1/L_x"), ("gamma_y", "1/L_yy_g")):
-        limit = getattr(budget, key, None)
-        if limit is not None and not (
-                limit * (1.0 - theory.STEP_REL_TOL) <= algo.setdefault(key, limit)
+    steps = ([("gamma", "1/L_g", budget)] if algo["kind"] == "dgd" else
+             [("gamma_x", "1/L_x", budget.x), ("gamma_y", "1/L_yy_g", budget.y)])
+    for key, label, block in steps:
+        limit = block.gamma
+        if not (limit * (1.0 - theory.STEP_REL_TOL) <= algo.setdefault(key, limit)
                 <= limit * (1.0 + theory.STEP_REL_TOL)):
             raise ConfigError(f"{source}: algorithm.{key}: {algo[key]} "
                               f"{'exceeds' if algo[key] > limit else 'is below'} "
@@ -372,8 +377,8 @@ def _settings(cfg, problem, model, source):
     if algo["kind"] == "dgd":
         algo.update(iterations=budget.N, rounds=budget.T)
     else:
-        algo.update(outer_iterations=budget.N_x, inner_iterations=budget.N_y,
-                    rounds_x=budget.T_x, rounds_y=budget.T_y)
+        algo.update(outer_iterations=budget.x.N, inner_iterations=budget.y.N,
+                    rounds_x=budget.x.T, rounds_y=budget.y.T)
     return algo, budget
 
 
@@ -415,9 +420,8 @@ def _execute(cfg, source):
     results = []
     for idx, seed in enumerate(cfg["seeds"]):
         run_id = f"{algo['kind']}-{idx:03d}"
-        prob_i = problem
-        if cfg["seed_scope"] == "problem-and-oracle":
-            prob_i = _build_problem(cfg, source, seed_override=seed)
+        redraw = cfg["seed_scope"] == "problem-and-oracle" and seed != cfg["problem"]["seed"]
+        prob_i = _build_problem(cfg, source, seed_override=seed) if redraw else problem
         try:
             outcome = _single_run(cfg, algo, prob_i, model, seed)
         except algorithms.DivergenceError as exc:

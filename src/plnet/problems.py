@@ -333,6 +333,8 @@ class RobustLeastSquaresProblem:
         self.SAB = np.einsum("nij,nik->jk", self.A, self.B)
         self.a_vec = np.einsum("nij,ni->j", self.A, self.y0)
         self.b_vec = np.einsum("nij,ni->j", self.B, self.y0)
+        if not np.isfinite(self.alpha * float(np.linalg.norm(self.SB))):  # SB >= each B_i^T B_i
+            raise ValueError(f"alpha={self.alpha!r} overflows its products with B_i^T B_i")
         # per-node blocks acting on the concatenated row s_i = [x_i, y_i]:
         #   grad_x row i = s_i @ [A_i^T A_i; -B_i^T A_i] - A_i^T y0_i
         #   grad_y row i = s_i @ [-A_i^T B_i; -(alpha - 1) B_i^T B_i] + B_i^T y0_i

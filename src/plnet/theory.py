@@ -8,19 +8,24 @@ gradient-norm inputs follow the stacked scale: ``F_gap0`` is ``n`` times
 the averaged initial optimality gap, and gradient norms are Frobenius
 norms of stacked gradients. All logarithms are natural.
 
-Minimization budgets come in a deterministic flavor (bias-only oracle,
-drift constant assembled from a four-term square root) and a stochastic
-flavor (bias plus noise, drift constant assembled from squared terms).
-Saddle budgets do the same per variable block; the inner-loop drift
-constant deliberately carries the extra ``n`` factor it is printed with,
-so the discrepancy with the minimization constant stays measurable. The
-inner-loop constant depends on the current outer point, so it can also be
-recomputed online per outer iteration and its realized maximum validated
-after the fact.
+Both theorems budget a variable block alike, so one builder, :func:`_block`,
+makes each :class:`TheoryBudget`: N from the PL rate, T from a drift
+constant and ``lam``, the floor from the inexactness aggregate Delta, and
+a refusal naming any input that overflows them. A minimization budget is
+one block: deterministic (bias only, the drift constant a squared
+four-term sum) or stochastic (bias plus noise, a sum of squared terms). A
+saddle budget is an x-block and a y-block coupled through Delta_x, which
+reads eps_y and Delta_y. Its formulas are kept as printed, and break
+relations the minimization budget keeps:
+
+- N compares stacked gaps (``F_gap0``, ``G_gap0``) with averaged targets;
+- the inner drift constant has ``2n/mu_y`` under its root, not ``2/mu``;
+- ``L_x = L_xx_g + L_xy_g / mu_y`` does not scale with the data;
+- Delta_x adds the per-node ``sqrt(eps_y / (2 mu_y))`` to stacked terms.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +91,7 @@ def noise_floor(delta, sigma, gamma, mu, L):
 
 @dataclass(frozen=True)
 class TheoryBudget:
-    """Evaluated minimization budget.
+    """Evaluated budget of one variable block (a minimization budget is one).
 
     ``N`` outer iterations, ``T`` gossip rounds per iteration (``None``
     when the consensus target is unreachable), drift constant ``D``,
@@ -121,37 +126,62 @@ class TheoryBudget:
         return self.rate ** np.asarray(ks) * gap0 + self.floor
 
 
+def _sq(value):
+    """``value ** 2``, or inf where the square overflows (:func:`_block` refuses it)."""
+    try:
+        return value ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _drift(mode, gamma, grad_norm, delta_prime, Delta, mu, L, gap, n=1):
     """Consensus drift constant ``D`` of one variable block.
 
-    The deterministic form squares a four-term sum. The stochastic form sums
-    squared terms and takes ``Delta`` already squared, as the stochastic
-    budgets assemble it. ``n`` scales the gap term under the square root;
-    only the saddle's inner loop sets it, for its printed ``2n/mu_y``.
+    The deterministic form squares a four-term sum; the stochastic form sums
+    squared terms and takes ``Delta`` squared. ``n`` scales the gap term
+    under the deterministic root (the saddle's inner loop sets it).
     """
     if mode == "deterministic":
-        return (gamma * grad_norm + math.sqrt(delta_prime)
-                + (gamma + 1.0 / mu) * Delta
-                + gamma * L * math.sqrt((2.0 * n / mu) * (1.0 - mu / L) * gap)) ** 2
+        return _sq(gamma * grad_norm + math.sqrt(delta_prime)
+                   + (gamma + 1.0 / mu) * Delta
+                   + gamma * L * math.sqrt((2.0 * n / mu) * (1.0 - mu / L) * gap))
     return (6.0 * gamma ** 2 * grad_norm ** 2
             + 2.0 * delta_prime
             + 6.0 * (gamma ** 2 + 1.0 / mu ** 2) * Delta
             + (12.0 * gamma ** 2 * L ** 2 / mu) * (1.0 - mu / L) * gap)
 
 
-def _budget_min(mode, profile, mixing, eps, delta_prime, gamma, kappa,
-                Delta, Delta_sq, f0_gap, grad_at_opt_norm, notes):
-    """Assemble a minimization budget from its inexactness aggregate."""
-    mu, n = profile.mu, profile.n
-    drift = _drift(mode, gamma, grad_at_opt_norm, delta_prime,
+def _block(mode, mixing, *, eps, delta_prime, mu, L, n, Delta, Delta_sq, gap, grad_norm,
+           inputs, gamma=None, kappa=None, suffix="", gap_scale=1, drift_n=1, notes=()):
+    """The budget of one variable block at step ``gamma`` (default ``1/L``).
+
+    N is ``ceil(kappa log(gap / eps))`` (``kappa`` defaults to ``L/mu``). The
+    drift constant reads ``gap_scale * gap`` (a minimization gap is averaged:
+    ``n``) and ``drift_n`` under its root. A quantity that is not finite is
+    refused with ``eps`` or ``delta_prime`` (named with ``suffix``) for N or
+    T, and for Delta**2 or D with the entry of ``inputs`` (name: (value,
+    power)) largest in its power, the one that drives a sum of powers.
+    """
+    gamma = 1.0 / L if gamma is None else gamma
+    drift = _drift(mode, gamma, grad_norm, delta_prime,
                    Delta if mode == "deterministic" else Delta_sq,
-                   mu, profile.L_g, n * f0_gap)
+                   mu, L, gap_scale * gap, n=drift_n)
+    for what, value, names in (
+            (f"log(gap / eps) of N{suffix}", gap / eps, {f"eps{suffix}": (eps, -1)}),
+            (f"Delta{suffix}**2", Delta_sq, inputs),
+            (f"D{suffix.upper()}", drift, inputs),
+            (f"log(D / delta_prime) of T{suffix}", drift / delta_prime if delta_prime else 0.0,
+             {f"delta_prime{suffix}": (delta_prime, -1)})):
+        if not math.isfinite(value):
+            logs = {key: p * math.log(v) for key, (v, p) in names.items() if v > 0}
+            name = max(logs, key=logs.get, default=None)
+            raise ValueError(f"{name}={names[name][0]!r} overflows {what}" if name
+                             else f"{what} is not finite")
     rounds, round_notes = rounds_for_target(drift, delta_prime, mixing.tau, mixing.lam)
     return TheoryBudget(
-        mode=mode, N=iterations_for_target(kappa, f0_gap, eps),
-        T=rounds, D=drift, Delta=Delta, floor=Delta_sq / (2.0 * mu * n),
-        eps=eps, delta_prime=delta_prime, gamma=gamma, mu=mu,
-        notes=notes + round_notes)
+        mode=mode, N=iterations_for_target(L / mu if kappa is None else kappa, gap, eps),
+        T=rounds, D=drift, Delta=Delta, floor=Delta_sq / (2.0 * mu * n), eps=eps,
+        delta_prime=delta_prime, gamma=gamma, mu=mu, notes=notes + round_notes)
 
 
 def _check_targets(eps, delta_prime, f0_gap):
@@ -167,27 +197,19 @@ def budget_min_deterministic(profile, mixing, eps, delta_prime, delta_bias,
                              f0_gap, grad_at_opt_norm):
     """Budget for decentralized gradient descent with a bias-only oracle.
 
-    Parameters
-    ----------
-    profile : problems.SmoothnessProfile
-    mixing : topology.MixingModel
-        Supplies ``tau`` and the contraction factor.
-    eps : float
-        Target accuracy on the averaged objective.
-    delta_prime : float
-        Target squared consensus error, kept invariant across iterations.
-    delta_bias : float
-        Oracle bias bound on the stacked gradient.
-    f0_gap : float
-        Initial averaged optimality gap ``f(xbar_0) - f*``.
-    grad_at_opt_norm : float
-        Stacked gradient norm at the consensual optimum.
+    ``eps`` is the target accuracy on the averaged objective, ``delta_prime``
+    the squared consensus error kept at every iteration, ``delta_bias`` the
+    oracle's bias bound on the stacked gradient, ``f0_gap`` the initial
+    averaged gap ``f(xbar_0) - f*`` and ``grad_at_opt_norm`` the stacked
+    gradient norm at the consensual optimum. ``profile`` is a
+    problems.SmoothnessProfile; ``mixing`` supplies ``tau`` and ``lam``.
     """
     _check_targets(eps, delta_prime, f0_gap)
     delta_tot = delta_bias + profile.L_l * math.sqrt(delta_prime)
-    return _budget_min("deterministic", profile, mixing, eps, delta_prime,
-                       1.0 / profile.L_g, profile.L_g / profile.mu,
-                       delta_tot, delta_tot ** 2, f0_gap, grad_at_opt_norm, ())
+    return _block("deterministic", mixing, eps=eps, delta_prime=delta_prime, mu=profile.mu,
+                  L=profile.L_g, n=profile.n, Delta=delta_tot, Delta_sq=_sq(delta_tot),
+                  gap=f0_gap, gap_scale=profile.n, grad_norm=grad_at_opt_norm,
+                  inputs={"delta_prime": (delta_prime, 1), "delta": (delta_bias, 2)})
 
 
 def budget_min_stochastic(profile, mixing, eps, delta_prime, delta, sigma,
@@ -205,78 +227,62 @@ def budget_min_stochastic(profile, mixing, eps, delta_prime, delta, sigma,
     _check_targets(eps, delta_prime, f0_gap)
     mu, L_g, L_l = profile.mu, profile.L_g, profile.L_l
     notes = ("guarantees hold in expectation over oracle noise",)
-    if gamma is None:
-        gamma = 1.0 / L_g
+    gamma = 1.0 / L_g if gamma is None else gamma
     if gamma > 1.0 / L_g * (1.0 + STEP_REL_TOL):
         raise ValueError("step size must satisfy gamma <= 1/L_g")
+    delta_sq, sigma_sq = _sq(delta), _sq(sigma)
     if gamma >= 1.0 / L_g * (1.0 - STEP_REL_TOL):
-        delta_tot_sq = 18.0 * (L_l ** 2 * delta_prime + sigma ** 2 + delta ** 2)
-        kappa = L_g / mu
+        delta_tot_sq = 18.0 * (L_l ** 2 * delta_prime + sigma_sq + delta_sq)
+        kappa = None
     else:
-        delta_tot_sq = (2.0 * delta ** 2 + L_l ** 2 * delta_prime
+        delta_tot_sq = (2.0 * delta_sq + L_l ** 2 * delta_prime
                         + L_g * gamma * (16.0 * L_l ** 2 * delta_prime
-                                         + 18.0 * sigma ** 2 + 16.0 * delta ** 2))
+                                         + 18.0 * sigma_sq + 16.0 * delta_sq))
         kappa = 1.0 / (gamma * mu)
         notes = notes + ("small-step variant: iteration count scaled by 1/(gamma L_g)",)
-    return _budget_min("stochastic", profile, mixing, eps, delta_prime, gamma, kappa,
-                       math.sqrt(delta_tot_sq), delta_tot_sq, f0_gap,
-                       grad_at_opt_norm, notes)
+    return _block("stochastic", mixing, eps=eps, delta_prime=delta_prime, gamma=gamma,
+                  kappa=kappa, mu=mu, L=L_g, n=profile.n, Delta=math.sqrt(delta_tot_sq),
+                  Delta_sq=delta_tot_sq, gap=f0_gap, gap_scale=profile.n,
+                  grad_norm=grad_at_opt_norm, notes=notes,
+                  inputs={"delta_prime": (delta_prime, 1), "delta": (delta, 2),
+                          "sigma": (sigma, 2)})
 
 
 @dataclass(frozen=True)
 class SaddleBudget:
     """Evaluated saddle budget for multi-step gradient descent ascent.
 
-    ``T_x``/``T_y`` are ``None`` when their consensus target is
-    unreachable, and so is ``T_tot``. ``D_Y`` is a bound on the
-    per-outer-iteration inner drift constants; the realized values can be
-    recomputed online via :meth:`inner_drift` and checked against it
-    afterwards.
+    Block ``x`` budgets the outer descent, ``y`` the inner ascent; the inner
+    drift constant also reads ``L_yy_g`` and ``n``. ``y.D`` bounds that
+    constant at every outer point (:meth:`inner_drift` recomputes it).
+    ``T_tot`` is ``None`` when either round count is.
     """
 
-    mode: str
-    N_x: int
-    N_y: int
-    T_x: int | None
-    T_y: int | None
-    D_X: float
-    D_Y: float
-    Delta_x: float
-    Delta_y: float
-    floor_x: float
-    floor_y: float
-    eps_x: float
-    eps_y: float
-    delta_prime_x: float
-    delta_prime_y: float
-    gamma_x: float
-    gamma_y: float
-    mu_y: float
+    x: TheoryBudget
+    y: TheoryBudget
     L_yy_g: float
     n: int
-    notes: tuple = ()
+
+    @property
+    def mode(self):
+        return self.x.mode
 
     @property
     def T_tot(self):
-        if None in (self.T_x, self.T_y):
-            return None
-        return self.N_x * self.T_x + self.N_x * self.N_y * self.T_y
+        x, y = self.x, self.y
+        return None if None in (x.T, y.T) else x.N * x.T + x.N * y.N * y.T
 
     @property
     def inner_target(self):
         """Target gap of the inner maximization at the end of each outer step."""
-        return self.eps_y + self.floor_y
+        return self.y.eps + self.y.floor
 
     def inner_drift(self, grad_at_inner_opt_norm, inner_gap_stacked):
-        """Inner-loop drift constant at one outer point.
-
-        The deterministic form keeps the printed ``2n/mu_y`` factor under
-        the square root (the minimization analogue carries ``2/mu``);
-        stochastic runs use the squared-term form.
-        """
-        return _drift(self.mode, self.gamma_y, grad_at_inner_opt_norm, self.delta_prime_y,
-                      self.Delta_y if self.mode == "deterministic" else self.Delta_y ** 2,
-                      self.mu_y, self.L_yy_g, inner_gap_stacked, n=self.n)
+        """Inner-loop drift constant at one outer point, ``2n/mu_y`` as printed."""
+        y = self.y
+        return _drift(y.mode, y.gamma, grad_at_inner_opt_norm, y.delta_prime,
+                      y.Delta if y.mode == "deterministic" else y.Delta ** 2,
+                      y.mu, self.L_yy_g, inner_gap_stacked, n=self.n)
 
 
 def budget_saddle(profile, mixing, eps_x, eps_y, delta_prime_x, delta_prime_y,
@@ -284,12 +290,11 @@ def budget_saddle(profile, mixing, eps_x, eps_y, delta_prime_x, delta_prime_y,
                   grad_G_at_opt):
     """Budget for multi-step gradient descent ascent.
 
-    Gap inputs are stacked-scale: ``F_gap0`` bounds the initial
-    gap of the max-function summed over nodes, ``G_gap0`` the inner
-    maximization gap summed over nodes. ``grad_F_at_opt`` is the stacked
-    x-gradient norm at the saddle point, ``grad_G_at_opt`` the stacked
-    y-gradient norm at the inner maximizer of the start. The budget is
-    ``"stochastic"`` when ``sigma > 0`` and ``"deterministic"`` otherwise.
+    Gap inputs are stacked: ``F_gap0`` is the initial gap of the max-function
+    and ``G_gap0`` that of the inner maximization, each summed over nodes.
+    ``grad_F_at_opt`` is the stacked x-gradient norm at the saddle point,
+    ``grad_G_at_opt`` the stacked y-gradient norm at the start's inner
+    maximizer. The budget is ``"stochastic"`` exactly when ``sigma > 0``.
     """
     if min(eps_x, eps_y) <= 0:
         raise ValueError("accuracy targets must be positive")
@@ -298,11 +303,9 @@ def budget_saddle(profile, mixing, eps_x, eps_y, delta_prime_x, delta_prime_y,
     if profile.mu_y is None:
         raise ValueError("degenerate inner block: no PL constant for y")
     mode = "stochastic" if sigma > 0 else "deterministic"
-    mu_x, mu_y, n = profile.mu_x, profile.mu_y, profile.n
-    L_x = profile.L_x
-    L_yy_g = profile.L_yy_g
-    gamma_x, gamma_y = 1.0 / L_x, 1.0 / L_yy_g
+    mu_x, mu_y, n, L_yy_g = profile.mu_x, profile.mu_y, profile.n, profile.L_yy_g
     sdx, sdy = math.sqrt(delta_prime_x), math.sqrt(delta_prime_y)
+    delta_sq, sigma_sq = _sq(delta), _sq(sigma)
     if mode == "deterministic":
         delta_y = delta + profile.L_yy_l * sdy + profile.L_yx_l * sdx
         delta_x = (delta + profile.L_xx_l * sdx
@@ -312,32 +315,23 @@ def budget_saddle(profile, mixing, eps_x, eps_y, delta_prime_x, delta_prime_y,
     else:
         delta_y_sq = 19.0 * (profile.L_yy_l ** 2 * delta_prime_y
                              + profile.L_yx_l ** 2 * delta_prime_x
-                             + sigma ** 2 + delta ** 2)
+                             + sigma_sq + delta_sq)
         delta_y = math.sqrt(delta_y_sq)
         delta_x = math.sqrt(
             22.0 * profile.L_xy_l ** 2 * delta_prime_y
             + 19.0 * profile.L_xx_l ** 2 * delta_prime_x
-            + 19.0 * delta ** 2 + 18.0 * sigma ** 2
+            + 19.0 * delta_sq + 18.0 * sigma_sq
             + 6.0 * profile.L_xy_l ** 2 * (2.0 * eps_y / mu_y
                                            + delta_y_sq / (mu_y ** 2 * n)))
-    d_x_const = _drift(mode, gamma_x, grad_F_at_opt, delta_prime_x,
-                       delta_x if mode == "deterministic" else delta_x ** 2,
-                       mu_x, L_x, F_gap0)
-    t_x, notes_x = rounds_for_target(d_x_const, delta_prime_x, mixing.tau, mixing.lam)
-    budget = SaddleBudget(
-        mode=mode, N_x=iterations_for_target(L_x / mu_x, F_gap0, eps_x),
-        N_y=iterations_for_target(L_yy_g / mu_y, G_gap0, eps_y),
-        T_x=t_x, T_y=None, D_X=d_x_const, D_Y=None,
-        Delta_x=delta_x, Delta_y=delta_y,
-        floor_x=delta_x ** 2 / (2.0 * mu_x * n),
-        floor_y=delta_y ** 2 / (2.0 * mu_y * n),
-        eps_x=eps_x, eps_y=eps_y,
-        delta_prime_x=delta_prime_x, delta_prime_y=delta_prime_y,
-        gamma_x=gamma_x, gamma_y=gamma_y, mu_y=mu_y, L_yy_g=L_yy_g, n=n)
-    # the inner drift constant is the budget's own formula, at the start
-    d_y_const = budget.inner_drift(grad_G_at_opt, G_gap0)
-    t_y, notes_y = rounds_for_target(d_y_const, delta_prime_y, mixing.tau, mixing.lam)
-    return replace(budget, T_y=t_y, D_Y=d_y_const, notes=notes_x + notes_y)
+    inputs = {"delta_prime_x": (delta_prime_x, 1), "delta_prime_y": (delta_prime_y, 1),
+              "eps_y": (eps_y, 1), "delta": (delta, 2), "sigma": (sigma, 2)}
+    x = _block(mode, mixing, eps=eps_x, delta_prime=delta_prime_x, mu=mu_x, L=profile.L_x,
+               n=n, Delta=delta_x, Delta_sq=_sq(delta_x), gap=F_gap0,
+               grad_norm=grad_F_at_opt, inputs=inputs, suffix="_x")
+    y = _block(mode, mixing, eps=eps_y, delta_prime=delta_prime_y, mu=mu_y, L=L_yy_g,
+               n=n, Delta=delta_y, Delta_sq=_sq(delta_y), gap=G_gap0,
+               grad_norm=grad_G_at_opt, inputs=inputs, suffix="_y", drift_n=n)
+    return SaddleBudget(x=x, y=y, L_yy_g=L_yy_g, n=n)
 
 
 @dataclass(frozen=True)

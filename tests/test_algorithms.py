@@ -295,9 +295,9 @@ def test_mgda_budget_tracking_validates_inner_drift():
         grad_G_at_opt=float(np.linalg.norm(
             problem.grad_y_stacked_at_inner_opt(x0))))
     assert budget.T_tot is not None
-    config = MGDAConfig(gamma_x=budget.gamma_x, gamma_y=budget.gamma_y,
-                        outer_iterations=40, inner_iterations=budget.N_y,
-                        rounds_x=budget.T_x, rounds_y=budget.T_y,
+    config = MGDAConfig(gamma_x=budget.x.gamma, gamma_y=budget.y.gamma,
+                        outer_iterations=40, inner_iterations=budget.y.N,
+                        rounds_x=budget.x.T, rounds_y=budget.y.T,
                         record_every=10)
     record, _ = mgda_run(problem, model, config,
                          np.zeros((4, 2)), np.zeros((4, 2)), budget=budget)
@@ -305,7 +305,7 @@ def test_mgda_budget_tracking_validates_inner_drift():
     # as the outer point converges; the realized max must respect D_Y
     drift = record.extras["inner_drift_constants"]
     assert len(drift) == 40
-    assert record.extras["inner_drift_max"] <= budget.D_Y * (1.0 + 1e-9)
+    assert record.extras["inner_drift_max"] <= budget.y.D * (1.0 + 1e-9)
     assert record.extras["max_consensus_err_y"] <= np.sqrt(1e-8)
     assert "inner_target_misses" not in record.extras
 

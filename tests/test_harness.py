@@ -828,6 +828,68 @@ def test_cli_refuses_an_instance_or_budget_that_escapes_at_its_stage(tmp_path, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("label, value, edit, name", [
+    ("algorithm.delta_prime", 1e308, None, "delta_prime"),
+    ("algorithm.eps", 1e-320, None, "eps"),
+    ("oracle.delta", 1e300, None, "delta"),
+    ("oracle.sigma", 1e300, None, "sigma"),
+    ("algorithm.delta_prime_y", 1e308, _robust_ls_theory_auto, "delta_prime_y"),
+    ("algorithm.eps_y", 1e-320, _robust_ls_theory_auto, "eps_y"),
+    ("oracle.sigma", 1e200, _robust_ls_theory_auto, "sigma"),
+    # a target this small overflows the log ratio of the round count
+    ("algorithm.delta_prime", 1e-320, None, "delta_prime")])
+def test_budget_overflow_names_the_input_and_its_value(tmp_path, capsys, label, value, edit,
+                                                       name):
+    cfg = _demo_path_config(tmp_path)
+    if edit is not None:
+        edit(cfg)
+    section, _, key = label.rpartition(".")
+    cfg[section][key] = value
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: algorithm: no theory budget: {name}={value!r} overflows ")
+
+
+def test_alpha_overflow_writes_only_its_error(tmp_path, capfd, recwarn):
+    cfg = _demo_path_config(tmp_path)
+    _robust_ls_theory_auto(cfg)
+    cfg["problem"]["alpha"] = 1e308
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", path]) == 2
+    out, err = capfd.readouterr()
+    assert err.splitlines() == [f"error: {path}: problem: alpha=1e+308 overflows its "
+                                "products with B_i^T B_i"]
+    assert out == "" and not recwarn.list
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "robust_ls"])
+def test_problem_and_oracle_seed_at_the_problem_seed_runs_the_base_instance(
+        tmp_path, monkeypatch, kind):
+    builds = []
+    for name in ("build_least_squares", "build_robust_ls"):
+        def counting(*args, _build=getattr(problems, name), **kwargs):
+            builds.append(args)
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(problems, name, counting)
+    cfg = minimal_config(tmp_path, oracle={"sigma": 0.1}, seeds=[5, 6],
+                         seed_scope="problem-and-oracle")
+    if kind == "robust_ls":
+        cfg["problem"] = {"kind": "robust_ls", "n": 3, "d_x": 2, "d_y": 2, "seed": 5}
+        cfg["algorithm"] = {"kind": "mgda", "gamma_x": 0.01, "gamma_y": 0.01,
+                            "outer_iterations": 5, "inner_iterations": 2}
+    else:
+        cfg["problem"] = {"kind": "least_squares", "n": 3, "d": 2, "seed": 5}
+    csv_path, _, _ = harness.run(write_config(tmp_path, cfg))
+    assert len(builds) == 2  # the base instance, then seed 6's
+    rows = read_rows(csv_path)
+    # seed 5 on a base instance drawn at another seed re-draws its own instance
+    cfg["problem"]["seed"] = 0
+    cfg.update(seeds=[5], output=str(tmp_path / "redrawn"))
+    redrawn = read_rows(harness.run(write_config(tmp_path, cfg))[0])
+    assert rows[:len(redrawn)] == redrawn
+
+
 def _mgda_unreachable_inner(tmp_path):
     # exact inner consensus (delta_prime_y 0) is out of reach on a path
     return {

@@ -147,11 +147,11 @@ def test_saddle_inexactness_cancellation():
     budget = budget_saddle(profile, MixStub(1, 0.5), eps_x=1e-3, eps_y=eps_y,
                            delta_prime_x=0.0, delta_prime_y=0.0,
                            F_gap0=10.0, G_gap0=8.0, grad_F_at_opt=4.0, grad_G_at_opt=3.0)
-    assert budget.Delta_y == 0.0
+    assert budget.y.Delta == 0.0
     expected = profile.L_xy_l * math.sqrt(eps_y / (2.0 * profile.mu_y))
-    assert budget.Delta_x == pytest.approx(expected, rel=1e-12)
+    assert budget.x.Delta == pytest.approx(expected, rel=1e-12)
     # inner inexactness alone drives the outer bias
-    assert budget.Delta_x > 0
+    assert budget.x.Delta > 0
 
 
 def full_saddle_budget(sigma=0.0, eps_scale=1.0):
@@ -166,15 +166,24 @@ def full_saddle_budget(sigma=0.0, eps_scale=1.0):
 def test_saddle_budget_complete_and_total_rounds():
     budget = full_saddle_budget()
     assert budget.T_tot is not None
-    assert budget.T_x % 2 == 0 and budget.T_y % 2 == 0  # multiples of tau
-    assert budget.T_tot == budget.N_x * budget.T_x \
-        + budget.N_x * budget.N_y * budget.T_y
+    assert budget.x.T % 2 == 0 and budget.y.T % 2 == 0  # multiples of tau
+    assert budget.T_tot == budget.x.N * budget.x.T \
+        + budget.x.N * budget.y.N * budget.y.T
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.02])
+def test_saddle_x_block_bounds_are_the_outer_overlay(sigma):
+    budget = full_saddle_budget(sigma=sigma)
+    ks, gap0 = np.arange(0, 50, 7), 10.0
+    expected = (1.0 - budget.x.gamma * 0.2) ** ks * gap0 + budget.x.floor
+    assert budget.x.gamma == 1.0 / (6.0 + 3.0 / 0.2)  # 1/L_x, L_x = L_xx_g + L_xy_g/mu_y
+    assert np.array_equal(budget.x.bounds(ks, gap0), expected)
 
 
 def test_complexity_log_squared_scaling():
     b1 = full_saddle_budget(eps_scale=1.0)
     b2 = full_saddle_budget(eps_scale=0.1)
-    actual = (b2.N_x * b2.N_y) / (b1.N_x * b1.N_y)
+    actual = (b2.x.N * b2.y.N) / (b1.x.N * b1.y.N)
     l1 = math.log(10.0 / 1e-4)
     predicted = ((l1 + math.log(10.0)) / l1) ** 2
     assert abs(actual / predicted - 1.0) <= 0.1
@@ -202,12 +211,12 @@ def test_stochastic_saddle_mode_formulas():
                                mu_x=0.2, mu_y=0.2, n=4)
     dy_sq = 19.0 * (prof.L_yy_l ** 2 * 1e-7 + prof.L_yx_l ** 2 * 1e-7
                     + 0.02 ** 2 + 0.01 ** 2)
-    assert budget.Delta_y ** 2 == pytest.approx(dy_sq, rel=1e-12)
+    assert budget.y.Delta ** 2 == pytest.approx(dy_sq, rel=1e-12)
     dx_sq = (22.0 * prof.L_xy_l ** 2 * 1e-7 + 19.0 * prof.L_xx_l ** 2 * 1e-7
              + 19.0 * 0.01 ** 2 + 18.0 * 0.02 ** 2
              + 6.0 * prof.L_xy_l ** 2 * (2.0 * 1e-4 / prof.mu_y
                                          + dy_sq / (prof.mu_y ** 2 * 4)))
-    assert budget.Delta_x ** 2 == pytest.approx(dx_sq, rel=1e-12)
+    assert budget.x.Delta ** 2 == pytest.approx(dx_sq, rel=1e-12)
 
 
 def test_budgets_bit_stable():
