@@ -265,9 +265,9 @@ def mgda_run(problem, model, config, x0, y0, budget=None):
         _check_finite(ys[-1], k, "inner iterate")
         if budget is not None:
             # states entering this outer iteration; the final pair is added last
-            drift.append(_inner_drift_constant(problem, x, y, budget))
-            if (budget.inner_target is not None
-                    and _inner_gap(problem, x, ys[-1]) > budget.inner_target):
+            constant, gap = _inner_tracking(problem, x, y, ys[-1], budget)
+            drift.append(constant)
+            if gap > budget.inner_target:
                 misses.append(k)
             max_cons_x = max(max_cons_x, consensus_error(x))
             max_cons_y = max([max_cons_y, *map(consensus_error, ys[:-1])])
@@ -290,16 +290,15 @@ def mgda_run(problem, model, config, x0, y0, budget=None):
     return record, (x, y)
 
 
-def _inner_gap(problem, x_stack, y_stack):
-    """Inner maximization gap ``phi(xbar, y*(xbar)) - phi(xbar, ybar)``."""
+def _inner_tracking(problem, x_stack, y_in, y_out, budget):
+    """The inner loop's drift constant at the outer point ``xbar`` (from the
+    y-state entering the loop) and the gap ``phi(xbar, y*(xbar)) - phi(xbar,
+    ybar)`` of the y-state it leaves, from one solve of ``y*(xbar)``."""
     xbar = x_stack.mean(axis=0)
-    return (problem.phi(xbar, problem.y_star_of(xbar))
-            - problem.phi(xbar, y_stack.mean(axis=0)))
-
-
-def _inner_drift_constant(problem, x_stack, y_stack, budget):
-    """Online value of the inner-loop drift constant at the current outer point."""
-    xbar = x_stack.mean(axis=0)
-    grad_norm = float(np.linalg.norm(problem.grad_y_stacked_at_inner_opt(xbar)))
-    inner_gap_stacked = problem.n * _inner_gap(problem, x_stack, y_stack)
-    return budget.inner_drift(grad_norm, max(inner_gap_stacked, 0.0))
+    y_opt = problem.y_star_of(xbar)
+    phi_opt = problem.phi(xbar, y_opt)
+    grad_at_opt = problem.grad_y_stacked(np.tile(xbar, (problem.n, 1)),
+                                         np.tile(y_opt, (problem.n, 1)))
+    gap_in = problem.n * (phi_opt - problem.phi(xbar, y_in.mean(axis=0)))
+    constant = budget.inner_drift(float(np.linalg.norm(grad_at_opt)), max(gap_in, 0.0))
+    return constant, phi_opt - problem.phi(xbar, y_out.mean(axis=0))

@@ -297,8 +297,8 @@ def _theory_budget(cfg, problem, model):
             oracle["delta"], f0_gap, grad_norm)
     x0 = np.zeros(problem.d_x)
     y0 = np.zeros(problem.d_y)
-    f_gap0 = problem.f_of_max(x0) - problem.phi_star
-    g_gap0 = problem.phi(x0, problem.y_star_of(x0)) - problem.phi(x0, y0)
+    f0 = problem.f_of_max(x0)
+    f_gap0, g_gap0 = f0 - problem.phi_star, f0 - problem.phi(x0, y0)
     return theory.budget_saddle(
         problem.saddle_profile, model,
         eps_x=algo["eps"], eps_y=algo["eps_y"],
@@ -346,16 +346,43 @@ def _resolve_steps(algo, budget, source):
                               f"the budget's step {label} = {limit}")
 
 
+def _check_resolution(algo, problem, source):
+    """Refuse a positive accuracy or consensus target below its float64
+    resolution floor (see the theory module): ``8*u*|f*|`` for ``eps``, and
+    ``(32*u*||X*||)**2`` for ``delta_prime``, at the stacked optimum ``X*``."""
+    u = theory.UNIT_ROUNDOFF
+    gap_factor, cons_factor = theory.GAP_FLOOR_FACTOR, theory.CONSENSUS_FLOOR_FACTOR
+    if problem.kind == "robust_ls":
+        f_name, f_star = "phi*", problem.phi_star
+        blocks = (("", "X*", problem.saddle.x), ("_y", "Y*", problem.saddle.y))
+    else:
+        f_name, f_star = "f*", problem.f_star
+        blocks = (("", "X*", problem.minimizer),)
+    for suffix, name, point in blocks:
+        norm = math.sqrt(problem.n) * float(np.linalg.norm(point))
+        for key, label, floor in (
+                (f"eps{suffix}", f"{gap_factor}*u*|{f_name}|", gap_factor * u * abs(f_star)),
+                (f"delta_prime{suffix}", f"({cons_factor}*u*||{name}||)**2",
+                 (cons_factor * u * norm) ** 2)):
+            if 0 < algo[key] < floor:
+                raise ConfigError(f"{source}: algorithm.{key}: {algo[key]!r} is below its "
+                                  f"float64 resolution floor {label} = {floor:.3g} "
+                                  "(u = 2**-53)")
+
+
 def _settings(cfg, problem, model, source):
     """Concrete algorithm settings and the theory budget for one config.
 
     The budget is evaluated on the base instance when ``theory_auto`` or
     ``overlay_bounds`` asks for it. It needs a periodic graph (an aperiodic
     one's ``lam`` is sampled, not a bound); one whose formulas fail or
-    overflow is refused at ``algorithm``. Every configured step size must be
-    the budget's own (:func:`_resolve_steps`); with ``theory_auto`` the counts,
-    and any step the config leaves unset, come from it. Returns
-    ``(algorithm dict, budget or None)``; ``cfg`` is not modified.
+    overflow is refused at ``algorithm``, and so is a target below its float64
+    resolution floor (:func:`_check_resolution`). Every configured step size
+    must be the budget's own (:func:`_resolve_steps`), and an MGDA ``gamma_x``
+    must keep ``gamma_x * L <= 1`` at the max-function's exact curvature
+    ``L``. With ``theory_auto`` the counts, and any step the config leaves
+    unset, come from it. Returns ``(algorithm dict, budget or None)``;
+    ``cfg`` is not modified.
     """
     algo = dict(cfg["algorithm"])
     if not (algo["theory_auto"] or cfg["overlay_bounds"]):
@@ -368,7 +395,15 @@ def _settings(cfg, problem, model, source):
         budget = _theory_budget(cfg, problem, model)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{source}: algorithm: no theory budget: {exc}") from exc
+    _check_resolution(algo, problem, source)
     _resolve_steps(algo, budget, source)
+    if algo["kind"] == "mgda":
+        # the saddle theorem's step range, at the max-function's exact curvature
+        ratio = algo["gamma_x"] * float(np.linalg.eigvalsh(problem.x_hessian_of_max())[-1])
+        if ratio > 1.0:
+            raise ConfigError(f"{source}: algorithm.gamma_x: {algo['gamma_x']} times the "
+                              f"max-function's largest curvature is {ratio:.6g} > 1, "
+                              "outside the saddle theorem's step range")
     if not algo["theory_auto"]:
         return algo, budget
     if (budget.T if algo["kind"] == "dgd" else budget.T_tot) is None:

@@ -22,6 +22,25 @@ relations the minimization budget keeps:
 - the inner drift constant has ``2n/mu_y`` under its root, not ``2/mu``;
 - ``L_x = L_xx_g + L_xy_g / mu_y`` does not scale with the data;
 - Delta_x adds the per-node ``sqrt(eps_y / (2 mu_y))`` to stacked terms.
+
+Because of the third relation, the step ``1/L_x`` can leave the theorem's
+range ``gamma_x L <= 1``, where L is the smoothness of the max-function
+``f(x) = max_y phi(x, y)``. On robust least squares f is quadratic, so the
+harness checks ``gamma_x`` against the exact curvature
+``lambda_max(x_hessian_of_max())`` and refuses a larger step.
+
+Float64 bounds the targets from below, with u = 2**-53 its unit roundoff.
+A measured gap ``f(xbar) - f*`` is the difference of two values near f*,
+each rounded at a few ``u |f*|``; the realized floor measured on a
+least-squares path instance was 2.3 u |f*|. A consensus error
+``||X - 1 xbar^T||`` of a state near the stacked optimum X* is rounded at
+about ``u ||X*||`` in every gossip round; the realized floor there was
+18 u ||X*||. The resolution floors keep a margin of 3.5x and 1.8x over
+those measurements (``GAP_FLOOR_FACTOR``, ``CONSENSUS_FLOOR_FACTOR``). A
+positive ``eps`` below ``8 u |f*|`` (``|phi*|`` for the saddle, and for
+``eps_y``), or a positive ``delta_prime`` below ``(32 u ||X*||)**2``
+(``||Y*||`` for ``delta_prime_y``), names a target no run can show it met,
+and the harness refuses it.
 """
 
 import math
@@ -43,6 +62,11 @@ __all__ = [
 ]
 
 OVERLAY_REL_TOL = 1e-9
+# float64 unit roundoff, and the multiples of it that bound a resolvable gap
+# (of |f*|) and a resolvable consensus error (of ||X*||); see above
+UNIT_ROUNDOFF = 2.0 ** -53
+GAP_FLOOR_FACTOR = 8
+CONSENSUS_FLOOR_FACTOR = 32
 # relative slack within which a step size counts as a budget's own step
 STEP_REL_TOL = 1e-12
 

@@ -18,7 +18,7 @@ from plnet import (
     mgda_run,
     run_consensus,
 )
-from plnet import algorithms
+from plnet import algorithms, harness
 from plnet.oracles import OracleState, perturb_gradient
 
 from helpers import centralized_gd, centralized_gda
@@ -458,3 +458,30 @@ def test_record_averages_equal_mean_and_consensus_error(rows):
     assert (record.ybar[0] == ys.mean(axis=0)).all()
     assert record.consensus_err_x == [consensus_error(xs)]
     assert record.consensus_err_y == [consensus_error(ys)]
+
+
+def test_budget_tracking_solves_the_inner_maximizer_once_per_outer_iteration(monkeypatch):
+    # the drift constant and the inner gap solved y*(xbar) three times per
+    # outer iteration between them, and averaged x three times; one solve
+    # serves both, and the trace evaluation adds one batched solve
+    cfg = {"problem": {"kind": "robust_ls", "n": 6, "d_x": 2, "d_y": 2, "seed": 0},
+           "graph": {"kind": "static", "topology": "ring"},
+           "algorithm": {"kind": "mgda", "theory_auto": True, "eps": 1e-3, "eps_y": 1e-4,
+                         "delta_prime": 1e-6, "delta_prime_y": 1e-6},
+           "oracle": {"sigma": 0.02}}
+    budget, _ = harness.theory_report(cfg)
+    problem, _ = build_robust_ls(6, 2, 2, seed=0)
+    model = MixingModel(make_graph_sequence(6, "static", topology="ring"))
+    config = MGDAConfig(gamma_x=budget.x.gamma, gamma_y=budget.y.gamma,
+                        outer_iterations=budget.x.N, inner_iterations=budget.y.N,
+                        rounds_x=budget.x.T, rounds_y=budget.y.T,
+                        oracle=OracleSpec(sigma=0.02))
+    calls = []
+    solve = RobustLeastSquaresProblem.y_star_of
+    monkeypatch.setattr(RobustLeastSquaresProblem, "y_star_of",
+                        lambda self, x: calls.append(x) or solve(self, x))
+    record, _ = mgda_run(problem, model, config, np.zeros((6, 2)), np.zeros((6, 2)),
+                         budget=budget)
+    assert budget.x.N == 39
+    assert len(calls) == budget.x.N + 1
+    assert len(record.extras["inner_drift_constants"]) == budget.x.N

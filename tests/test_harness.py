@@ -1076,3 +1076,68 @@ def test_cli_sweep_refuses_a_value_that_is_not_a_number(tmp_path, capsys):
     assert cli.main(["sweep", path, "--axis", "n", "--values", "2,abc"]) == 2
     assert capsys.readouterr().err == "error: --values: 'abc' is not a number\n"
     assert not (tmp_path / "trace.sweep.csv").exists()
+
+
+@pytest.mark.parametrize("make, targets, key, floor", [
+    # eps 1e-18 with delta_prime 1e-32 ran and met neither target: f* is 1.75
+    # here, so the gap cannot resolve below a few of its ULPs
+    (None, {"eps": 1e-18, "delta_prime": 1e-32}, "eps", "8*u*|f*| = 1.55e-15"),
+    (None, {"eps": 1e-14, "delta_prime": 1e-31}, "delta_prime",
+     "(32*u*||X*||)**2 = 4.06e-30"),
+    (_robust_ls_theory_auto, {"eps": 1e-16}, "eps", "8*u*|phi*| = 7.53e-16"),
+    (_robust_ls_theory_auto, {"eps_y": 1e-16}, "eps_y", "8*u*|phi*| = 7.53e-16"),
+    (_robust_ls_theory_auto, {"delta_prime": 1e-30}, "delta_prime",
+     "(32*u*||X*||)**2 = 2.57e-29"),
+    (_robust_ls_theory_auto, {"delta_prime_y": 1e-30}, "delta_prime_y",
+     "(32*u*||Y*||)**2 = 6.96e-30")],
+    ids=["eps", "delta_prime", "saddle-eps", "saddle-eps_y", "saddle-delta_prime",
+         "saddle-delta_prime_y"])
+def test_a_target_below_float64_resolution_is_refused_at_its_key(tmp_path, capsys, make,
+                                                                targets, key, floor):
+    cfg = _demo_path_config(tmp_path)
+    if make is not None:
+        make(cfg)
+    cfg["algorithm"].update(targets)
+    value = targets[key]
+    path = write_config(tmp_path, cfg)
+    message = (f"{path}: algorithm.{key}: {value!r} is below its float64 resolution floor "
+               f"{floor} (u = 2**-53)")
+    for command in ("run", "theory"):
+        assert cli.main([command, path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert cli.main(["validate", path]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == [f"FAIL theory: {message}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("eps, delta_prime", [(1e-14, 1e-28), (1e-12, 1e-20)])
+def test_targets_above_float64_resolution_still_run(tmp_path, eps, delta_prime):
+    cfg = _demo_path_config(tmp_path)
+    cfg["algorithm"].update(eps=eps, delta_prime=delta_prime)
+    assert not harness.run(cfg)[2]
+
+
+def test_a_saddle_step_beyond_the_max_function_curvature_is_refused(tmp_path, capsys):
+    # the budget's gamma_x = 1/L_x was 1.72 / lambda_max of the max-function's
+    # Hessian on this instance, outside the saddle theorem's step range, and
+    # `plnet validate` passed every line of it
+    cfg = _demo_path_config(tmp_path)
+    _robust_ls_theory_auto(cfg)
+    cfg["problem"].update(d_x=3, d_i=200, alpha=1.01)
+    path = write_config(tmp_path, cfg)
+    problem = harness._build_problem(harness.resolve_config(cfg))
+    ratio = np.linalg.eigvalsh(problem.x_hessian_of_max())[-1] / problem.saddle_profile.L_x
+    assert ratio == pytest.approx(1.718, abs=1e-3)
+    for command in ("run", "theory"):
+        assert cli.main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: algorithm.gamma_x: ")
+        assert err.endswith(f" is {ratio:.6g} > 1, outside the saddle theorem's step range\n")
+    assert cli.main(["validate", path]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == [f"FAIL theory: {err.removeprefix('error: ').rstrip()}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    # at the default d_i and alpha the budget's step stays in range
+    cfg["problem"] = {key: cfg["problem"][key] for key in ("kind", "n", "d_x", "d_y", "seed")}
+    assert not harness.run(cfg)[2]
