@@ -191,6 +191,9 @@ def resolve_config(cfg, source="<config>"):
             resolved[key] = field.default
     prob, graph, algo = out["problem"], out["graph"], out["algorithm"]
     prob.setdefault("d_i", prob["d_x"] if _saddle(out) else prob["d"])
+    if graph["tau"] != 1 and graph["kind"] != "tau-connected":
+        raise ConfigError(f"{source}: graph.tau: {graph['tau']} on a {graph['kind']} graph: "
+                          "only tau-connected graphs read tau")
     for idx, (i, j) in enumerate(graph.get("edges", ())):
         if i == j or max(i, j) >= prob["n"]:
             raise ConfigError(f"{source}: graph.edges[{idx}]: must join two distinct "

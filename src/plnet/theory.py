@@ -378,7 +378,9 @@ def overlay_bounds(record, budget):
     averaged pointwise before comparison, matching the expectation-flavored
     guarantee). The bound at recorded iterate ``k`` is
     ``(1 - gamma mu)**k * gap_0 + floor``; entries exceeding it by more
-    than ``OVERLAY_REL_TOL`` (relative) are flagged.
+    than ``OVERLAY_REL_TOL`` (relative) plus the gap's float64 resolution
+    ``GAP_FLOOR_FACTOR * u * |f*|`` (absolute, with f* read from
+    ``records[0].meta["f_star"]``) are flagged.
     """
     records = record if isinstance(record, (list, tuple)) else [record]
     stochastic_run = any(r.meta.get("stochastic", False) for r in records)
@@ -394,9 +396,10 @@ def overlay_bounds(record, budget):
     measured = np.mean([np.asarray(r.f_gap) for r in records], axis=0)
     gap0 = float(measured[0])
     bounds = budget.bounds(ks, gap0)
+    slack = GAP_FLOOR_FACTOR * UNIT_ROUNDOFF * abs(records[0].meta["f_star"])
     violations = tuple(
         (int(k), float(m), float(b))
         for k, m, b in zip(ks, measured, bounds)
-        if m > b * (1.0 + OVERLAY_REL_TOL) + 1e-15)
+        if m > b * (1.0 + OVERLAY_REL_TOL) + slack)
     return OverlayResult(ks=ks, measured=measured, bounds=bounds,
                          violations=violations)

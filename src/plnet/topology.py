@@ -4,13 +4,18 @@ Time-varying communication graphs and gossip mixing matrices.
 A graph sequence assigns an undirected edge set to every communication
 round ``k``. Three kinds are supported:
 
-* ``static`` -- the same connected (or deliberately disconnected) graph
-  at every round;
+* ``tau-connected`` -- a round-robin decomposition of a base graph into
+  ``tau`` edge batches, so the union of edges over any ``tau`` consecutive
+  rounds is the base graph;
+* ``static`` -- the same graph at every round: the ``tau-connected``
+  construction at ``tau = 1``;
 * ``per-step-connected`` -- an independently sampled connected graph at
-  every round;
-* ``tau-connected`` -- a round-robin decomposition of a base connected
-  graph into ``tau`` edge batches, so the union of edges over any ``tau``
-  consecutive rounds is connected.
+  every round.
+
+Nothing here requires a base graph to be connected. Metropolis matrices
+have positive diagonals, so a window product contracts exactly when the
+union of the window's graphs is connected: a disconnected base graph is
+refused where its contraction is measured, by :func:`estimate_lambda`.
 
 Every edge set, from its construction to the Metropolis weights, is held
 as a pair of endpoint arrays ``(i, j)``: contiguous, read-only ``intp``
@@ -103,26 +108,6 @@ def _canonical_edges(n, edges):
     return _from_keys(n, np.unique(i * n + j))
 
 
-def _is_connected(n, i, j):
-    """Connectivity of the edge arrays ``(i, j)`` on ``n`` nodes.
-
-    Each node's label starts as its own index and repeatedly drops to the
-    smallest label among itself and its neighbours, then to its label's
-    label. Labels never leave a component and stop changing once every
-    component carries the index of its smallest node, so the graph is
-    connected exactly when every label ends at 0.
-    """
-    label = np.arange(n)
-    while True:
-        low = label.copy()
-        np.minimum.at(low, i, label[j])
-        np.minimum.at(low, j, label[i])
-        low = low[low]
-        if np.array_equal(low, label):
-            return not label.any()
-        label = low
-
-
 def _base_edges(n, topology, degree, rng):
     """Canonical endpoint arrays of a named base topology on n nodes."""
     nodes = np.arange(n)
@@ -200,12 +185,13 @@ class GraphSequence:
         return self._batches[k % len(self._batches)]
 
 
-def _base_graph(n, params, topology):
-    """Endpoint arrays of a sequence's base graph: explicit or named."""
+def _base_graph(n, params):
+    """Endpoint arrays of a sequence's base graph: explicit or named
+    (``"complete"`` by default)."""
     if "edges" in params:
         return _canonical_edges(n, params["edges"])
     rng = np.random.default_rng(params.get("seed", 0))
-    return _base_edges(n, params.get("topology", topology), params.get("degree"), rng)
+    return _base_edges(n, params.get("topology", "complete"), params.get("degree"), rng)
 
 
 def make_graph_sequence(n, kind, **params):
@@ -218,12 +204,13 @@ def make_graph_sequence(n, kind, **params):
     kind : str
         One of ``"static"``, ``"per-step-connected"``, ``"tau-connected"``.
     **params
-        Kind-specific parameters. ``static``: ``topology`` (name or explicit
-        ``edges`` list of node pairs), optional ``degree`` and ``seed`` for
-        ``topology="random"``. ``per-step-connected``: ``degree``, ``seed``.
-        ``tau-connected``: ``tau`` plus the base topology parameters; the base
-        graph's edges, sorted by ``(i, j)``, are dealt round-robin into
-        ``tau`` rotating batches.
+        Kind-specific parameters. ``static`` and ``tau-connected``: the base
+        graph, as a ``topology`` name (default ``"complete"``; ``degree`` and
+        ``seed`` for ``topology="random"``) or an explicit ``edges`` list of
+        node pairs; ``tau-connected`` also reads ``tau``. The base graph's
+        edges, sorted by ``(i, j)``, are dealt round-robin into ``tau``
+        rotating batches; a static graph is that construction at ``tau = 1``.
+        ``per-step-connected``: ``degree``, ``seed``.
 
     Returns
     -------
@@ -232,35 +219,26 @@ def make_graph_sequence(n, kind, **params):
     Raises
     ------
     ValueError
-        If ``n < 1``, ``tau`` is not an integer >= 1 (a bool is not one), the
-        topology is unknown, an explicit edge is a self-loop or names a node
-        outside ``0 .. n-1``, or a ``tau-connected`` request has a
-        disconnected base graph (its union can then never be connected
-        within ``tau`` steps).
+        If ``n < 1``, a ``tau-connected`` request's ``tau`` is not an integer
+        >= 1 (a bool is not one), the topology is unknown, or an explicit edge
+        is a self-loop or names a node outside ``0 .. n-1``. A disconnected
+        base graph builds; its windows cannot contract, so measuring its
+        ``lam`` raises :class:`NonContractiveSequenceError`.
     """
     if n < 1:
         raise ValueError("node count must be >= 1")
-    if kind == "static":
-        edges = _base_graph(n, params, "complete")
-        return GraphSequence(n=n, kind=kind, tau=1, period=1, _batches=(edges,))
     if kind == "per-step-connected":
-        seed = params.get("seed", 0)
-        degree = params.get("degree", 4)
         return GraphSequence(n=n, kind=kind, tau=1, period=None,
-                             _seed=seed, _degree=degree)
-    if kind == "tau-connected":
-        tau = params.get("tau", 1)
-        if isinstance(tau, bool) or not isinstance(tau, (int, np.integer)) or tau < 1:
-            raise ValueError(f"tau must be an integer >= 1, got {tau!r}")
-        tau = int(tau)
-        i, j = _base_graph(n, params, "ring")
-        if not _is_connected(n, i, j):
-            raise ValueError(
-                "tau-connected schedule cannot cover a connected union: "
-                "base graph is disconnected")
-        batches = tuple(_frozen(i[b::tau], j[b::tau]) for b in range(tau))
-        return GraphSequence(n=n, kind=kind, tau=tau, period=tau, _batches=batches)
-    raise ValueError(f"unknown graph sequence kind {kind!r}")
+                             _seed=params.get("seed", 0), _degree=params.get("degree", 4))
+    if kind not in ("static", "tau-connected"):
+        raise ValueError(f"unknown graph sequence kind {kind!r}")
+    tau = params.get("tau", 1) if kind == "tau-connected" else 1
+    if isinstance(tau, bool) or not isinstance(tau, (int, np.integer)) or tau < 1:
+        raise ValueError(f"tau must be an integer >= 1, got {tau!r}")
+    tau = int(tau)
+    i, j = _base_graph(n, params)
+    batches = tuple(_frozen(i[b::tau], j[b::tau]) for b in range(tau))
+    return GraphSequence(n=n, kind=kind, tau=tau, period=tau, _batches=batches)
 
 
 def metropolis_weights(seq, k):
@@ -389,8 +367,8 @@ def estimate_lambda(model, horizon=None):
     Raises
     ------
     NonContractiveSequenceError
-        If any probed window has a singular value within ``1e-12`` of 1
-        (e.g. a disconnected static graph, whose matrix is the identity).
+        If any probed window has a singular value within ``1e-12`` of 1:
+        the graph, or the union of a window's graphs, is disconnected.
     """
     tau = model.tau
     starts = model.seq.period
@@ -414,8 +392,8 @@ def estimate_lambda(model, horizon=None):
         worst = max(worst, top)
     if worst >= 1.0 - CONTRACTION_TOL:
         raise NonContractiveSequenceError(
-            f"window singular value {worst:.17g} reaches 1: "
-            "sequence does not contract")
+            f"window singular value {worst:.17g} reaches 1: sequence does not "
+            "contract (the graph, or the union of a window's graphs, is disconnected)")
     return 1.0 - worst
 
 

@@ -48,7 +48,7 @@ def test_minimal_run_trace(tmp_path):
     assert len(rows) == 11  # iterates 0..10
     gaps = [float(r["f_gap"]) for r in rows]
     assert all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
-    meta = json.loads(open(sidecar).read())
+    meta = json.loads(pathlib.Path(sidecar).read_text())
     assert meta["runs"][0]["status"] == "ok"
     assert meta["constants"]["mu"] == pytest.approx(1.0)
 
@@ -57,9 +57,9 @@ def test_rerun_byte_identical(tmp_path):
     cfg = minimal_config(tmp_path, oracle={"sigma": 0.3}, seeds=[1, 2, 3])
     path = write_config(tmp_path, cfg)
     csv_path, sidecar, _ = harness.run(path)
-    first = (open(csv_path, "rb").read(), open(sidecar, "rb").read())
+    first = (pathlib.Path(csv_path).read_bytes(), pathlib.Path(sidecar).read_bytes())
     harness.run(path)
-    second = (open(csv_path, "rb").read(), open(sidecar, "rb").read())
+    second = (pathlib.Path(csv_path).read_bytes(), pathlib.Path(sidecar).read_bytes())
     assert first == second
 
 
@@ -130,7 +130,7 @@ def test_mgda_run_via_harness(tmp_path):
     assert not failures
     rows = read_rows(csv_path)
     assert rows[0]["consensus_err_y"] != ""
-    meta = json.loads(open(sidecar).read())
+    meta = json.loads(pathlib.Path(sidecar).read_text())
     assert "mu_y" in meta["constants"]
     gaps = [float(r["f_gap"]) for r in rows]
     assert gaps[-1] < gaps[0]
@@ -146,7 +146,7 @@ def test_theory_auto_configures_run(tmp_path):
     cfg["problem"]["n"] = 4
     csv_path, sidecar, failures = harness.run(write_config(tmp_path, cfg))
     assert not failures
-    meta = json.loads(open(sidecar).read())
+    meta = json.loads(pathlib.Path(sidecar).read_text())
     budget = meta["budget"]
     rows = read_rows(csv_path)
     assert int(rows[-1]["k"]) == budget["N"]
@@ -233,13 +233,19 @@ def test_validate_reports_bad_alpha(tmp_path):
     assert any(name == "config" and not passed for name, passed, _ in checks)
 
 
-def test_validate_reports_disconnected_graph(tmp_path):
-    cfg = minimal_config(tmp_path)
-    cfg["graph"] = {"kind": "static", "edges": []}
-    checks, ok = harness.validate(cfg)
-    assert not ok
-    failed = {name for name, passed, _ in checks if not passed}
-    assert "contraction" in failed
+def test_validate_reports_disconnected_graph(tmp_path, capsys):
+    # a disconnected tau-connected base graph is refused where its lam is
+    # measured, as a disconnected static graph is
+    for n, graph in ((2, {"kind": "static", "edges": []}),
+                     (4, {"kind": "tau-connected", "tau": 2, "edges": [[0, 1], [2, 3]]})):
+        cfg = minimal_config(tmp_path, problem={"n": n})
+        cfg["graph"] = graph
+        checks, ok = harness.validate(cfg)
+        assert not ok
+        failed = {name for name, passed, _ in checks if not passed}
+        assert "contraction" in failed
+        assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+        assert re.search(r"config\.json: graph: .*does not contract", capsys.readouterr().err)
 
 
 def test_cli_validate_exits_nonzero_when_a_check_fails(tmp_path, capsys):
@@ -286,7 +292,7 @@ def test_divergent_run_writes_failure_row(tmp_path):
     rows = read_rows(csv_path)
     assert rows[0]["k"] == "-1"
     assert rows[0]["f_gap"] == ""
-    meta = json.loads(open(sidecar).read())
+    meta = json.loads(pathlib.Path(sidecar).read_text())
     assert meta["runs"][0]["status"].startswith("diverged")
 
 
@@ -404,7 +410,8 @@ def test_sidecar_runs_entries_have_exact_keys(tmp_path):
     for cfg in (ok, diverged):
         with np.errstate(over="ignore", invalid="ignore"):
             _, sidecar, _ = harness.run(cfg)
-        keys.append([set(entry) for entry in json.loads(open(sidecar).read())["runs"]])
+        runs = json.loads(pathlib.Path(sidecar).read_text())["runs"]
+        keys.append([set(entry) for entry in runs])
     assert keys == [[{"run_id", "seed", "status", "total_comm_rounds"}],
                     [{"run_id", "seed", "status"}]]
 
@@ -434,7 +441,7 @@ def test_sampled_lam_is_labelled_in_sidecar_and_validate(tmp_path):
     for graph, kind in cases:
         cfg = minimal_config(tmp_path, problem={"n": 4}, graph=graph)
         _, sidecar, _ = harness.run(cfg)
-        constants = json.loads(open(sidecar).read())["constants"]
+        constants = json.loads(pathlib.Path(sidecar).read_text())["constants"]
         assert constants["lam_kind"] == kind
         checks, ok = harness.validate(cfg)
         assert ok, checks
@@ -1067,6 +1074,23 @@ def test_cli_refuses_a_graph_that_cannot_mix_before_any_output(tmp_path, capsys,
                                                       "--values", "4,6"]):
         assert cli.main(command) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: graph: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("kind", ["static", "per-step-connected"])
+def test_graph_tau_is_refused_on_a_graph_that_does_not_read_it(tmp_path, capsys, kind):
+    # a static ring at tau 3 ran as the plain ring, and its sidecar echoed tau 3
+    cfg = _demo_path_config(tmp_path)
+    _fixed_step(cfg)
+    cfg["graph"] = {"kind": kind, "tau": 1}
+    assert harness.resolve_config(cfg)["graph"]["tau"] == 1
+    path = write_config(tmp_path, cfg)
+    anchor = f"error: {path}: graph.tau: 3 on a {kind} graph: "
+    assert cli.main(["sweep", path, "--axis", "graph.tau", "--values", "1,3"]) == 2
+    assert capsys.readouterr().err.startswith(anchor)
+    cfg["graph"]["tau"] = 3
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(anchor)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 

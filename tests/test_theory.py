@@ -6,6 +6,7 @@ import pytest
 
 from plnet import (
     DGDConfig,
+    LeastSquaresProblem,
     MixingModel,
     SaddleSmoothness,
     SmoothnessProfile,
@@ -275,6 +276,23 @@ def test_overlay_bound_holds_on_exact_run():
     assert result.ok, result.violations
     # at k = 0 the bound is the measured gap plus the floor
     assert result.bounds[0] >= result.measured[0]
+
+
+def test_overlay_tolerates_gaps_within_float64_resolution_of_f_star():
+    # y0 scaled by 100 puts |f*| near 1964: the exact run's gaps settle at a
+    # few ULPs of f* (up to 2.3e-13), which a fixed 1e-15 slack flagged
+    base, _ = build_least_squares(4, 2, seed=1)
+    problem = LeastSquaresProblem(base.A, 100.0 * base.y0)
+    model = MixingModel(make_graph_sequence(4, "static", topology="complete"))
+    f0_gap = problem.f(np.zeros(2)) - problem.f_star
+    budget = budget_min_deterministic(
+        problem.profile, model, eps=1e-6 * f0_gap, delta_prime=0.0, delta_bias=0.0,
+        f0_gap=f0_gap, grad_at_opt_norm=float(np.linalg.norm(problem.grad_stacked_at_opt())))
+    config = DGDConfig(gamma=budget.gamma, iterations=400, rounds_schedule=budget.T)
+    record, _ = dgd_run(problem, model, config, np.zeros((4, 2)))
+    result = overlay_bounds(record, budget)
+    assert result.ok, result.violations[:3]
+    assert max(result.measured[-50:]) > 0.0
 
 
 def test_overlay_mode_mismatch_rejected():

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from plnet import (
+    DGDConfig,
     GraphSequence,
     MixingModel,
     NonContractiveSequenceError,
+    OracleSpec,
+    build_least_squares,
+    dgd_run,
     estimate_lambda,
     make_graph_sequence,
     metropolis_matrix,
@@ -55,8 +59,30 @@ def test_rejects_zero_nodes():
 
 
 def test_rejects_disconnected_tau_base():
-    with pytest.raises(ValueError, match="disconnected"):
-        make_graph_sequence(4, "tau-connected", tau=2, edges=[(0, 1), (2, 3)])
+    # the base graph builds; no window can contract, which measuring lam finds
+    seq = make_graph_sequence(4, "tau-connected", tau=2, edges=[(0, 1), (2, 3)])
+    with pytest.raises(NonContractiveSequenceError, match="does not contract"):
+        MixingModel(seq).lam
+
+
+@pytest.mark.parametrize("graph", [{"topology": "ring"},
+                                   {"topology": "random", "degree": 3, "seed": 4}])
+def test_static_graph_is_the_tau_connected_graph_at_tau_one(graph):
+    static = make_graph_sequence(8, "static", **graph)
+    tau_one = make_graph_sequence(8, "tau-connected", tau=1, **graph)
+    assert (static.tau, static.period) == (tau_one.tau, tau_one.period) == (1, 1)
+    for k in range(3):
+        for a, b in zip(static.edges_at(k), tau_one.edges_at(k)):
+            np.testing.assert_array_equal(a, b)
+    models = MixingModel(static), MixingModel(tau_one)
+    assert models[0].lam.hex() == models[1].lam.hex()
+    problem, prof = build_least_squares(8, 3, seed=2)
+    config = DGDConfig(gamma=1.0 / prof.L_g, iterations=20, rounds_schedule=2,
+                       oracle=OracleSpec(sigma=0.1, seed=3))
+    a, b = (dgd_run(problem, model, config, np.zeros((8, 3)))[0] for model in models)
+    for column in ("ks", "comm_rounds", "f_gap", "consensus_err_x", "grad_norm_x"):
+        assert getattr(a, column) == getattr(b, column)
+    np.testing.assert_array_equal(a.xbar, b.xbar)
 
 
 @pytest.mark.parametrize("tau", [0, -1, 1.5, 2.0, True, "2"])
