@@ -43,11 +43,13 @@ class ConfigError(ValueError):
 # A key with no row is refused, so a misspelled one cannot quietly run the
 # default. ``kind`` is int (not bool), float (finite, int or float), bool, str,
 # list, or the tuple of an enum's values; ``bound`` is the (op, limit) that the
-# value, or a list's length, must satisfy. ``default`` fills an absent field, or
-# is _REQUIRED; ``when`` limits either to the configs it holds for. ``item`` is
-# the row of each list entry. Defaults read from other fields, and the rules
-# that join fields, are resolve_config's code after the walk.
-_Field = namedtuple("_Field", "kind bound default when item", defaults=(None,) * 4)
+# value, or a list's length, must satisfy. A field given outside a rule of its
+# ``reads`` is refused (the algorithm's rows come first, so a count theory_auto
+# sets is the one named); ``default`` fills an absent field, or is _REQUIRED,
+# only where ``reads`` and ``when`` hold. ``item`` is the row of each list
+# entry. Defaults read from other fields, and joint rules, follow the walk.
+_Field = namedtuple("_Field", "kind bound default reads when item",
+                    defaults=(None, None, (), (), None))
 _REQUIRED = object()
 _SECTIONS = ("problem", "graph", "algorithm", "oracle")
 _OPS = {">=": operator.ge, ">": operator.gt, "==": operator.eq}
@@ -55,43 +57,63 @@ _NOUNS = {int: "an integer", float: "a finite number", bool: "true or false",
           str: "a string", list: "a list"}
 
 
-def _saddle(cfg):
-    return cfg["problem"]["kind"] == "robust_ls"
+def _only(section, key, *values):
+    """A read rule ``rule(cfg, value)``: falsy where ``section.key`` is in ``values``,
+    and otherwise the reason the field is not read."""
+    return lambda cfg, value: cfg[section][key] not in values and (
+        f"on a {cfg[section][key]} {section}: only {' and '.join(values)} {section}s read it")
 
 
-def _fixed(kind):
-    """Predicate: the algorithm is ``kind`` with its steps and counts set by hand."""
-    return lambda cfg: cfg["algorithm"]["kind"] == kind and not cfg["algorithm"]["theory_auto"]
+_MIN = _only("problem", "kind", "least_squares", "quadratic")
+_SADDLE = _only("problem", "kind", "robust_ls")
+_BASE = _only("graph", "kind", "static", "tau-connected")
+_TAU = _only("graph", "kind", "tau-connected")
+_RANDOM = _only("graph", "topology", "random")
+_DGD = _only("algorithm", "kind", "dgd")
+_MGDA = _only("algorithm", "kind", "mgda")
+
+
+def _named(cfg, value):
+    """Read rule of a named base graph's fields: the config gives no edge list."""
+    return "edges" in cfg["graph"] and "next to graph.edges, which give the base graph"
+
+
+def _fixed(cfg, value):
+    """Read rule of the counts that a theory budget sets."""
+    return cfg["algorithm"]["theory_auto"] and "on a theory_auto algorithm: its budget sets it"
 
 
 _SCHEMA = {(section, key): field for (section, keys), field in {
+    ("algorithm", "kind"): _Field(("dgd", "mgda"), None, _REQUIRED),
+    ("algorithm", "theory_auto"): _Field(bool, None, False),
+    ("algorithm", "iterations"): _Field(int, (">=", 0), _REQUIRED, (_DGD, _fixed)),
+    ("algorithm", "gamma"): _Field(float, (">", 0), _REQUIRED, (_DGD,), (_fixed,)),
+    ("algorithm", "outer_iterations inner_iterations"): _Field(int, (">=", 0), _REQUIRED,
+                                                               (_MGDA, _fixed)),
+    ("algorithm", "gamma_x gamma_y"): _Field(float, (">", 0), _REQUIRED, (_MGDA,), (_fixed,)),
+    ("algorithm", "rounds"): _Field(int, (">=", 0), 1, (_fixed,), (_DGD,)),
+    ("algorithm", "rounds_x rounds_y"): _Field(int, (">=", 0), reads=(_MGDA, _fixed)),
+    ("algorithm", "record_every"): _Field(int, (">=", 1), 1),
+    ("algorithm", "eps"): _Field(float, (">", 0)),
+    ("algorithm", "eps_y"): _Field(float, (">", 0), reads=(_MGDA,)),
+    ("algorithm", "delta_prime"): _Field(float, (">=", 0)),
+    ("algorithm", "delta_prime_y"): _Field(float, (">=", 0), reads=(_MGDA,)),
     ("problem", "kind"): _Field(("least_squares", "quadratic", "robust_ls"), None, _REQUIRED),
     ("problem", "n"): _Field(int, (">=", 1), _REQUIRED),
     ("problem", "seed"): _Field(int, (">=", 0), 0),
-    ("problem", "d"): _Field(int, (">=", 1), _REQUIRED, lambda cfg: not _saddle(cfg)),
-    ("problem", "d_x d_y"): _Field(int, (">=", 1), _REQUIRED, _saddle),
+    ("problem", "d"): _Field(int, (">=", 1), _REQUIRED, (_MIN,)),
+    ("problem", "d_x d_y"): _Field(int, (">=", 1), _REQUIRED, (_SADDLE,)),
     ("problem", "d_i"): _Field(int, (">=", 1)),
-    ("problem", "alpha"): _Field(float, (">", 1), 2.0, _saddle),
+    ("problem", "alpha"): _Field(float, (">", 1), 2.0, (_SADDLE,)),
     ("graph", "kind"): _Field(("static", "per-step-connected", "tau-connected"), None, "static"),
+    ("graph", "edges"): _Field(list, reads=(_BASE,),
+                               item=_Field(list, ("==", 2), item=_Field(int, (">=", 0)))),
     ("graph", "topology"): _Field(("complete", "ring", "path", "star", "empty", "random"), None,
-                                  "complete"),
-    ("graph", "tau"): _Field(int, (">=", 1), 1),
+                                  "complete", (_BASE, _named)),
+    ("graph", "tau"): _Field(int, (">=", 1), 1, (lambda cfg, tau: tau != 1 and _TAU(cfg, tau),)),
     ("graph", "seed"): _Field(int, (">=", 0), 0),
-    ("graph", "degree"): _Field(int, (">=", 1)),
-    ("graph", "edges"): _Field(list, item=_Field(list, ("==", 2), item=_Field(int, (">=", 0)))),
-    ("algorithm", "kind"): _Field(("dgd", "mgda"), None, _REQUIRED),
-    ("algorithm", "theory_auto"): _Field(bool, None, False),
-    ("algorithm", "iterations"): _Field(int, (">=", 0), _REQUIRED, _fixed("dgd")),
-    ("algorithm", "gamma"): _Field(float, (">", 0), _REQUIRED, _fixed("dgd")),
-    ("algorithm", "outer_iterations inner_iterations"): _Field(int, (">=", 0), _REQUIRED,
-                                                               _fixed("mgda")),
-    ("algorithm", "gamma_x gamma_y"): _Field(float, (">", 0), _REQUIRED, _fixed("mgda")),
-    ("algorithm", "rounds"): _Field(int, (">=", 0), 1,
-                                    lambda cfg: cfg["algorithm"]["kind"] == "dgd"),
-    ("algorithm", "rounds_x rounds_y"): _Field(int, (">=", 0)),
-    ("algorithm", "record_every"): _Field(int, (">=", 1), 1),
-    ("algorithm", "eps eps_y"): _Field(float, (">", 0)),
-    ("algorithm", "delta_prime delta_prime_y"): _Field(float, (">=", 0)),
+    ("graph", "degree"): _Field(int, (">=", 1), reads=(_named, lambda cfg, degree: (
+        cfg["graph"]["kind"] != "per-step-connected" and _RANDOM(cfg, degree)))),
     ("oracle", "delta sigma"): _Field(float, (">=", 0), 0.0),
     ("oracle", "bias_mode"): _Field(BIAS_MODES, None, "fixed-direction"),
     ("oracle", "seed"): _Field(int, (">=", 0), 0),
@@ -167,8 +189,9 @@ def _require_targets(cfg, source):
 
 
 def resolve_config(cfg, source="<config>"):
-    """The resolved copy of a config dict: each field checked against ``_SCHEMA``
-    and defaulted, then the rules that join fields checked."""
+    """The resolved copy of a config dict: each field checked against its
+    ``_SCHEMA`` row (type, bound and read rules) and defaulted, then the rules
+    that join fields checked."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{source}: top level must be an object")
     scopes = {"": cfg, **{section: cfg.get(section, {}) for section in _SECTIONS}}
@@ -184,26 +207,27 @@ def resolve_config(cfg, source="<config>"):
         resolved = out[section] if section else out
         label = f"{section}.{key}" if section else key
         if key in scopes[section]:
-            resolved[key] = _check(scopes[section][key], field, label, source)
-        elif field.default is not None and (field.when is None or field.when(out)):
+            value = resolved[key] = _check(scopes[section][key], field, label, source)
+            for rule in field.reads:
+                if unread := rule(out, value):
+                    raise ConfigError(f"{source}: {label}: {value!r} {unread}")
+        elif field.default is not None and not any(
+                rule(out, field.default) for rule in field.reads + field.when):
             if field.default is _REQUIRED:
                 raise ConfigError(f"{source}: {label}: missing required field")
             resolved[key] = field.default
     prob, graph, algo = out["problem"], out["graph"], out["algorithm"]
-    prob.setdefault("d_i", prob["d_x"] if _saddle(out) else prob["d"])
-    if graph["tau"] != 1 and graph["kind"] != "tau-connected":
-        raise ConfigError(f"{source}: graph.tau: {graph['tau']} on a {graph['kind']} graph: "
-                          "only tau-connected graphs read tau")
+    prob.setdefault("d_i", prob["d_x"] if "d_x" in prob else prob["d"])
     for idx, (i, j) in enumerate(graph.get("edges", ())):
         if i == j or max(i, j) >= prob["n"]:
             raise ConfigError(f"{source}: graph.edges[{idx}]: must join two distinct "
                               "nodes below problem.n")
     if prob["kind"] == "quadratic" and prob["d_i"] != prob["d"]:
         raise ConfigError(f"{source}: problem.d_i: must equal problem.d on a quadratic problem")
-    if (algo["kind"] == "mgda") != _saddle(out):
+    if (algo["kind"] == "mgda") != (prob["kind"] == "robust_ls"):
         raise ConfigError(f"{source}: algorithm.kind: {algo['kind']} cannot run a "
                           f"{prob['kind']} problem: mgda runs robust_ls, dgd the others")
-    if algo["kind"] == "mgda":
+    if algo["kind"] == "mgda" and not algo["theory_auto"]:
         algo.setdefault("rounds_x", algo.get("rounds", 1))
         algo.setdefault("rounds_y", algo.get("rounds", 1))
     if out["overlay_bounds"] and algo["kind"] != "dgd":

@@ -210,7 +210,8 @@ def make_graph_sequence(n, kind, **params):
         node pairs; ``tau-connected`` also reads ``tau``. The base graph's
         edges, sorted by ``(i, j)``, are dealt round-robin into ``tau``
         rotating batches; a static graph is that construction at ``tau = 1``.
-        ``per-step-connected``: ``degree``, ``seed``.
+        ``per-step-connected``: ``degree``, ``seed``. A parameter the kind
+        does not read is ignored here; a harness config refuses it at its key.
 
     Returns
     -------

@@ -14,9 +14,8 @@ from plnet.harness import ConfigError
 def minimal_config(tmp_path, **overrides):
     cfg = {
         "problem": {"kind": "quadratic", "n": 2, "d": 2, "seed": 0},
-        "graph": {"kind": "static", "topology": "complete"},
-        "algorithm": {"kind": "dgd", "gamma": 0.5, "iterations": 10,
-                      "rounds": 1, "record_every": 1},
+        "graph": {"kind": "static"},
+        "algorithm": {"kind": "dgd", "gamma": 0.5, "iterations": 10, "record_every": 1},
         "oracle": {"delta": 0.0, "sigma": 0.0, "seed": 0},
         "seeds": [0],
         "output": str(tmp_path / "trace"),
@@ -26,6 +25,9 @@ def minimal_config(tmp_path, **overrides):
             cfg.setdefault(key, {}).update(value)
         else:
             cfg[key] = value
+    algorithm = overrides.get("algorithm", {})
+    if algorithm.get("theory_auto") and "iterations" not in algorithm:
+        del cfg["algorithm"]["iterations"]
     return cfg
 
 
@@ -141,7 +143,6 @@ def test_theory_auto_configures_run(tmp_path):
         "kind": "dgd", "theory_auto": True, "eps": 1e-6, "delta_prime": 1e-8,
         "record_every": 1000})
     cfg["algorithm"].pop("gamma")
-    cfg["algorithm"].pop("iterations")
     cfg["graph"] = {"kind": "static", "topology": "ring"}
     cfg["problem"]["n"] = 4
     csv_path, sidecar, failures = harness.run(write_config(tmp_path, cfg))
@@ -265,6 +266,7 @@ def test_theory_report_names_missing_targets_like_the_config_check(tmp_path):
         harness.theory_report(path)
     cfg = minimal_config(tmp_path, algorithm={"eps": 1e-6, "delta_prime": 1e-8})
     cfg["problem"] = {"kind": "robust_ls", "n": 2, "d_x": 2, "d_y": 2}
+    del cfg["algorithm"]["gamma"], cfg["algorithm"]["iterations"]
     cfg["algorithm"].update(kind="mgda", gamma_x=0.1, gamma_y=0.1,
                             outer_iterations=1, inner_iterations=1)
     with pytest.raises(ConfigError, match=r"algorithm\.eps_y: missing required field"):
@@ -751,6 +753,18 @@ def _quadratic(cfg):
     cfg["problem"]["kind"] = "quadratic"
 
 
+def _per_step(cfg):
+    cfg["graph"] = {"kind": "per-step-connected"}
+
+
+def _robust_ls_theory_auto(cfg):
+    cfg["problem"] = {"kind": "robust_ls", "n": 6, "d_x": 2, "d_y": 2, "seed": 0}
+    cfg["graph"] = {"kind": "static", "topology": "ring"}
+    cfg["algorithm"] = {"kind": "mgda", "theory_auto": True, "eps": 1e-3, "eps_y": 1e-4,
+                        "delta_prime": 1e-6, "delta_prime_y": 1e-6}
+    cfg["overlay_bounds"] = False
+
+
 @pytest.mark.parametrize("label, value, edit", [
     # these ran and exited 0, describing a run that never happened
     ("graph.tau", 1.5, _tau_connected_ring),
@@ -778,7 +792,14 @@ def _quadratic(cfg):
     # this was refused already, by a rule for mgda alone
     ("algorithm.kind", "mgda", None),
     # this was refused already, by a rule no case reached
-    ("overlay_bounds", True, _robust_ls)])
+    ("overlay_bounds", True, _robust_ls),
+    # these ran and exited 0, their sidecars echoing a field the run never read
+    ("graph.topology", "ring", _per_step),
+    ("graph.degree", 9, None),
+    ("problem.alpha", 5.0, None),
+    ("algorithm.iterations", 7, None),
+    ("algorithm.gamma_x", 0.1, _fixed_step),
+    ("algorithm.rounds_x", 2, _robust_ls_theory_auto)])
 def test_cli_refuses_each_escaping_config_value_at_its_key(tmp_path, capsys, label, value, edit):
     cfg = _demo_path_config(tmp_path)
     if edit is not None:
@@ -792,14 +813,6 @@ def test_cli_refuses_each_escaping_config_value_at_its_key(tmp_path, capsys, lab
         assert re.match(rf"error: {anchor}", capsys.readouterr().err)
     assert cli.main(["validate", path]) == 1
     assert re.match(rf"FAIL config: {anchor}", capsys.readouterr().out)
-
-
-def _robust_ls_theory_auto(cfg):
-    cfg["problem"] = {"kind": "robust_ls", "n": 6, "d_x": 2, "d_y": 2, "seed": 0}
-    cfg["graph"] = {"kind": "static", "topology": "ring"}
-    cfg["algorithm"] = {"kind": "mgda", "theory_auto": True, "eps": 1e-3, "eps_y": 1e-4,
-                        "delta_prime": 1e-6, "delta_prime_y": 1e-6}
-    cfg["overlay_bounds"] = False
 
 
 @pytest.mark.parametrize("label, value, edit, check, anchor", [
@@ -1091,6 +1104,24 @@ def test_graph_tau_is_refused_on_a_graph_that_does_not_read_it(tmp_path, capsys,
     cfg["graph"]["tau"] = 3
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith(anchor)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_fields_the_run_does_not_read_are_refused_before_any_work(tmp_path, capsys):
+    # this ran to completion, its sidecar saying iterations 7 and rounds 1
+    # while the theory budget ran N = 49 iterations of T = 230 rounds
+    cfg = _demo_path_config(tmp_path)
+    cfg["algorithm"].update(iterations=7, rounds=1)
+    cfg["problem"]["alpha"] = 5
+    cfg["graph"]["degree"] = 9
+    path = write_config(tmp_path, cfg)
+    anchor = f"{path}: algorithm.iterations: 7 on a theory_auto algorithm: "
+    for command in (["run", path], ["theory", path],
+                    ["sweep", path, "--axis", "n", "--values", "4,6"]):
+        assert cli.main(command) == 2
+        assert capsys.readouterr().err.startswith(f"error: {anchor}")
+    assert cli.main(["validate", path]) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL config: {anchor}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
