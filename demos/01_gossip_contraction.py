@@ -15,7 +15,6 @@ from plnet import (
     make_graph_sequence,
     metropolis_matrix,
     run_consensus,
-    validate_mixing,
 )
 
 rng = np.random.default_rng(0)
@@ -25,7 +24,6 @@ path = make_graph_sequence(3, "static", topology="path")
 w = metropolis_matrix(path, 0)
 print("Metropolis matrix of the 3-node path:")
 print(w)
-print("checks:", validate_mixing(w, path, 0))
 print()
 
 # -- contraction factors across kinds -----------------------------------------

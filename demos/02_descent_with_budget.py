@@ -58,3 +58,4 @@ print(f"final gap {record.f_gap[-1]:.3e} <= eps + floor = "
 print(f"worst consensus error {record.extras['max_consensus_err_x']:.3e} "
       f"<= sqrt(delta') = {np.sqrt(delta_prime):.3e}")
 assert result.ok and record.f_gap[-1] <= budget.eps + budget.floor
+assert record.extras["max_consensus_err_x"] <= np.sqrt(delta_prime)

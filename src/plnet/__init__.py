@@ -49,7 +49,6 @@ from .topology import (
     make_graph_sequence,
     metropolis_matrix,
     metropolis_weights,
-    validate_mixing,
 )
 
 __version__ = "0.1.0"
@@ -89,5 +88,4 @@ __all__ = [
     "metropolis_matrix",
     "metropolis_weights",
     "estimate_lambda",
-    "validate_mixing",
 ]

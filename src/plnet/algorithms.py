@@ -199,27 +199,9 @@ def dgd_run(problem, model, config, x0):
     (RunRecord, ndarray)
         The trace and the final stacked state.
     """
-    x = _check_start(x0, "x0")
-    record = RunRecord()
-    record.meta.update(f_star=problem.f_star, stochastic=config.oracle.sigma > 0)
-    t = 0  # global index of the next gossip round; a Python int, as JSON needs
-    state = OracleState(config.oracle, x.shape, stream=0)
-    rounds = int(config.rounds_schedule)
-    skipped_cons = 0.0  # worst consensus error among unrecorded iterates
-    for k in range(config.iterations):
-        if k % config.record_every == 0:
-            _record(record, k, x, comm_rounds=t)
-        else:
-            skipped_cons = max(skipped_cons, consensus_error(x))
-        grad = perturb_gradient(problem.grad_stacked(x), state)
-        z = x - config.gamma * grad
-        x = run_consensus(z, rounds, model, t)
-        t += rounds
-        _check_finite(x, k + 1, "iterate")
-    _record(record, config.iterations, x, comm_rounds=t)
-    _evaluate(record, problem)
-    record.extras["max_consensus_err_x"] = max(skipped_cons, *record.consensus_err_x)
-    record.meta["total_comm_rounds"] = t
+    record, x, _ = _run(problem, model, config, x0, (
+        config.iterations, config.gamma, int(config.rounds_schedule),
+        lambda x, y: problem.grad_stacked(x)))
     return record, x
 
 
@@ -233,61 +215,75 @@ def mgda_run(problem, model, config, x0, y0, budget=None):
     y-communication. ``x0`` and ``y0`` must each have equal rows; either
     one off consensus is refused, as in :func:`dgd_run`.
 
-    When ``budget`` (a theory.SaddleBudget) is given, the run also tracks
-    the invariants the budget relies on: the worst consensus error of every
-    x- and y-state, the per-outer consensus-drift constant of the inner
-    loop (recomputed online, with its realized maximum), and any outer
-    iterations where the inner loop missed its target gap.
+    Every run stores ``max_consensus_err_x``, as :func:`dgd_run` does. When
+    ``budget`` (a theory.SaddleBudget) is given, the run also tracks the
+    inner-loop invariants the budget relies on: the worst consensus error of
+    every y-state, the per-outer drift constant (recomputed online, with its
+    realized maximum) and any outer iterations that missed the target gap.
 
     Returns
     -------
     (RunRecord, (ndarray, ndarray))
         The trace and the final stacked pair.
     """
-    x, y = _check_start(x0, "x0"), _check_start(y0, "y0")
-    record = RunRecord()
-    record.meta.update(f_star=problem.phi_star, stochastic=config.oracle.sigma > 0)
+    record, x, y = _run(problem, model, config, x0, (
+        config.outer_iterations, config.gamma_x, int(config.rounds_x), problem.grad_x_stacked),
+        y0, (config.inner_iterations, config.gamma_y, int(config.rounds_y)), budget)
+    return record, (x, y)
+
+
+def _run(problem, model, config, x0, descent, y0=None, ascent=None, budget=None):
+    """The loop of both runners; returns ``(record, x, y)``. ``descent`` is
+    the x-block's ``(outer iterations, gamma, rounds, grad(x, y))``; with
+    ``y0``, ``ascent`` is the inner y-block's ``(iterations, gamma, rounds)``.
+    ``max_consensus_err_x`` comes from the recorded errors plus one
+    ``consensus_error`` call per unrecorded outer iteration."""
+    x = _check_start(x0, "x0")
+    y = None if y0 is None else _check_start(y0, "y0")
+    outer, gamma_x, rounds_x, grad_x = descent
+    inner, gamma_y, rounds_y = ascent or (0, 0.0, 0)  # no y-block
+    record = RunRecord(meta={"f_star": problem.f_star if y is None else problem.phi_star,
+                             "stochastic": config.oracle.sigma > 0})
     t = 0  # global index of the next gossip round; a Python int, as JSON needs
-    rounds_x, rounds_y = int(config.rounds_x), int(config.rounds_y)
     state_x = OracleState(config.oracle, x.shape, stream=0)
-    state_y = OracleState(config.oracle, y.shape, stream=1)
-    max_cons_x = max_cons_y = 0.0
+    state_y = None if y is None else OracleState(config.oracle, y.shape, stream=1)
+    skipped_x = max_cons_y = 0.0  # worst error of unrecorded x-states, of tracked y-states
     drift, misses = [], []
-    for k in range(config.outer_iterations):
+    for k in range(outer):
         if k % config.record_every == 0:
             _record(record, k, x, y, comm_rounds=t)
-        ys = [y]
-        for _ in range(config.inner_iterations):
-            grad_y = perturb_gradient(problem.grad_y_stacked(x, ys[-1]), state_y)
-            z_y = ys[-1] + config.gamma_y * grad_y
-            ys.append(run_consensus(z_y, rounds_y, model, t))
-            t += rounds_y
-        _check_finite(ys[-1], k, "inner iterate")
-        if budget is not None:
-            # states entering this outer iteration; the final pair is added last
-            constant, gap = _inner_tracking(problem, x, y, ys[-1], budget)
-            drift.append(constant)
-            if gap > budget.inner_target:
-                misses.append(k)
-            max_cons_x = max(max_cons_x, consensus_error(x))
-            max_cons_y = max([max_cons_y, *map(consensus_error, ys[:-1])])
-        y = ys[-1]
-        grad_x = perturb_gradient(problem.grad_x_stacked(x, y), state_x)
-        z_x = x - config.gamma_x * grad_x
-        x = run_consensus(z_x, rounds_x, model, t)
+        else:
+            skipped_x = max(skipped_x, consensus_error(x))
+        if y is not None:
+            ys = [y]
+            for _ in range(inner):
+                grad_y = perturb_gradient(problem.grad_y_stacked(x, ys[-1]), state_y)
+                ys.append(run_consensus(ys[-1] + gamma_y * grad_y, rounds_y, model, t))
+                t += rounds_y
+            _check_finite(ys[-1], k, "inner iterate")
+            if budget is not None:
+                constant, gap = _inner_tracking(problem, x, y, ys[-1], budget)
+                drift.append(constant)
+                if gap > budget.inner_target:
+                    misses.append(k)
+                # the states entering this outer iteration; the final y is added last
+                max_cons_y = max([max_cons_y, *map(consensus_error, ys[:-1])])
+            y = ys[-1]
+        grad = perturb_gradient(grad_x(x, y), state_x)
+        x = run_consensus(x - gamma_x * grad, rounds_x, model, t)
         t += rounds_x
         _check_finite(x, k + 1, "iterate")
-    _record(record, config.outer_iterations, x, y, comm_rounds=t)
+    _record(record, outer, x, y, comm_rounds=t)
     _evaluate(record, problem)
+    record.extras["max_consensus_err_x"] = max(skipped_x, *record.consensus_err_x)
     if budget is not None:
-        record.extras.update(max_consensus_err_x=max(max_cons_x, consensus_error(x)),
-                             max_consensus_err_y=max(max_cons_y, consensus_error(y)),
+        record.extras.update(max_consensus_err_y=max(max_cons_y, consensus_error(y)),
                              inner_drift_constants=drift,
                              inner_drift_max=max(drift, default=None))
         if misses:
             record.extras["inner_target_misses"] = misses
     record.meta["total_comm_rounds"] = t
-    return record, (x, y)
+    return record, x, y
 
 
 def _inner_tracking(problem, x_stack, y_in, y_out, budget):

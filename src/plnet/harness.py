@@ -115,7 +115,8 @@ _SCHEMA = {(section, key): field for (section, keys), field in {
     ("graph", "degree"): _Field(int, (">=", 1), reads=(_named, lambda cfg, degree: (
         cfg["graph"]["kind"] != "per-step-connected" and _RANDOM(cfg, degree)))),
     ("oracle", "delta sigma"): _Field(float, (">=", 0), 0.0),
-    ("oracle", "bias_mode"): _Field(BIAS_MODES, None, "fixed-direction"),
+    ("oracle", "bias_mode"): _Field(BIAS_MODES, None, "fixed-direction", (lambda cfg, mode: (
+        cfg["oracle"]["delta"] == 0 and "at oracle.delta 0: no bias is drawn"),)),
     ("oracle", "seed"): _Field(int, (">=", 0), 0),
     ("", "seeds"): _Field(list, (">=", 1), item=_Field(int, (">=", 0))),
     ("", "seed_scope"): _Field(("oracle", "problem-and-oracle"), None, "oracle"),
@@ -607,7 +608,8 @@ def validate(config_or_path):
     Returns ``(checks, ok)``, ``checks`` a list of ``(name, passed, detail)``.
     A refused stage fails its ``problem``, ``contraction`` or ``theory`` (if
     a budget is asked for) line with the message ``run`` prints; ``pl_qg``
-    and ``mixing`` sample the instance's inequalities and mixing matrices.
+    samples the instance's inequalities. No line checks the mixing matrices:
+    ``topology.metropolis_weights`` makes each one doubly stochastic.
     """
     try:
         cfg, source = _load(config_or_path)
@@ -636,14 +638,6 @@ def validate(config_or_path):
     except ConfigError as exc:
         checks.append(("contraction", False, str(exc)))
     else:
-        bad = []
-        for k in range(3):
-            rep = topology.validate_mixing(model.matrix_at(k), model.seq, k)
-            if not rep.passed:
-                bad.append((k, rep.details))
-        checks.append(("mixing", not bad,
-                       "doubly stochastic with correct zero pattern"
-                       if not bad else f"failed at rounds {bad}"))
         detail = f"contraction factor {model.lam:.6g}"
         if model.seq.period is None:
             detail += " (sampled estimate, not a bound)"

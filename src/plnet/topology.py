@@ -50,16 +50,13 @@ from . import consensus
 __all__ = [
     "GraphSequence",
     "MixingModel",
-    "MixingReport",
     "NonContractiveSequenceError",
     "make_graph_sequence",
     "metropolis_matrix",
     "metropolis_weights",
     "estimate_lambda",
-    "validate_mixing",
 ]
 
-STOCHASTICITY_TOL = 1e-12
 CONTRACTION_TOL = 1e-12
 
 
@@ -396,48 +393,3 @@ def estimate_lambda(model, horizon=None):
             f"window singular value {worst:.17g} reaches 1: sequence does not "
             "contract (the graph, or the union of a window's graphs, is disconnected)")
     return 1.0 - worst
-
-
-@dataclass
-class MixingReport:
-    """Pass/fail record of the mixing-matrix checks for one matrix."""
-
-    decentralized: bool
-    doubly_stochastic: bool
-    nonnegative: bool
-    details: dict
-
-    @property
-    def passed(self):
-        return self.decentralized and self.doubly_stochastic and self.nonnegative
-
-
-def validate_mixing(w, seq, k):
-    """Check one mixing matrix against its graph at round ``k``.
-
-    Verifies the zero pattern off the edge set, double stochasticity within
-    ``1e-12``, and entrywise nonnegativity. Failures are reported, not
-    raised.
-    """
-    w = np.asarray(w, dtype=float)
-    n = seq.n
-    if w.shape != (n, n):
-        raise ValueError(f"matrix shape {w.shape} does not match n={n}")
-    i, j = seq.edges_at(k)
-    allowed = np.eye(n, dtype=bool)
-    allowed[i, j] = allowed[j, i] = True
-    off_pattern = [(int(a), int(b)) for a, b in np.argwhere((w != 0.0) & ~allowed)]
-    row_err = float(np.abs(w.sum(axis=1) - 1.0).max())
-    col_err = float(np.abs(w.sum(axis=0) - 1.0).max())
-    min_entry = float(w.min())
-    return MixingReport(
-        decentralized=not off_pattern,
-        doubly_stochastic=max(row_err, col_err) <= STOCHASTICITY_TOL,
-        nonnegative=min_entry >= -STOCHASTICITY_TOL,
-        details={
-            "nonedge_entries": off_pattern,
-            "row_sum_error": row_err,
-            "col_sum_error": col_err,
-            "min_entry": min_entry,
-        },
-    )

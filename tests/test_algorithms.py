@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,26 @@ def test_mgda_config_rejects_bad_round_counts(key, value):
                    inner_iterations=3, **{key: value})
     MGDAConfig(gamma_x=0.01, gamma_y=0.01, outer_iterations=2, inner_iterations=3,
                **{key: np.int64(0)})
+
+
+def test_numpy_round_counts_record_python_int_rounds():
+    # the runners cast the counts once; without the cast a numpy.int64 count
+    # made every round index and total_comm_rounds a numpy.int64
+    ls, prof = build_least_squares(4, 3, seed=5)
+    saddle, _ = build_robust_ls(4, 2, 2, alpha=2.0, seed=9)
+    model = MixingModel(make_graph_sequence(4, "static", topology="ring"))
+    rounds = np.int64(2)
+    records = [
+        dgd_run(ls, model, DGDConfig(gamma=0.5 / prof.L_g, iterations=3,
+                                     rounds_schedule=rounds), np.zeros((4, 3)))[0],
+        mgda_run(saddle, model, MGDAConfig(gamma_x=0.01, gamma_y=0.01, outer_iterations=3,
+                                           inner_iterations=2, rounds_x=rounds,
+                                           rounds_y=rounds),
+                 np.zeros((4, 2)), np.zeros((4, 2)))[0]]
+    for record, total in zip(records, (3 * 2, 3 * (2 * 2 + 2))):
+        assert record.meta["total_comm_rounds"] == total == record.comm_rounds[-1]
+        assert {type(t) for t in [*record.comm_rounds, record.meta["total_comm_rounds"]]} == {int}
+        json.dumps({"comm_rounds": record.comm_rounds, **record.meta})
 
 
 def test_mgda_zero_coupling_reduces_to_dgd():
@@ -423,7 +445,18 @@ def test_mgda_trace_equals_per_row_evaluation(monkeypatch, with_budget):
 
     record = _assert_trace_matches_per_row_reference(monkeypatch, problem, run)
     assert record.ks == [0, 2, 4, 6, 8, 9]
-    assert ("max_consensus_err_x" in record.extras) == with_budget
+    # every run tracks the x-states as dgd_run does; the inner loop's
+    # bookkeeping costs a solve per outer iteration and needs the budget
+    states = _gossip_outputs(monkeypatch)
+    record = run()
+    iterates = [x for x in states if x.shape == (5, 3)]
+    assert len(iterates) == 9 and len(states) == 9 * 4
+    worst = max(consensus_error(x) for x in [np.zeros((5, 3)), *iterates])
+    assert worst > 0.0
+    assert record.extras["max_consensus_err_x"] == worst
+    y_side = record.extras.keys() - {"max_consensus_err_x"}
+    assert (y_side >= {"max_consensus_err_y", "inner_drift_constants", "inner_drift_max"}
+            if with_budget else not y_side)
 
 
 def test_centralized_traces_equal_per_row_evaluation(monkeypatch):

@@ -799,7 +799,9 @@ def _robust_ls_theory_auto(cfg):
     ("problem.alpha", 5.0, None),
     ("algorithm.iterations", 7, None),
     ("algorithm.gamma_x", 0.1, _fixed_step),
-    ("algorithm.rounds_x", 2, _robust_ls_theory_auto)])
+    ("algorithm.rounds_x", 2, _robust_ls_theory_auto),
+    # this wrote the CSV of the default bias mode, its sidecar saying otherwise
+    ("oracle.bias_mode", "gradient-aligned", None)])
 def test_cli_refuses_each_escaping_config_value_at_its_key(tmp_path, capsys, label, value, edit):
     cfg = _demo_path_config(tmp_path)
     if edit is not None:
