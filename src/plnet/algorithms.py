@@ -142,20 +142,20 @@ def _evaluate(record, problem):
     """Fill the gap and gradient-norm columns from the recorded averages.
 
     One batched problem call per column on the stacked ``(R, d)`` averages;
-    gaps are measured against ``record.meta["f_star"]``. Minimization runs
-    get NaN saddle columns and None ``ybar`` entries.
+    gaps ``f(xbar) - f*`` are measured against ``record.meta["f_star"]``
+    (on a saddle run ``f`` is the max-function). Minimization runs get NaN
+    saddle columns and None ``ybar`` entries; saddle runs get the partial
+    gradients at ``(xbar, ybar)``.
     """
     xbars = np.array(record.xbar)
-    f_star = record.meta["f_star"]
+    record.f_gap = (problem.f(xbars) - record.meta["f_star"]).tolist()
     if not record.ybar:
-        record.f_gap = (problem.f(xbars) - f_star).tolist()
         record.grad_norm_x = row_norms(problem.grad_f(xbars)).tolist()
         record.consensus_err_y = [float("nan")] * len(record.ks)
         record.grad_norm_y = [float("nan")] * len(record.ks)
         record.ybar = [None] * len(record.ks)
         return
     ybars = np.array(record.ybar)
-    record.f_gap = (problem.phi(xbars, problem.y_star_of(xbars)) - f_star).tolist()
     record.grad_norm_x = row_norms(problem.grad_x(xbars, ybars)).tolist()
     record.grad_norm_y = row_norms(problem.grad_y(xbars, ybars)).tolist()
 
@@ -242,8 +242,7 @@ def _run(problem, model, config, x0, descent, y0=None, ascent=None, budget=None)
     y = None if y0 is None else _check_start(y0, "y0")
     outer, gamma_x, rounds_x, grad_x = descent
     inner, gamma_y, rounds_y = ascent or (0, 0.0, 0)  # no y-block
-    record = RunRecord(meta={"f_star": problem.f_star if y is None else problem.phi_star,
-                             "stochastic": config.oracle.sigma > 0})
+    record = RunRecord(meta={"f_star": problem.f_star, "stochastic": config.oracle.sigma > 0})
     t = 0  # global index of the next gossip round; a Python int, as JSON needs
     state_x = OracleState(config.oracle, x.shape, stream=0)
     state_y = None if y is None else OracleState(config.oracle, y.shape, stream=1)

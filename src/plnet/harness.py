@@ -21,6 +21,7 @@ import json
 import math
 import operator
 import os
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -41,13 +42,14 @@ class ConfigError(ValueError):
 
 # One row per config field, walked in this order; section "" is the top level.
 # A key with no row is refused, so a misspelled one cannot quietly run the
-# default. ``kind`` is int (not bool), float (finite, int or float), bool, str,
-# list, or the tuple of an enum's values; ``bound`` is the (op, limit) that the
-# value, or a list's length, must satisfy. A field given outside a rule of its
-# ``reads`` is refused (the algorithm's rows come first, so a count theory_auto
-# sets is the one named); ``default`` fills an absent field, or is _REQUIRED,
-# only where ``reads`` and ``when`` hold. ``item`` is the row of each list
-# entry. Defaults read from other fields, and joint rules, follow the walk.
+# default. ``kind`` is int (not bool), float (a finite float, or an int within
+# float64's range), bool, str, list, or the tuple of an enum's values; ``bound``
+# is the (op, limit) that the value, or a list's length, must satisfy. A field
+# given outside a rule of its ``reads`` is refused (the algorithm's rows come
+# first, so a count theory_auto sets is the one named); ``default`` fills an
+# absent field, or is _REQUIRED, only where ``reads`` and ``when`` hold.
+# ``item`` is the row of each list entry. Defaults read from other fields, and
+# joint rules, follow the walk.
 _Field = namedtuple("_Field", "kind bound default reads when item",
                     defaults=(None, None, (), (), None))
 _REQUIRED = object()
@@ -167,7 +169,8 @@ def _check(value, field, label, source):
                               f"{value!r}, expected one of {', '.join(kind)}")
         return value
     if kind is float:
-        ok = type(value) is int or isinstance(value, float) and math.isfinite(value)
+        ok = (type(value) is int and abs(value) <= sys.float_info.max
+              or isinstance(value, float) and math.isfinite(value))
         value = float(value) if ok and type(value) is not int else value
     else:
         ok = isinstance(value, (list, tuple)) if kind is list else type(value) is kind
@@ -251,12 +254,11 @@ def _build_problem(cfg, source="<config>", seed_override=None):
         if prob["kind"] == "robust_ls":
             problem, _ = problems.build_robust_ls(
                 prob["n"], prob["d_x"], prob["d_y"], prob["d_i"], prob["alpha"], seed)
-            problem.phi_star
         else:
             problem, _ = problems.build_least_squares(
                 prob["n"], prob["d"], prob["d_i"], seed,
                 identity=prob["kind"] == "quadratic")
-            problem.f_star
+        problem.f_star
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise ConfigError(f"{source}: problem: {exc}") from exc
     return problem
@@ -277,24 +279,16 @@ def _network(cfg, source):
 
 
 def _constants(problem, model):
-    """Instance and network constants for the sidecar.
+    """Instance and network constants for the sidecar: those the problem's
+    profile names in its ``SIDECAR`` tuple, and the network's.
 
     ``lam_kind`` is ``"exact"`` when one full period of windows was probed
     and ``"sampled"`` on aperiodic sequences, where ``lam`` bounds nothing.
     """
-    out = {"tau": model.tau, "lam": model.lam, "n": problem.n,
-           "lam_kind": "sampled" if model.seq.period is None else "exact"}
-    if problem.kind == "robust_ls":
-        prof = problem.saddle_profile
-        out.update(L_xx_g=prof.L_xx_g, L_xy_g=prof.L_xy_g,
-                   L_yx_g=prof.L_yx_g, L_yy_g=prof.L_yy_g,
-                   L_xx_l=prof.L_xx_l, L_xy_l=prof.L_xy_l,
-                   L_yx_l=prof.L_yx_l, L_yy_l=prof.L_yy_l,
-                   mu_x=prof.mu_x, mu_y=prof.mu_y, L_x=prof.L_x)
-    else:
-        prof = problem.profile
-        out.update(L_l=prof.L_l, L_g=prof.L_g, mu=prof.mu)
-    return out
+    prof = problem.profile
+    return {"tau": model.tau, "lam": model.lam, "n": problem.n,
+            "lam_kind": "sampled" if model.seq.period is None else "exact",
+            **{name: getattr(prof, name) for name in prof.SIDECAR}}
 
 
 def _theory_budget(cfg, problem, model):
@@ -306,10 +300,11 @@ def _theory_budget(cfg, problem, model):
     gets the budget at 1/L_g, whose step ``_resolve_steps`` then refuses.
     """
     algo, oracle = cfg["algorithm"], cfg["oracle"]
+    x0 = np.zeros_like(problem.optimum[0])
+    f0 = problem.f(x0)
+    f0_gap = f0 - problem.f_star
+    grad_norm = float(np.linalg.norm(problem.grad_stacked_at_opt()))
     if algo["kind"] == "dgd":
-        x0 = np.zeros(problem.d)
-        f0_gap = problem.f(x0) - problem.f_star
-        grad_norm = float(np.linalg.norm(problem.grad_stacked_at_opt()))
         gamma = algo.get("gamma")
         theory_gamma = 1.0 / problem.profile.L_g
         if gamma is not None and gamma > theory_gamma * (1 + theory.STEP_REL_TOL):
@@ -323,17 +318,14 @@ def _theory_budget(cfg, problem, model):
         return theory.budget_min_deterministic(
             problem.profile, model, algo["eps"], algo["delta_prime"],
             oracle["delta"], f0_gap, grad_norm)
-    x0 = np.zeros(problem.d_x)
-    y0 = np.zeros(problem.d_y)
-    f0 = problem.f_of_max(x0)
-    f_gap0, g_gap0 = f0 - problem.phi_star, f0 - problem.phi(x0, y0)
+    g_gap0 = f0 - problem.phi(x0, np.zeros(problem.d_y))
     return theory.budget_saddle(
-        problem.saddle_profile, model,
+        problem.profile, model,
         eps_x=algo["eps"], eps_y=algo["eps_y"],
         delta_prime_x=algo["delta_prime"], delta_prime_y=algo["delta_prime_y"],
         delta=oracle["delta"], sigma=oracle["sigma"],
-        F_gap0=problem.n * f_gap0, G_gap0=problem.n * max(g_gap0, 0.0),
-        grad_F_at_opt=float(np.linalg.norm(problem.grad_x_stacked_at_saddle())),
+        F_gap0=problem.n * f0_gap, G_gap0=problem.n * max(g_gap0, 0.0),
+        grad_F_at_opt=grad_norm,
         grad_G_at_opt=float(np.linalg.norm(
             problem.grad_y_stacked_at_inner_opt(x0))))
 
@@ -377,19 +369,14 @@ def _resolve_steps(algo, budget, source):
 def _check_resolution(algo, problem, source):
     """Refuse a positive accuracy or consensus target below its float64
     resolution floor (see the theory module): ``8*u*|f*|`` for ``eps``, and
-    ``(32*u*||X*||)**2`` for ``delta_prime``, at the stacked optimum ``X*``."""
+    ``(32*u*||X*||)**2`` for ``delta_prime``, at the stacked optimum ``X*``;
+    a saddle's ``eps_y`` and ``delta_prime_y`` use ``|f*|`` and ``Y*``."""
     u = theory.UNIT_ROUNDOFF
     gap_factor, cons_factor = theory.GAP_FLOOR_FACTOR, theory.CONSENSUS_FLOOR_FACTOR
-    if problem.kind == "robust_ls":
-        f_name, f_star = "phi*", problem.phi_star
-        blocks = (("", "X*", problem.saddle.x), ("_y", "Y*", problem.saddle.y))
-    else:
-        f_name, f_star = "f*", problem.f_star
-        blocks = (("", "X*", problem.minimizer),)
-    for suffix, name, point in blocks:
+    for suffix, name, point in zip(("", "_y"), ("X*", "Y*"), problem.optimum):
         norm = math.sqrt(problem.n) * float(np.linalg.norm(point))
         for key, label, floor in (
-                (f"eps{suffix}", f"{gap_factor}*u*|{f_name}|", gap_factor * u * abs(f_star)),
+                (f"eps{suffix}", f"{gap_factor}*u*|f*|", gap_factor * u * abs(problem.f_star)),
                 (f"delta_prime{suffix}", f"({cons_factor}*u*||{name}||)**2",
                  (cons_factor * u * norm) ** 2)):
             if 0 < algo[key] < floor:
@@ -427,7 +414,7 @@ def _settings(cfg, problem, model, source):
     _resolve_steps(algo, budget, source)
     if algo["kind"] == "mgda":
         # the saddle theorem's step range, at the max-function's exact curvature
-        ratio = algo["gamma_x"] * float(np.linalg.eigvalsh(problem.x_hessian_of_max())[-1])
+        ratio = algo["gamma_x"] * float(np.linalg.eigvalsh(problem.hessian)[-1])
         if ratio > 1.0:
             raise ConfigError(f"{source}: algorithm.gamma_x: {algo['gamma_x']} times the "
                               f"max-function's largest curvature is {ratio:.6g} > 1, "
@@ -607,7 +594,8 @@ def validate(config_or_path):
 
     Returns ``(checks, ok)``, ``checks`` a list of ``(name, passed, detail)``.
     A refused stage fails its ``problem``, ``contraction`` or ``theory`` (if
-    a budget is asked for) line with the message ``run`` prints; ``pl_qg``
+    a budget is asked for) line with the message ``run`` prints; a built
+    problem's line names the configured problem kind, and ``pl_qg``
     samples the instance's inequalities. No line checks the mixing matrices:
     ``topology.metropolis_weights`` makes each one doubly stochastic.
     """
@@ -619,7 +607,7 @@ def validate(config_or_path):
     problem = model = None
     try:
         problem = _build_problem(cfg, source)
-        checks.append(("problem", True, f"{problem.kind} built"))
+        checks.append(("problem", True, f"{cfg['problem']['kind']} built"))
     except ConfigError as exc:
         checks.append(("problem", False, str(exc)))
     if problem is not None:

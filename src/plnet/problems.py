@@ -13,6 +13,11 @@ Two families are provided, both with standard-normal data split across
   ``alpha > 1``, a convex-concave saddle problem whose stationarity system
   is linear and solved in closed form.
 
+Both answer one interface in x: ``f``, ``grad_f``, its constant
+``hessian``, ``f_star``, ``optimum`` (one point per block), ``profile``
+and ``grad_stacked_at_opt()``. On robust least squares ``f`` is the
+max-function ``max_y phi(x, y)``, PL in x under the two-sided PL condition.
+
 Smoothness and PL constants are computed from eigenvalues. PL constants
 are normalized by ``1/n`` so they match the averaged objective exactly.
 Per-node smoothness constants come from one stacked ``eigvalsh`` or ``svd``
@@ -41,6 +46,7 @@ whole trace in one call per column.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,7 +126,11 @@ class SmoothnessProfile:
 
     ``L_l`` is the largest per-node gradient Lipschitz constant, ``L_g``
     their mean, and ``mu`` the PL constant of the averaged objective.
+    ``SIDECAR`` names the constants a run's sidecar lists, the PL constant
+    of ``f`` first.
     """
+
+    SIDECAR = ("mu", "L_l", "L_g")
 
     L_per_node: tuple
     mu: float
@@ -153,7 +163,12 @@ class SaddleSmoothness:
     ``mu_y`` are smallest nonzero eigenvalues of the averaged curvature
     blocks (``mu_y`` includes the ``alpha - 1`` concavity factor). ``mu_y``
     is ``None`` for the degenerate case of vanishing coupling blocks.
+    ``SIDECAR`` names the constants a run's sidecar lists, the PL constant
+    ``mu_x`` of the max-function first.
     """
+
+    SIDECAR = ("mu_x", "mu_y", "L_x", "L_xx_g", "L_xy_g", "L_yx_g", "L_yy_g",
+               "L_xx_l", "L_xy_l", "L_yx_l", "L_yy_l")
 
     L_xx_per_node: tuple
     L_xy_per_node: tuple
@@ -226,8 +241,6 @@ class SaddlePoint:
 class LeastSquaresProblem:
     """Distributed least squares: node i holds 0.5*||A_i x - y0_i||^2."""
 
-    kind = "least_squares"
-
     def __init__(self, A, y0):
         self.A = np.asarray(A, dtype=float)
         self.y0 = np.asarray(y0, dtype=float)
@@ -236,14 +249,12 @@ class LeastSquaresProblem:
         self.n, self.d_i, self.d = self.A.shape
         if 0 in (self.n, self.d):
             raise ValueError("need at least one node and one variable")
-        self._normal = np.einsum("nij,nik->jk", self.A, self.A) / self.n
+        self.hessian = np.einsum("nij,nik->jk", self.A, self.A) / self.n
         self._rhs = np.einsum("nij,ni->j", self.A, self.y0) / self.n
         # node i's gradient is x_i @ A_i^T A_i - A_i^T y0_i (Gram blocks are
         # symmetric, so the row form equals A_i^T A_i x_i)
         self._gram = self.A.transpose(0, 2, 1) @ self.A
         self._gram_shift = -(self.y0[:, None, :] @ self.A)[:, 0]
-        self._minimizer = self._f_star = None
-        self._profile = None
 
     # objective and gradients -------------------------------------------------
 
@@ -271,35 +282,33 @@ class LeastSquaresProblem:
 
     # analytic solution -------------------------------------------------------
 
-    @property
+    @cached_property
     def minimizer(self):
-        if self._minimizer is None:
-            self._minimizer = np.linalg.pinv(self._normal) @ self._rhs
-        return self._minimizer
+        return np.linalg.pinv(self.hessian) @ self._rhs
+
+    @cached_property
+    def f_star(self):
+        return self.f(self.minimizer)
 
     @property
-    def f_star(self):
-        if self._f_star is None:
-            self._f_star = self.f(self.minimizer)
-        return self._f_star
+    def optimum(self):
+        return (self.minimizer,)
 
     def grad_stacked_at_opt(self):
         return self.grad_stacked(np.tile(self.minimizer, (self.n, 1)))
 
-    @property
+    @cached_property
     def profile(self):
-        if self._profile is None:
-            per_node = tuple(np.linalg.eigvalsh(self._gram)[:, -1].tolist())
-            mu = _smallest_nonzero_eig(self._normal)
-            if mu is None:
-                raise ValueError("objective is identically constant; no PL constant")
-            # mu <= L_g always holds; at d = 1 they are equal and eigenvalue
-            # rounding can put mu an ULP above L_g
-            L_g = sum(per_node) / len(per_node)
-            if L_g < mu <= L_g * (1.0 + MU_CLAMP_RELATIVE_TOL):
-                mu = L_g
-            self._profile = SmoothnessProfile(L_per_node=per_node, mu=mu)
-        return self._profile
+        per_node = tuple(np.linalg.eigvalsh(self._gram)[:, -1].tolist())
+        mu = _smallest_nonzero_eig(self.hessian)
+        if mu is None:
+            raise ValueError("objective is identically constant; no PL constant")
+        # mu <= L_g always holds; at d = 1 they are equal and eigenvalue
+        # rounding can put mu an ULP above L_g
+        L_g = sum(per_node) / len(per_node)
+        if L_g < mu <= L_g * (1.0 + MU_CLAMP_RELATIVE_TOL):
+            mu = L_g
+        return SmoothnessProfile(L_per_node=per_node, mu=mu)
 
 
 class RobustLeastSquaresProblem:
@@ -309,8 +318,6 @@ class RobustLeastSquaresProblem:
     ``0.5*||A_i x - y0_i - B_i y||^2 - 0.5*alpha*||B_i y||^2`` for a
     coefficient ``alpha > 1``, convex in x and concave in y.
     """
-
-    kind = "robust_ls"
 
     def __init__(self, A, B, y0, alpha):
         if alpha <= 1:
@@ -349,9 +356,6 @@ class RobustLeastSquaresProblem:
         self._y_blocks = np.concatenate((-atb, (1.0 - self.alpha) * btb), axis=1)
         self._x_shift = -rhs[:, :d_x]
         self._y_shift = rhs[:, d_x:]
-        self._saddle = None
-        self._profile = None
-        self._x_hessian = None
 
     # objective and gradients -------------------------------------------------
 
@@ -415,21 +419,19 @@ class RobustLeastSquaresProblem:
                                   rhs.reshape(-1, self.d_y).T, rcond=None)
         return np.ascontiguousarray(sol.T).reshape(rhs.shape)
 
-    def f_of_max(self, x):
+    def f(self, x):
         """Value of the max-function f(x) = max_y phi(x, y)."""
         return self.phi(x, self.y_star_of(x))
 
-    def danskin_grad(self, x):
-        """Gradient of the max-function via the inner maximizer."""
+    def grad_f(self, x):
+        """Gradient of the max-function via the inner maximizer (Danskin)."""
         return self.grad_x(x, self.y_star_of(x))
 
-    def x_hessian_of_max(self):
+    @cached_property
+    def hessian(self):
         """Hessian of the max-function (constant for this quadratic family)."""
-        if self._x_hessian is None:
-            c = self.SAB.T  # d_y x d_x coupling block
-            h = self.SA + c.T @ (np.linalg.pinv((self.alpha - 1.0) * self.SB) @ c)
-            self._x_hessian = h / self.n
-        return self._x_hessian
+        c = self.SAB.T  # d_y x d_x coupling block
+        return (self.SA + c.T @ (np.linalg.pinv((self.alpha - 1.0) * self.SB) @ c)) / self.n
 
     def y_hessian_neg(self):
         """Hessian of the concavity gap -phi(x, .) (x-independent)."""
@@ -437,17 +439,21 @@ class RobustLeastSquaresProblem:
 
     # analytic saddle ----------------------------------------------------------
 
-    @property
+    @cached_property
     def saddle(self):
-        if self._saddle is None:
-            self._saddle = analytic_saddle(self)
-        return self._saddle
+        return analytic_saddle(self)
 
     @property
-    def phi_star(self):
+    def f_star(self):
+        """The max-function's minimum, phi at the saddle."""
         return self.saddle.value
 
-    def grad_x_stacked_at_saddle(self):
+    @property
+    def optimum(self):
+        return (self.saddle.x, self.saddle.y)
+
+    def grad_stacked_at_opt(self):
+        """Stacked x-gradients at the saddle, where f has its minimizer."""
         s = self.saddle
         return self.grad_x_stacked(np.tile(s.x, (self.n, 1)),
                                    np.tile(s.y, (self.n, 1)))
@@ -458,23 +464,21 @@ class RobustLeastSquaresProblem:
         return self.grad_y_stacked(np.tile(x, (self.n, 1)),
                                    np.tile(ys, (self.n, 1)))
 
-    @property
-    def saddle_profile(self):
-        if self._profile is None:
-            a_t = self.A.transpose(0, 2, 1)
-            btb = self.B.transpose(0, 2, 1) @ self.B
-            lxx = tuple(np.linalg.eigvalsh(a_t @ self.A)[:, -1].tolist())
-            lyy = tuple(((self.alpha - 1.0) * np.linalg.eigvalsh(btb)[:, -1]).tolist())
-            cross = tuple(np.linalg.svd(a_t @ self.B, compute_uv=False)[:, 0].tolist())
-            mu_x = _smallest_nonzero_eig(self.SA / self.n)
-            if mu_x is None:
-                raise ValueError("x-block curvature vanishes; no PL constant")
-            mu_y = _smallest_nonzero_eig(self.y_hessian_neg())
-            self._profile = SaddleSmoothness(
-                L_xx_per_node=lxx, L_xy_per_node=cross,
-                L_yx_per_node=cross, L_yy_per_node=lyy,
-                mu_x=mu_x, mu_y=mu_y)
-        return self._profile
+    @cached_property
+    def profile(self):
+        a_t = self.A.transpose(0, 2, 1)
+        btb = self.B.transpose(0, 2, 1) @ self.B
+        lxx = tuple(np.linalg.eigvalsh(a_t @ self.A)[:, -1].tolist())
+        lyy = tuple(((self.alpha - 1.0) * np.linalg.eigvalsh(btb)[:, -1]).tolist())
+        cross = tuple(np.linalg.svd(a_t @ self.B, compute_uv=False)[:, 0].tolist())
+        mu_x = _smallest_nonzero_eig(self.SA / self.n)
+        if mu_x is None:
+            raise ValueError("x-block curvature vanishes; no PL constant")
+        mu_y = _smallest_nonzero_eig(self.y_hessian_neg())
+        return SaddleSmoothness(
+            L_xx_per_node=lxx, L_xy_per_node=cross,
+            L_yx_per_node=cross, L_yy_per_node=lyy,
+            mu_x=mu_x, mu_y=mu_y)
 
     def dist_to_saddle(self, x, y):
         s = self.saddle
@@ -528,7 +532,7 @@ def build_robust_ls(n, d_x, d_y, d_i=None, alpha=2.0, seed=0):
     B = rng.standard_normal((n, d_i, d_y))
     y0 = rng.standard_normal((n, d_i))
     problem = RobustLeastSquaresProblem(A, B, y0, alpha)
-    return problem, problem.saddle_profile
+    return problem, problem.profile
 
 
 def analytic_saddle(problem):
@@ -578,14 +582,14 @@ class PLQGReport:
 def pl_qg_report(problem, num_points=100, seed=0):
     """Sample the PL and QG inequalities on a built instance.
 
-    For least squares the checks run on the averaged objective with its
-    stored PL constant. For saddle instances the x-side checks run on the
-    max-function (inner problem solved exactly per sample) and the y-side
-    checks on the concave inner objective at each sampled x. All samples
-    are drawn at once, one row per sample (for saddles the columns of
-    ``x`` then ``y``), and every quantity is one batched call over them.
-    Ratios at most 1 mean the inequalities hold; tiny excursions above 1
-    are floating point noise.
+    The x-side checks run on ``f`` (the max-function of a saddle instance,
+    its inner problem solved exactly per sample) with the profile's PL
+    constant, around the minimizer ``optimum[0]``. A saddle instance with a
+    y-side PL constant adds the y-side checks, on the concave inner
+    objective at each sampled x. All samples are drawn at once, one row per
+    sample (the columns of ``x``, then of ``y`` if there is a y-side), and
+    every quantity is one batched call over them. Ratios at most 1 mean the
+    inequalities hold; tiny excursions above 1 are floating point noise.
     """
     rng = np.random.default_rng(seed)
     tiny = 1e-12
@@ -599,23 +603,18 @@ def pl_qg_report(problem, num_points=100, seed=0):
                        where=gap > tiny)
         return float(np.max(pl, initial=0.0)), float(np.max(qg, initial=0.0))
 
-    if problem.kind == "least_squares":
-        x_star = problem.minimizer
-        xs = x_star + SAMPLE_SPREAD * rng.standard_normal((num_points, problem.d))
-        return PLQGReport(*worst(problem.f(xs) - problem.f_star, problem.grad_f(xs),
-                                 problem._normal, xs - x_star, problem.profile.mu))
-
-    prof, s, d_x = problem.saddle_profile, problem.saddle, problem.d_x
-    draws = rng.standard_normal(
-        (num_points, d_x if prof.mu_y is None else d_x + problem.d_y))
-    xs = s.x + SAMPLE_SPREAD * draws[:, :d_x]
-    ys_star = problem.y_star_of(xs)
-    g_star = problem.phi(xs, ys_star)
-    report = PLQGReport(*worst(g_star - s.value, problem.grad_x(xs, ys_star),
-                               problem.x_hessian_of_max(), xs - s.x, prof.mu_x))
-    if prof.mu_y is not None:
+    prof, (x_star, *y_block) = problem.profile, problem.optimum
+    y_side = bool(y_block) and prof.mu_y is not None
+    d_x = x_star.size
+    draws = rng.standard_normal((num_points, d_x + (y_block[0].size if y_side else 0)))
+    xs = x_star + SAMPLE_SPREAD * draws[:, :d_x]
+    f_xs = problem.f(xs)
+    report = PLQGReport(*worst(f_xs - problem.f_star, problem.grad_f(xs), problem.hessian,
+                               xs - x_star, getattr(prof, prof.SIDECAR[0])))
+    if y_side:
+        ys_star = problem.y_star_of(xs)
         ys = ys_star + SAMPLE_SPREAD * draws[:, d_x:]
         report.max_pl_ratio_y, report.max_qg_ratio_y = worst(
-            g_star - problem.phi(xs, ys), problem.grad_y(xs, ys),
+            f_xs - problem.phi(xs, ys), problem.grad_y(xs, ys),
             problem.y_hessian_neg(), ys - ys_star, prof.mu_y)
     return report

@@ -27,7 +27,7 @@ Because of the third relation, the step ``1/L_x`` can leave the theorem's
 range ``gamma_x L <= 1``, where L is the smoothness of the max-function
 ``f(x) = max_y phi(x, y)``. On robust least squares f is quadratic, so the
 harness checks ``gamma_x`` against the exact curvature
-``lambda_max(x_hessian_of_max())`` and refuses a larger step.
+``lambda_max(hessian)`` and refuses a larger step.
 
 Float64 bounds the targets from below, with u = 2**-53 its unit roundoff.
 A measured gap ``f(xbar) - f*`` is the difference of two values near f*,

@@ -74,7 +74,7 @@ def centralized_gda(problem, gamma_x, gamma_y, outer_iterations, inner_iteration
     """Multi-step descent ascent on the averaged saddle objective from zero."""
     x, y = np.zeros(problem.d_x), np.zeros(problem.d_y)
     record = algorithms.RunRecord()
-    record.meta.update(f_star=problem.phi_star, stochastic=False)
+    record.meta.update(f_star=problem.f_star, stochastic=False)
     for k in range(outer_iterations):
         if k % record_every == 0:
             algorithms._record(record, k, x[None], y[None])

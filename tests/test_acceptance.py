@@ -115,8 +115,8 @@ def test_criterion_3_gradient_correctness():
                            central_diff(lambda v: saddle.phi(x, v), y)) <= 1e-5
         for _ in range(50):
             x = 2.0 * rng.standard_normal(3)
-            assert rel_err(saddle.danskin_grad(x),
-                           central_diff(saddle.f_of_max, x)) <= 1e-4
+            assert rel_err(saddle.grad_f(x),
+                           central_diff(saddle.f, x)) <= 1e-4
 
 
 def test_criterion_4_deterministic_budget_end_to_end():

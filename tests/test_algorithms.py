@@ -251,8 +251,8 @@ def test_inner_loop_contraction_bound():
                         rounds_x=1, rounds_y=1)
     _, (_, y) = mgda_run(problem, model, config, np.zeros((4, 2)), np.zeros((4, 2)))
     x0 = np.zeros(2)
-    gap0 = problem.f_of_max(x0) - problem.phi(x0, np.zeros(2))
-    gap_end = problem.f_of_max(x0) - problem.phi(x0, y.mean(axis=0))
+    gap0 = problem.f(x0) - problem.phi(x0, np.zeros(2))
+    gap_end = problem.f(x0) - problem.phi(x0, y.mean(axis=0))
     rate = (1.0 - prof.mu_y / prof.L_yy_g) ** n_inner
     assert gap_end <= rate * gap0 * (1.0 + 1e-2)
 
@@ -308,12 +308,12 @@ def test_mgda_budget_tracking_validates_inner_drift():
     x0 = np.zeros(2)
     g_gap0 = problem.n * (problem.phi(x0, problem.y_star_of(x0))
                           - problem.phi(x0, np.zeros(2)))
-    f_gap0 = problem.n * (problem.f_of_max(x0) - problem.phi_star)
+    f_gap0 = problem.n * (problem.f(x0) - problem.f_star)
     budget = budget_saddle(
         prof, model, eps_x=1e-4, eps_y=1e-4,
         delta_prime_x=1e-8, delta_prime_y=1e-8,
         F_gap0=f_gap0, G_gap0=g_gap0,
-        grad_F_at_opt=float(np.linalg.norm(problem.grad_x_stacked_at_saddle())),
+        grad_F_at_opt=float(np.linalg.norm(problem.grad_stacked_at_opt())),
         grad_G_at_opt=float(np.linalg.norm(
             problem.grad_y_stacked_at_inner_opt(x0))))
     assert budget.T_tot is not None
@@ -429,10 +429,10 @@ def test_mgda_trace_equals_per_row_evaluation(monkeypatch, with_budget):
         budget = budget_saddle(
             prof, model, eps_x=1e-3, eps_y=1e-3,
             delta_prime_x=1e-6, delta_prime_y=1e-6,
-            F_gap0=problem.n * (problem.f_of_max(x0) - problem.phi_star),
+            F_gap0=problem.n * (problem.f(x0) - problem.f_star),
             G_gap0=problem.n * (problem.phi(x0, problem.y_star_of(x0))
                                 - problem.phi(x0, np.zeros(2))),
-            grad_F_at_opt=float(np.linalg.norm(problem.grad_x_stacked_at_saddle())),
+            grad_F_at_opt=float(np.linalg.norm(problem.grad_stacked_at_opt())),
             grad_G_at_opt=float(np.linalg.norm(problem.grad_y_stacked_at_inner_opt(x0))))
     config = MGDAConfig(gamma_x=0.02, gamma_y=0.05, outer_iterations=9,
                         inner_iterations=3, rounds_x=1, rounds_y=1,

@@ -222,6 +222,12 @@ def test_validate_passes_on_good_config(tmp_path):
     assert ok, checks
 
 
+def test_validate_names_the_configured_problem_kind(tmp_path, capsys):
+    # a quadratic config was reported as "least_squares built"
+    assert cli.main(["validate", write_config(tmp_path, minimal_config(tmp_path))]) == 0
+    assert "PASS problem: quadratic built\n" in capsys.readouterr().out
+
+
 def test_validate_reports_bad_alpha(tmp_path):
     cfg = {
         "problem": {"kind": "robust_ls", "n": 2, "d_x": 2, "d_y": 2,
@@ -542,7 +548,7 @@ def test_theory_auto_rejects_mgda_steps_above_the_budget(tmp_path, capsys, key, 
                       "eps_y": 1e-3, "delta_prime": 1e-4, "delta_prime_y": 1e-5},
         "output": str(tmp_path / "mgda"),
     }
-    prof = harness._build_problem(harness.resolve_config(cfg)).saddle_profile
+    prof = harness._build_problem(harness.resolve_config(cfg)).profile
     limit = {"gamma_x": 1.0 / prof.L_x, "gamma_y": 1.0 / prof.L_yy_g}[key]
     cfg["algorithm"][key] = 1.5 * limit
     path = write_config(tmp_path, cfg)
@@ -699,7 +705,7 @@ def test_theory_auto_rejects_mgda_steps_below_the_budget(tmp_path, capsys, scale
                       "eps_y": 1e-4, "delta_prime": 1e-6, "delta_prime_y": 1e-6},
         "output": str(tmp_path / "mgda"),
     }
-    prof = harness._build_problem(harness.resolve_config(cfg)).saddle_profile
+    prof = harness._build_problem(harness.resolve_config(cfg)).profile
     steps = {"gamma_x": 1.0 / prof.L_x, "gamma_y": 1.0 / prof.L_yy_g}
     cfg["algorithm"].update({k: 0.1 * steps[k] for k in scaled})
     path = write_config(tmp_path, cfg)
@@ -782,6 +788,12 @@ def _robust_ls_theory_auto(cfg):
     ("graph.degree", "a", _random_graph),
     ("algorithm.gamma", 0, _fixed_step),
     ("algorithm.gamma", -1, _fixed_step),
+    # these ended `plnet run` in an OverflowError traceback, or exited 2 at
+    # "algorithm: no theory budget: int too large to convert to float"
+    pytest.param("oracle.delta", 10**400, _fixed_step, id="oracle.delta-10**400-_fixed_step"),
+    pytest.param("oracle.sigma", 10**400, None, id="oracle.sigma-10**400-None"),
+    pytest.param("algorithm.gamma", 10**400, _fixed_step,
+                 id="algorithm.gamma-10**400-_fixed_step"),
     # this exited 2 with "algorithm: no theory budget: math domain error"
     ("algorithm.eps", float("inf"), None),
     # these passed `plnet validate`, then ended `plnet run` in a traceback
@@ -970,7 +982,7 @@ def _dgd_step_above_budget(tmp_path):
 def _mgda_step_above_budget(tmp_path):
     cfg = _demo_path_config(tmp_path)
     _robust_ls_theory_auto(cfg)
-    prof = harness._build_problem(harness.resolve_config(cfg)).saddle_profile
+    prof = harness._build_problem(harness.resolve_config(cfg)).profile
     cfg["algorithm"]["gamma_x"] = 1.5 / prof.L_x
     return cfg
 
@@ -1141,8 +1153,8 @@ def test_cli_sweep_refuses_a_value_that_is_not_a_number(tmp_path, capsys):
     (None, {"eps": 1e-18, "delta_prime": 1e-32}, "eps", "8*u*|f*| = 1.55e-15"),
     (None, {"eps": 1e-14, "delta_prime": 1e-31}, "delta_prime",
      "(32*u*||X*||)**2 = 4.06e-30"),
-    (_robust_ls_theory_auto, {"eps": 1e-16}, "eps", "8*u*|phi*| = 7.53e-16"),
-    (_robust_ls_theory_auto, {"eps_y": 1e-16}, "eps_y", "8*u*|phi*| = 7.53e-16"),
+    (_robust_ls_theory_auto, {"eps": 1e-16}, "eps", "8*u*|f*| = 7.53e-16"),
+    (_robust_ls_theory_auto, {"eps_y": 1e-16}, "eps_y", "8*u*|f*| = 7.53e-16"),
     (_robust_ls_theory_auto, {"delta_prime": 1e-30}, "delta_prime",
      "(32*u*||X*||)**2 = 2.57e-29"),
     (_robust_ls_theory_auto, {"delta_prime_y": 1e-30}, "delta_prime_y",
@@ -1184,7 +1196,7 @@ def test_a_saddle_step_beyond_the_max_function_curvature_is_refused(tmp_path, ca
     cfg["problem"].update(d_x=3, d_i=200, alpha=1.01)
     path = write_config(tmp_path, cfg)
     problem = harness._build_problem(harness.resolve_config(cfg))
-    ratio = np.linalg.eigvalsh(problem.x_hessian_of_max())[-1] / problem.saddle_profile.L_x
+    ratio = np.linalg.eigvalsh(problem.hessian)[-1] / problem.profile.L_x
     assert ratio == pytest.approx(1.718, abs=1e-3)
     for command in ("run", "theory"):
         assert cli.main([command, path]) == 2

@@ -130,7 +130,7 @@ def test_inner_objective_solve_and_consistency():
     rng = np.random.default_rng(30)
     for _ in range(5):
         x = rng.standard_normal(2)
-        y_star, g_star = problem.y_star_of(x), problem.f_of_max(x)
+        y_star, g_star = problem.y_star_of(x), problem.f(x)
         assert np.linalg.norm(problem.grad_y(x, y_star)) <= 1e-10
         assert g_star - problem.phi(x, y_star) == pytest.approx(0.0, abs=1e-12)
         # maximizer: random deviations never beat it
@@ -138,16 +138,41 @@ def test_inner_objective_solve_and_consistency():
             y = y_star + 0.5 * rng.standard_normal(2)
             assert problem.phi(x, y) <= g_star + 1e-12
     s = problem.saddle
-    assert problem.f_of_max(s.x) == pytest.approx(problem.phi_star, abs=1e-10)
+    assert problem.f(s.x) == pytest.approx(problem.f_star, abs=1e-10)
 
 
 def test_danskin_gradient_matches_finite_differences():
-    problem, _ = build_robust_ls(3, 3, 2, alpha=2.0, seed=31)
+    # grad_f is the gradient of f on both families; on robust least squares
+    # f is the max-function and grad_f its Danskin gradient
     rng = np.random.default_rng(32)
-    for _ in range(10):
-        x = rng.standard_normal(3)
-        fd = central_diff(problem.f_of_max, x)
-        assert rel_err(problem.danskin_grad(x), fd) <= 1e-4
+    for problem in (build_robust_ls(3, 3, 2, alpha=2.0, seed=31)[0],
+                    build_least_squares(3, 3, d_i=2, seed=31)[0]):
+        for _ in range(10):
+            x = rng.standard_normal(3)
+            fd = central_diff(problem.f, x)
+            assert rel_err(problem.grad_f(x), fd) <= 1e-4
+
+
+@pytest.mark.parametrize("problem", [
+    build_least_squares(5, 3, d_i=2, seed=45)[0],
+    build_least_squares(4, 3, seed=46, identity=True)[0],
+    build_robust_ls(5, 3, 2, d_i=4, alpha=2.0, seed=47)[0]],
+    ids=["least_squares", "quadratic", "robust_ls"])
+def test_every_family_answers_the_problem_interface(problem):
+    # the harness, the runners and pl_qg_report read these names alone, on
+    # every family
+    x_star = problem.optimum[0]
+    assert problem.f(x_star) == pytest.approx(problem.f_star, rel=1e-12, abs=0)
+    assert np.linalg.norm(problem.grad_f(x_star)) <= 1e-10
+    assert np.linalg.norm(problem.grad_stacked_at_opt().sum(axis=0)) <= 1e-10
+    h, prof = problem.hessian, problem.profile
+    np.testing.assert_allclose(h, h.T, rtol=0, atol=1e-12 * np.abs(h).max())
+    eigs = np.linalg.eigvalsh(h)
+    assert eigs[eigs > 1e-10 * eigs[-1]][0] >= getattr(prof, prof.SIDECAR[0]) * (1 - 1e-12)
+    assert prof.SIDECAR[0] in ("mu", "mu_x")
+    for name in prof.SIDECAR:
+        value = getattr(prof, name)
+        assert isinstance(value, float) and np.isfinite(value), name
 
 
 def test_node_smoothness_constants_sampled():
@@ -296,7 +321,7 @@ def test_batched_inner_maximizers_at_large_d_y_agree_to_rounding():
 
 def _per_node_constants(problem):
     """Per-node smoothness constants, one node at a time."""
-    if problem.kind == "least_squares":
+    if isinstance(problem, LeastSquaresProblem):
         return (tuple(float(np.linalg.eigvalsh(problem.A[i].T @ problem.A[i])[-1])
                       for i in range(problem.n)),)
     lxx, cross, lyy = [], [], []
@@ -337,19 +362,19 @@ def _per_sample_pl_qg(problem, num_points, seed):
                 (mu * dist) / (2.0 * gap) if gap > 1e-12 else 0.0)
 
     worst = np.zeros(4)
-    if problem.kind == "least_squares":
+    if isinstance(problem, LeastSquaresProblem):
         for _ in range(num_points):
             x = problem.minimizer + rng.standard_normal(problem.d)
             worst[:2] = np.maximum(worst[:2], ratios(
                 problem.f(x) - problem.f_star, problem.grad_f(x),
-                dist_sq(problem._normal, x - problem.minimizer), problem.profile.mu))
+                dist_sq(problem.hessian, x - problem.minimizer), problem.profile.mu))
         return list(worst[:2])
-    prof, s = problem.saddle_profile, problem.saddle
+    prof, s = problem.profile, problem.saddle
     for _ in range(num_points):
         x = s.x + rng.standard_normal(problem.d_x)
         worst[:2] = np.maximum(worst[:2], ratios(
-            problem.f_of_max(x) - s.value, problem.danskin_grad(x),
-            dist_sq(problem.x_hessian_of_max(), x - s.x), prof.mu_x))
+            problem.f(x) - s.value, problem.grad_f(x),
+            dist_sq(problem.hessian, x - s.x), prof.mu_x))
         y_star = problem.y_star_of(x)
         y = y_star + rng.standard_normal(problem.d_y)
         worst[2:] = np.maximum(worst[2:], ratios(
