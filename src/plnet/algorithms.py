@@ -141,23 +141,26 @@ def _record(record, k, xs, ys=None, comm_rounds=0):
 def _evaluate(record, problem):
     """Fill the gap and gradient-norm columns from the recorded averages.
 
-    One batched problem call per column on the stacked ``(R, d)`` averages;
-    gaps ``f(xbar) - f*`` are measured against ``record.meta["f_star"]``
-    (on a saddle run ``f`` is the max-function). Minimization runs get NaN
-    saddle columns and None ``ybar`` entries; saddle runs get the partial
-    gradients at ``(xbar, ybar)``.
+    Batched problem calls on the stacked ``(R, d)`` averages; gaps
+    ``f(xbar) - f*`` are measured against ``record.meta["f_star"]`` (on a
+    saddle run ``f`` is the max-function). Minimization runs take the gaps
+    and gradients from one ``value_and_grad`` call, and get NaN saddle
+    columns and None ``ybar`` entries; saddle runs get one call per column,
+    the partial gradients at ``(xbar, ybar)``.
     """
     xbars = np.array(record.xbar)
-    record.f_gap = (problem.f(xbars) - record.meta["f_star"]).tolist()
-    if not record.ybar:
-        record.grad_norm_x = row_norms(problem.grad_f(xbars)).tolist()
+    if record.ybar:
+        ybars = np.array(record.ybar)
+        f = problem.f(xbars)
+        record.grad_norm_x = row_norms(problem.grad_x(xbars, ybars)).tolist()
+        record.grad_norm_y = row_norms(problem.grad_y(xbars, ybars)).tolist()
+    else:
+        f, grad = problem.value_and_grad(xbars)
+        record.grad_norm_x = row_norms(grad).tolist()
         record.consensus_err_y = [float("nan")] * len(record.ks)
         record.grad_norm_y = [float("nan")] * len(record.ks)
         record.ybar = [None] * len(record.ks)
-        return
-    ybars = np.array(record.ybar)
-    record.grad_norm_x = row_norms(problem.grad_x(xbars, ybars)).tolist()
-    record.grad_norm_y = row_norms(problem.grad_y(xbars, ybars)).tolist()
+    record.f_gap = (f - record.meta["f_star"]).tolist()
 
 
 def _check_finite(x, k, what):
@@ -186,7 +189,7 @@ def dgd_run(problem, model, config, x0):
     Parameters
     ----------
     problem
-        A problem exposing ``grad_stacked``, ``f`` and ``grad_f``.
+        A problem exposing ``grad_stacked``, ``value_and_grad`` and ``f_star``.
     model : topology.MixingModel
         Mixing sequence shared by all iterations (one round index per run).
     config : DGDConfig

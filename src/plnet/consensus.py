@@ -31,13 +31,16 @@ import numpy as np
 
 __all__ = ["average_projection", "consensus_error", "run_consensus"]
 
-# Crossover between the dense product ``W @ z`` and the edge-list round,
-# measured once with d = 8 and one BLAS thread on a 2-vCPU x86-64 VM. Below
-# EDGE_MIN_NODES nodes the dense matrix stays in cache and wins (n = 300
-# ring: 44 us dense, 52 us edge list). Above it the edge list, about 0.12 us
-# per edge, wins while a round has at most EDGE_MAX_FILL * n**2 edges
-# (n = 1000: about 1 ms dense; edge list 129 us on a ring, 715 us at mean
-# degree 12, 1.2 ms at mean degree 20).
+# Crossover between the dense product ``W @ z`` and the edge-list round.
+# Per-round costs with d = 8 and one BLAS thread on a 2-vCPU x86-64 VM, the
+# round's weights and index cached: at n = 200 the dense matrix stays in
+# cache and wins (ring: 12 us dense, 15 us edge list); at n = 300 the ring
+# goes to the edge list (26 us dense, 20 us) and mean degree 4 to the dense
+# matrix (26 us, 31 us). At n = 1000 the dense round takes 0.7-0.8 ms and
+# the edge list, about 40-55 ns per edge, 55 us on a ring, 250 us at mean
+# degree 12 and 420-460 us at mean degree 20. Both constants sit on the
+# dense side of these crossovers; lowering EDGE_MIN_NODES would change the
+# rounding of every run with n in [300, 400).
 EDGE_MIN_NODES = 400
 EDGE_MAX_FILL = 1 / 128
 
@@ -85,14 +88,20 @@ def _edge_round(z, i, j, w, index):
     """One gossip round ``z_i + sum_e w_e (z_j - z_i)`` over edge arrays.
 
     Every edge ``(i[e], j[e])`` moves ``w[e] (z_j - z_i)`` into row ``i`` and
-    its negative into row ``j``; ``np.bincount`` sums the moves over the
-    flattened ``(node, column)`` ``index`` of the endpoints
-    (:meth:`~plnet.topology.MixingModel._edge_index`).
+    its negative into row ``j``. ``np.bincount`` sums the moves twice, in
+    edge order, over the flattened ``(node, column)`` ``index`` of the
+    endpoints (:meth:`~plnet.topology.MixingModel._edge_index`): once over
+    its ``i`` half and once over its ``j`` half; the difference of the two
+    sums is the change of ``z``. An edgeless round's sums are ``int64``
+    zeros, so nothing here writes into them.
     """
     n, d = z.shape
-    moves = w[:, None] * (z.take(j, axis=0) - z.take(i, axis=0))
-    delta = np.bincount(index, weights=np.concatenate((moves, -moves)).ravel(),
-                        minlength=n * d)
+    moves = z.take(j, axis=0)
+    moves -= z.take(i, axis=0)
+    moves *= w[:, None]
+    moves = moves.ravel()
+    delta = (np.bincount(index[:moves.size], weights=moves, minlength=n * d)
+             - np.bincount(index[moves.size:], weights=moves, minlength=n * d))
     return z + delta.reshape(n, d)
 
 

@@ -13,7 +13,8 @@ Two families are provided, both with standard-normal data split across
   ``alpha > 1``, a convex-concave saddle problem whose stationarity system
   is linear and solved in closed form.
 
-Both answer one interface in x: ``f``, ``grad_f``, its constant
+Both answer one interface in x: ``f``, ``grad_f``, ``value_and_grad``
+(both at once, from one residual or one inner solve), its constant
 ``hessian``, ``f_star``, ``optimum`` (one point per block), ``profile``
 and ``grad_stacked_at_opt()``. On robust least squares ``f`` is the
 max-function ``max_y phi(x, y)``, PL in x under the two-sided PL condition.
@@ -36,12 +37,12 @@ depend on the number of data rows ``d_i``. Objective values, averaged
 gradients and per-node gradients stay on the raw data: a Gram-form value
 would cancel badly in ``f - f*``.
 
-Objective values and averaged gradients (``f``, ``grad_f``, ``phi``,
-``grad_x``, ``grad_y``) and ``y_star_of`` broadcast over leading axes: an
-``(R, d)`` stack of points gives ``R`` values or an ``(R, d)`` stack of
-gradients, each equal bit for bit to the call on its row (``y_star_of``
-only while ``d_y`` is small; see there), while a single point keeps giving
-a Python float from ``f`` and ``phi``. The runners use this to evaluate a
+Objective values and averaged gradients (``f``, ``grad_f``,
+``value_and_grad``, ``phi``, ``grad_x``, ``grad_y``) and ``y_star_of``
+broadcast over leading axes: an ``(R, d)`` stack of points gives ``R``
+values or an ``(R, d)`` stack of gradients, each equal bit for bit to the
+call on its row (``y_star_of`` only while ``d_y`` is small; see there),
+while a single point keeps giving a Python float from ``f`` and ``phi``. The runners use this to evaluate a
 whole trace in one call per column.
 """
 
@@ -261,12 +262,22 @@ class LeastSquaresProblem:
     def _residual(self, x):
         return np.einsum("nij,...j->...ni", self.A, x) - self.y0
 
-    def f(self, x):
-        r = self._residual(x)
+    def _value_of(self, r):
         return _value(0.5 * np.sum(r * r, axis=(-2, -1)) / self.n)
 
+    def _grad_of(self, r):
+        return np.einsum("nij,...ni->...j", self.A, r) / self.n
+
+    def f(self, x):
+        return self._value_of(self._residual(x))
+
     def grad_f(self, x):
-        return np.einsum("nij,...ni->...j", self.A, self._residual(x)) / self.n
+        return self._grad_of(self._residual(x))
+
+    def value_and_grad(self, x):
+        """``(f(x), grad_f(x))``, the same bits, from one residual."""
+        r = self._residual(x)
+        return self._value_of(r), self._grad_of(r)
 
     def node_value(self, i, x):
         r = self.A[i] @ x - self.y0[i]
@@ -426,6 +437,11 @@ class RobustLeastSquaresProblem:
     def grad_f(self, x):
         """Gradient of the max-function via the inner maximizer (Danskin)."""
         return self.grad_x(x, self.y_star_of(x))
+
+    def value_and_grad(self, x):
+        """``(f(x), grad_f(x))``, the same bits, from one inner solve."""
+        y = self.y_star_of(x)
+        return self.phi(x, y), self.grad_x(x, y)
 
     @cached_property
     def hessian(self):
@@ -608,8 +624,8 @@ def pl_qg_report(problem, num_points=100, seed=0):
     d_x = x_star.size
     draws = rng.standard_normal((num_points, d_x + (y_block[0].size if y_side else 0)))
     xs = x_star + SAMPLE_SPREAD * draws[:, :d_x]
-    f_xs = problem.f(xs)
-    report = PLQGReport(*worst(f_xs - problem.f_star, problem.grad_f(xs), problem.hessian,
+    f_xs, grad_xs = problem.value_and_grad(xs)
+    report = PLQGReport(*worst(f_xs - problem.f_star, grad_xs, problem.hessian,
                                xs - x_star, getattr(prof, prof.SIDECAR[0])))
     if y_side:
         ys_star = problem.y_star_of(xs)

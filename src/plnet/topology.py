@@ -135,19 +135,37 @@ def _random_connected_edges(n, degree, rng):
     draw at a time does, so the edge set is the one that reading gives.
     Edges are handled as sorted keys ``i * n + j``; a batch keeps the first
     draw of each new key and, of those, as many as the target still needs.
+    One sort finds them: the known keys and the batch's ``m`` draws are
+    sorted as codes ``key * (m + 1) + pos``, with ``pos`` the draw's
+    1-based position in the batch and 0 for a known key.
+
+    Raises ``ValueError`` when a code could pass ``2**63``, that is when
+    ``n * (n - 1) * (E - n + 18) > 2**63`` for ``E`` target edges: from
+    n = 2_097_147 at degree 4, and earlier at higher degrees.
     """
+    target = min(n * (n - 1) // 2, max(n - 1, math.ceil(n * degree / 2)))
+    if n * (n - 1) * (target - n + 18) > 2 ** 63:
+        raise ValueError(f"random graph with n={n} and degree={degree} is too large: "
+                         "its edge codes would overflow int64")
     order = rng.permutation(n)
     parents = order[rng.integers(0, np.arange(1, n))]
     keys = np.sort(np.minimum(order[1:], parents) * n
                    + np.maximum(order[1:], parents))
-    target = min(n * (n - 1) // 2, max(n - 1, math.ceil(n * degree / 2)))
     while len(keys) < target:
-        a, b = rng.integers(0, n, size=(target - len(keys) + 16, 2)).T
+        need = target - len(keys)
+        a, b = rng.integers(0, n, size=(need + 16, 2)).T
         drawn = (np.minimum(a, b) * n + np.maximum(a, b))[a != b]
-        distinct, first = np.unique(drawn, return_index=True)
-        known = keys[np.minimum(np.searchsorted(keys, distinct), len(keys) - 1)]
-        first = np.sort(first[known != distinct])[:target - len(keys)]
-        keys = np.sort(np.concatenate((keys, drawn[first])))
+        base = len(drawn) + 1
+        key, pos = np.divmod(
+            np.sort(np.concatenate((keys * base, drawn * base + np.arange(1, base)))), base)
+        # the first code of each key; a known key sorts before its repeats
+        keep = np.empty(len(key), dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        fresh = pos[keep & (pos > 0)]
+        if len(fresh) > need:
+            keep &= pos <= np.partition(fresh, need - 1)[need - 1]
+        keys = key[keep]
     return _from_keys(n, keys)
 
 
@@ -323,7 +341,8 @@ class MixingModel:
     def _edge_index(self, k, d):
         """The ``np.bincount`` index edge-list gossip sums round ``k``'s moves
         over: entry ``e * d + c`` of the ``i``-then-``j`` endpoint list is
-        ``node * d + c``. Kept in the round's entry, per ``d``."""
+        ``node * d + c``, and gossip sums over the ``i`` half and the ``j``
+        half apart. Kept in the round's entry, per ``d``."""
         (i, j, _), _, index = self._round(k)
         if d not in index:
             index[d] = (np.concatenate((i, j))[:, None] * d + np.arange(d)).ravel()

@@ -148,6 +148,18 @@ def test_per_step_gossip_above_the_crossover_builds_no_dense_matrix(monkeypatch)
     assert record.f_gap[-1] < record.f_gap[0]
 
 
+def test_edgeless_edge_list_round_returns_its_input():
+    # an edgeless round's bincount sums are int64 zeros; the round must add
+    # them, not write floats into them
+    n = consensus.EDGE_MIN_NODES
+    model = MixingModel(make_graph_sequence(n, "static", topology="empty"))
+    assert consensus.edge_gossip(n, len(model.weights_at(0)[2]))
+    z = np.random.default_rng(8).standard_normal((n, 3))
+    out = run_consensus(z, 2, model)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, z)
+
+
 def test_complete_graph_above_the_crossover_stays_dense(monkeypatch):
     n = consensus.EDGE_MIN_NODES
     model = MixingModel(make_graph_sequence(n, "static", topology="complete"))

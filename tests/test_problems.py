@@ -175,6 +175,20 @@ def test_every_family_answers_the_problem_interface(problem):
         assert isinstance(value, float) and np.isfinite(value), name
 
 
+@pytest.mark.parametrize("problem", [
+    build_least_squares(5, 3, d_i=2, seed=45)[0],
+    build_least_squares(4, 3, seed=46, identity=True)[0],
+    build_robust_ls(5, 3, 2, d_i=4, alpha=2.0, seed=47)[0]],
+    ids=["least_squares", "quadratic", "robust_ls"])
+def test_value_and_grad_is_f_and_grad_f_bit_for_bit(problem):
+    xs = 2.0 * np.random.default_rng(48).standard_normal((7, problem.optimum[0].size))
+    for x in (xs[0], xs):
+        value, grad = problem.value_and_grad(x)
+        assert type(value) is type(problem.f(x))
+        np.testing.assert_array_equal(value, problem.f(x))
+        np.testing.assert_array_equal(grad, problem.grad_f(x))
+
+
 def test_node_smoothness_constants_sampled():
     problem, prof = build_robust_ls(3, 2, 2, alpha=2.0, seed=33)
     rng = np.random.default_rng(34)

@@ -270,6 +270,14 @@ def test_random_edges_match_one_draw_at_a_time(n, degree):
             assert edge_list(seq.edges_at(k)) == sorted(expected)
 
 
+@pytest.mark.parametrize("n, degree", [(2_097_147, 4), (10 ** 6, 10 ** 7)])
+def test_random_graph_whose_edge_codes_could_overflow_is_refused(n, degree):
+    # refused before any draw: n = 2_097_146 at degree 4 is the largest accepted
+    seq = make_graph_sequence(n, "per-step-connected", degree=degree, seed=0)
+    with pytest.raises(ValueError, match=f"n={n} and degree={degree}"):
+        seq.edges_at(0)
+
+
 def test_estimate_lambda_disconnected_raises():
     seq = make_graph_sequence(2, "static", edges=[])
     with pytest.raises(NonContractiveSequenceError):
