@@ -27,7 +27,6 @@ from .problems import (
     SaddleSmoothness,
     SingularSystemError,
     SmoothnessProfile,
-    analytic_saddle,
     build_least_squares,
     build_robust_ls,
     pl_qg_report,
@@ -70,7 +69,6 @@ __all__ = [
     "SmoothnessProfile",
     "SaddleSmoothness",
     "SingularSystemError",
-    "analytic_saddle",
     "build_least_squares",
     "build_robust_ls",
     "pl_qg_report",

@@ -29,7 +29,7 @@ import numpy as np
 from . import algorithms, problems, theory, topology
 from .oracles import BIAS_MODES, OracleSpec
 
-__all__ = ["ConfigError", "load_config", "run", "sweep", "validate", "theory_report"]
+__all__ = ["ConfigError", "run", "sweep", "validate", "theory_report"]
 
 CSV_HEADER = ["run_id", "seed", "k", "comm_rounds", "f_gap",
               "consensus_err_x", "consensus_err_y", "grad_norm_x",
@@ -119,10 +119,9 @@ _SCHEMA = {(section, key): field for (section, keys), field in {
     ("oracle", "delta sigma"): _Field(float, (">=", 0), 0.0),
     ("oracle", "bias_mode"): _Field(BIAS_MODES, None, "fixed-direction", (lambda cfg, mode: (
         cfg["oracle"]["delta"] == 0 and "at oracle.delta 0: no bias is drawn"),)),
-    ("oracle", "seed"): _Field(int, (">=", 0), 0),
     ("", "seeds"): _Field(list, (">=", 1), item=_Field(int, (">=", 0))),
     ("", "seed_scope"): _Field(("oracle", "problem-and-oracle"), None, "oracle"),
-    ("", "init"): _Field(str, None, "zero"),
+    ("", "init"): _Field(("zero",), None, "zero"),
     ("", "overlay_bounds record_wall_time"): _Field(bool, None, False),
     ("", "output"): _Field(str, None, "trace"),
 }.items() for key in keys.split()}
@@ -139,11 +138,6 @@ def _read_config(path):
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-
-
-def load_config(path):
-    """Parse and validate a config file; returns the resolved dict."""
-    return resolve_config(_read_config(path), source=str(path))
 
 
 def _raw_config(config_or_path):
@@ -238,10 +232,7 @@ def resolve_config(cfg, source="<config>"):
         raise ConfigError(f"{source}: overlay_bounds: only supported for dgd runs")
     if algo["theory_auto"] or out["overlay_bounds"]:
         _require_targets(out, source)
-    out.setdefault("seeds", [out["oracle"]["seed"]])
-    if out["init"] != "zero":
-        raise ConfigError(f"{source}: init: must be 'zero': runs and budgets "
-                          "start from the zero point")
+    out.setdefault("seeds", [0])
     return out
 
 

@@ -60,7 +60,6 @@ __all__ = [
     "SingularSystemError",
     "build_least_squares",
     "build_robust_ls",
-    "analytic_saddle",
     "pl_qg_report",
     "row_norms",
 ]
@@ -69,6 +68,7 @@ EIG_RELATIVE_TOL = 1e-10
 MU_CLAMP_RELATIVE_TOL = 1e-12
 SADDLE_RESIDUAL_TOL = 1e-9  # relative gradient residual of an analytic saddle
 SAMPLE_SPREAD = 1.0  # scale of pl_qg_report's Gaussian samples around the optimum
+PL_QG_TOL = 1e-9  # sampled ratio excess above 1 that PLQGReport.ok reads as rounding
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -235,8 +235,6 @@ class SaddlePoint:
     y: np.ndarray
     value: float
     min_norm: bool
-    residual_x: float
-    residual_y: float
 
 
 class LeastSquaresProblem:
@@ -457,7 +455,30 @@ class RobustLeastSquaresProblem:
 
     @cached_property
     def saddle(self):
-        return analytic_saddle(self)
+        """Solve the joint stationarity system of the instance.
+
+        The system is linear and symmetric; a minimum-norm solution is taken
+        (and flagged) when it is singular. Raises ``SingularSystemError`` if no
+        stationary point exists at all.
+        """
+        d_x, d_y = self.d_x, self.d_y
+        m = np.zeros((d_x + d_y, d_x + d_y))
+        m[:d_x, :d_x] = self.SA
+        m[:d_x, d_x:] = -self.SAB
+        m[d_x:, :d_x] = -self.SAB.T
+        m[d_x:, d_x:] = (1.0 - self.alpha) * self.SB
+        rhs = np.concatenate([self.a_vec, -self.b_vec])
+        sol, _, rank, _ = np.linalg.lstsq(m, rhs, rcond=None)
+        x_star, y_star = sol[:d_x], sol[d_x:]
+        res_x = float(np.linalg.norm(self.grad_x(x_star, y_star)))
+        res_y = float(np.linalg.norm(self.grad_y(x_star, y_star)))
+        scale = max(1.0, float(np.linalg.norm(rhs)) / self.n)
+        if max(res_x, res_y) > SADDLE_RESIDUAL_TOL * scale:
+            raise SingularSystemError(
+                f"stationarity system inconsistent: gradient residuals "
+                f"({res_x:.3e}, {res_y:.3e})")
+        return SaddlePoint(x=x_star, y=y_star, value=self.phi(x_star, y_star),
+                           min_norm=rank < d_x + d_y)
 
     @property
     def f_star(self):
@@ -551,35 +572,6 @@ def build_robust_ls(n, d_x, d_y, d_i=None, alpha=2.0, seed=0):
     return problem, problem.profile
 
 
-def analytic_saddle(problem):
-    """Solve the joint stationarity system of a robust least squares instance.
-
-    The system is linear and symmetric; a minimum-norm solution is taken
-    (and flagged) when it is singular. Raises ``SingularSystemError`` if no
-    stationary point exists at all.
-    """
-    d_x, d_y = problem.d_x, problem.d_y
-    m = np.zeros((d_x + d_y, d_x + d_y))
-    m[:d_x, :d_x] = problem.SA
-    m[:d_x, d_x:] = -problem.SAB
-    m[d_x:, :d_x] = -problem.SAB.T
-    m[d_x:, d_x:] = (1.0 - problem.alpha) * problem.SB
-    rhs = np.concatenate([problem.a_vec, -problem.b_vec])
-    sol, _, rank, _ = np.linalg.lstsq(m, rhs, rcond=None)
-    x_star, y_star = sol[:d_x], sol[d_x:]
-    res_x = float(np.linalg.norm(problem.grad_x(x_star, y_star)))
-    res_y = float(np.linalg.norm(problem.grad_y(x_star, y_star)))
-    scale = max(1.0, float(np.linalg.norm(rhs)) / problem.n)
-    if max(res_x, res_y) > SADDLE_RESIDUAL_TOL * scale:
-        raise SingularSystemError(
-            f"stationarity system inconsistent: gradient residuals "
-            f"({res_x:.3e}, {res_y:.3e})")
-    return SaddlePoint(x=x_star, y=y_star,
-                       value=problem.phi(x_star, y_star),
-                       min_norm=rank < d_x + d_y,
-                       residual_x=res_x, residual_y=res_y)
-
-
 @dataclass
 class PLQGReport:
     """Largest sampled violation ratios for the PL and QG inequalities."""
@@ -589,10 +581,10 @@ class PLQGReport:
     max_pl_ratio_y: float | None = None
     max_qg_ratio_y: float | None = None
 
-    def ok(self, tol=1e-9):
+    def ok(self):
         vals = [self.max_pl_ratio, self.max_qg_ratio,
                 self.max_pl_ratio_y, self.max_qg_ratio_y]
-        return all(v is None or v <= 1.0 + tol for v in vals)
+        return all(v is None or v <= 1.0 + PL_QG_TOL for v in vals)
 
 
 def pl_qg_report(problem, num_points=100, seed=0):

@@ -86,14 +86,19 @@ def _canonical_edges(n, edges):
     """Check an edge list from outside and return its canonical arrays.
 
     ``edges`` is an iterable of node pairs in either orientation, repeats
-    allowed. Raises ``ValueError`` on the first self-loop or out-of-range
-    pair, in input order.
+    allowed. Raises ``ValueError`` on the first pair with a node id that is
+    not an integer (a bool, float or string is not one), then on the first
+    self-loop or out-of-range pair, in input order.
     """
-    pairs = np.array(list(edges), dtype=np.intp)
+    pairs = np.array(list(edges), dtype=object)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be a list of (i, j) node pairs")
+    for x, y in pairs:
+        if not all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in (x, y)):
+            raise ValueError(f"edge ({x!r},{y!r}) has a node id that is not an integer")
+    pairs = pairs.astype(np.intp)
     a, b = pairs.T
     i, j = np.minimum(a, b), np.maximum(a, b)
     bad = (a == b) | (i < 0) | (j >= n)
@@ -227,6 +232,7 @@ def make_graph_sequence(n, kind, **params):
         rotating batches; a static graph is that construction at ``tau = 1``.
         ``per-step-connected``: ``degree``, ``seed``. A parameter the kind
         does not read is ignored here; a harness config refuses it at its key.
+        A parameter outside these five names is refused.
 
     Returns
     -------
@@ -236,11 +242,16 @@ def make_graph_sequence(n, kind, **params):
     ------
     ValueError
         If ``n < 1``, a ``tau-connected`` request's ``tau`` is not an integer
-        >= 1 (a bool is not one), the topology is unknown, or an explicit edge
-        is a self-loop or names a node outside ``0 .. n-1``. A disconnected
-        base graph builds; its windows cannot contract, so measuring its
-        ``lam`` raises :class:`NonContractiveSequenceError`.
+        >= 1 (a bool is not one), a parameter name is unknown, the topology is
+        unknown, or an explicit edge has a node id that is not an integer (a
+        bool, float or string), is a self-loop or names a node outside
+        ``0 .. n-1``. A disconnected base graph builds; its windows cannot
+        contract, so measuring its ``lam`` raises
+        :class:`NonContractiveSequenceError`.
     """
+    unknown = params.keys() - {"edges", "topology", "degree", "seed", "tau"}
+    if unknown:
+        raise ValueError(f"unknown graph parameter {min(unknown)!r}")
     if n < 1:
         raise ValueError("node count must be >= 1")
     if kind == "per-step-connected":
@@ -265,8 +276,6 @@ def metropolis_weights(seq, k):
     This is the only place the weight formula lives: :func:`metropolis_matrix`
     scatters these arrays into a dense matrix.
     """
-    if k < 0:
-        raise ValueError("time index must be >= 0")
     i, j = seq.edges_at(k)
     deg = np.bincount(np.concatenate((i, j)), minlength=seq.n)
     return i, j, 1.0 / (1.0 + np.maximum(deg[i], deg[j]))

@@ -287,4 +287,4 @@ def test_criterion_9_pl_qg_sampling():
         ]
         for idx, problem in enumerate(instances):
             report = pl_qg_report(problem, num_points=100, seed=100 + idx)
-            assert report.ok(tol=1e-9), (idx, report)
+            assert report.ok(), (idx, report)

@@ -16,7 +16,7 @@ def minimal_config(tmp_path, **overrides):
         "problem": {"kind": "quadratic", "n": 2, "d": 2, "seed": 0},
         "graph": {"kind": "static"},
         "algorithm": {"kind": "dgd", "gamma": 0.5, "iterations": 10, "record_every": 1},
-        "oracle": {"delta": 0.0, "sigma": 0.0, "seed": 0},
+        "oracle": {"delta": 0.0, "sigma": 0.0},
         "seeds": [0],
         "output": str(tmp_path / "trace"),
     }
@@ -279,11 +279,40 @@ def test_theory_report_names_missing_targets_like_the_config_check(tmp_path):
         harness.theory_report(write_config(tmp_path, cfg))
 
 
+def test_an_oracle_seed_is_refused_at_its_key(tmp_path, capsys):
+    # run seeds come from `seeds` alone; an oracle.seed was echoed in the
+    # sidecar of a run that never read it
+    cfg = minimal_config(tmp_path, oracle={"seed": 7},
+                         algorithm={"eps": 1e-6, "delta_prime": 1e-6})
+    path = write_config(tmp_path, cfg)
+    error = f"error: {path}: oracle.seed: unknown field\n"
+    for argv in (["run", path], ["theory", path],
+                 ["sweep", path, "--axis", "gamma", "--values", "0.1,0.2"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == error
+    assert cli.main(["validate", path]) == 1
+    assert f"FAIL config: {path}: oracle.seed: unknown field\n" in capsys.readouterr().out
+    assert not list(tmp_path.glob("trace*.csv"))
+
+
+def test_a_config_without_seeds_runs_seed_0(tmp_path):
+    cfg = minimal_config(tmp_path, oracle={"sigma": 0.3})
+    del cfg["seeds"]
+    first, second = harness.resolve_config(cfg), harness.resolve_config(cfg)
+    assert first["seeds"] == [0] and first["seeds"] is not second["seeds"]
+    csv_path, sidecar, _ = harness.run(write_config(tmp_path, cfg))
+    unseeded = pathlib.Path(csv_path).read_bytes()
+    assert {row["seed"] for row in read_rows(csv_path)} == {"0"}
+    assert json.loads(pathlib.Path(sidecar).read_text())["config"]["seeds"] == [0]
+    csv_path, _, _ = harness.run(write_config(tmp_path, dict(cfg, seeds=[0])))
+    assert pathlib.Path(csv_path).read_bytes() == unseeded
+
+
 def test_config_errors_are_anchored(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{\n "problem": {\n')
     with pytest.raises(ConfigError, match=r"bad\.json:\d+"):
-        harness.load_config(str(bad))
+        harness.run(str(bad))
     cfg = minimal_config(tmp_path)
     del cfg["algorithm"]["gamma"]
     with pytest.raises(ConfigError, match="algorithm.gamma"):

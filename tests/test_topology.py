@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from plnet import (
     estimate_lambda,
     make_graph_sequence,
     metropolis_matrix,
+    metropolis_weights,
 )
 from plnet.consensus import average_projection
 
@@ -110,6 +113,36 @@ def test_explicit_edges_are_checked_and_made_canonical():
     i, j = seq.edges_at(0)
     np.testing.assert_array_equal(i, [0, 0, 1])
     np.testing.assert_array_equal(j, [1, 2, 3])
+
+
+@pytest.mark.parametrize("params", [{"topolgy": "ring"}, {"degre": 3}])
+def test_a_misspelled_graph_parameter_is_refused(params):
+    # a misspelled topology built the complete graph, and per-step-connected
+    # ignored a misspelled degree
+    for kind in ("static", "tau-connected", "per-step-connected"):
+        with pytest.raises(ValueError, match=f"unknown graph parameter '{min(params)}'"):
+            make_graph_sequence(6, kind, **params)
+
+
+@pytest.mark.parametrize("pair", [(0, 1.7), (True, 2), (0, "1"), (1.0, 2)])
+def test_explicit_edges_with_a_non_integer_node_id_are_refused(pair):
+    # such ids were coerced: (0, 1.7) became the edge (0, 1), (True, 2) the edge (1, 2)
+    with pytest.raises(ValueError, match=re.escape(f"edge ({pair[0]!r},{pair[1]!r})")):
+        make_graph_sequence(3, "static", edges=[(1, 2), pair])
+    seq = make_graph_sequence(3, "static", edges=[(np.int64(2), 1), (0, np.int32(1))])
+    np.testing.assert_array_equal(np.stack(seq.edges_at(0)), [[0, 1], [1, 2]])
+
+
+def test_a_negative_round_is_refused():
+    static = make_graph_sequence(4, "static", topology="ring")
+    per_step = make_graph_sequence(4, "per-step-connected", degree=2, seed=1)
+    for call in (lambda: metropolis_weights(static, -1),
+                 lambda: metropolis_matrix(static, -1),
+                 lambda: metropolis_weights(per_step, -1),
+                 lambda: metropolis_matrix(per_step, -1),
+                 lambda: MixingModel(per_step).matrix_at(-1)):
+        with pytest.raises(ValueError, match="time index must be >= 0"):
+            call()
 
 
 @pytest.mark.parametrize("kind,graph", [
