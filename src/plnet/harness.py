@@ -14,6 +14,11 @@ Seeds drive the oracle noise stream of each run; with
 (used for seed-averaged trends across instance sizes). Graph randomness
 always comes from the graph's own seed: the network is part of the
 environment, not of a run.
+
+The unit of a run is its plan (``_Plan``): everything the run reads, from
+its id, seed and instance to its seeded oracle and budget. ``run`` and
+``sweep`` plan every seed (:func:`_plans`) before the first run;
+``theory_report`` and ``validate`` build only the base instance.
 """
 
 import csv
@@ -423,26 +428,6 @@ def _settings(cfg, problem, model, source):
     return algo, budget
 
 
-def _single_run(cfg, algo, problem, model, run_seed):
-    """One run of concrete settings ``algo`` on one instance; returns its record."""
-    oracle = OracleSpec(**dict(cfg["oracle"], seed=run_seed))
-    if algo["kind"] == "dgd":
-        config = algorithms.DGDConfig(
-            gamma=algo["gamma"], iterations=algo["iterations"],
-            rounds_schedule=algo["rounds"], oracle=oracle,
-            record_every=algo["record_every"])
-        return algorithms.dgd_run(problem, model, config,
-                                  np.zeros((problem.n, problem.d)))[0]
-    config = algorithms.MGDAConfig(
-        gamma_x=algo["gamma_x"], gamma_y=algo["gamma_y"],
-        outer_iterations=algo["outer_iterations"],
-        inner_iterations=algo["inner_iterations"],
-        rounds_x=algo["rounds_x"], rounds_y=algo["rounds_y"], oracle=oracle,
-        record_every=algo["record_every"])
-    return algorithms.mgda_run(problem, model, config, np.zeros((problem.n, problem.d_x)),
-                               np.zeros((problem.n, problem.d_y)))[0]
-
-
 def _prepare(cfg, source):
     """The problem, model, algorithm dict and budget (or None) of a config."""
     problem = _build_problem(cfg, source)
@@ -450,41 +435,61 @@ def _prepare(cfg, source):
     return (problem, model, *_settings(cfg, problem, model, source))
 
 
-def _execute(cfg, source):
-    """Prepare a resolved config (:func:`_prepare`) and run every seed.
+_Plan = namedtuple("_Plan", "run_id seed problem model algo oracle budget")
 
-    Returns ``(problem, model, budget, results)``; ``results`` lists
-    ``(run_id, seed, outcome)`` per seed, where ``outcome`` is the run's
-    RunRecord or the DivergenceError that ended it.
-    """
+
+def _plans(cfg, source):
+    """The base instance, network and budget of a resolved config
+    (:func:`_prepare`), and one plan per seed. Under ``problem-and-oracle``
+    a seed other than ``problem.seed`` re-draws its instance; every plan
+    carries the base settings and budget."""
     problem, model, algo, budget = _prepare(cfg, source)
-    results = []
+    redraw = cfg["seed_scope"] == "problem-and-oracle"
+    plans = []
     for idx, seed in enumerate(cfg["seeds"]):
-        run_id = f"{algo['kind']}-{idx:03d}"
-        redraw = cfg["seed_scope"] == "problem-and-oracle" and seed != cfg["problem"]["seed"]
-        prob_i = _build_problem(cfg, source, seed_override=seed) if redraw else problem
-        try:
-            outcome = _single_run(cfg, algo, prob_i, model, seed)
-        except algorithms.DivergenceError as exc:
-            outcome = exc
-        results.append((run_id, seed, outcome))
-    return problem, model, budget, results
+        instance = (_build_problem(cfg, source, seed_override=seed)
+                    if redraw and seed != cfg["problem"]["seed"] else problem)
+        plans.append(_Plan(f"{algo['kind']}-{idx:03d}", seed, instance, model, algo,
+                           OracleSpec(**dict(cfg["oracle"], seed=seed)), budget))
+    return problem, model, budget, plans
 
 
-def _trace_rows(cfg, budget, run_id, seed, record):
+def _single_run(plan):
+    """Run one plan from the zero point; returns its RunRecord, or the
+    DivergenceError that ended it."""
+    algo, problem = plan.algo, plan.problem
+    starts = [np.zeros((problem.n, point.size)) for point in problem.optimum]
+    if algo["kind"] == "dgd":
+        runner, config = algorithms.dgd_run, algorithms.DGDConfig(
+            gamma=algo["gamma"], iterations=algo["iterations"], rounds_schedule=algo["rounds"],
+            oracle=plan.oracle, record_every=algo["record_every"])
+    else:
+        runner, config = algorithms.mgda_run, algorithms.MGDAConfig(
+            oracle=plan.oracle, **{key: algo[key] for key in (
+                "gamma_x", "gamma_y", "outer_iterations", "inner_iterations", "rounds_x",
+                "rounds_y", "record_every")})
+    try:
+        return runner(problem, plan.model, config, *starts)[0]
+    except algorithms.DivergenceError as exc:
+        return exc
+
+
+def _trace_rows(cfg, plan, record):
     """The trace CSV rows of one run: one per recorded iterate, or the single
     ``k = -1`` row of a run that diverged.
 
-    Bounds are overlaid on request (violation flagging, seed-averaged for the
-    stochastic mode, is theory.overlay_bounds' job); wall times are
-    published as measured only on request, and as 0 otherwise.
+    Bounds are overlaid from the plan's budget on request (violation
+    flagging, seed-averaged for the stochastic mode, is theory.overlay_bounds'
+    job); wall times are published as measured only on request, and as 0
+    otherwise.
     """
     if isinstance(record, algorithms.DivergenceError):
-        return [[run_id, seed, -1, 0, *[float("nan")] * 5, None, 0.0]]
+        return [[plan.run_id, plan.seed, -1, 0, *[float("nan")] * 5, None, 0.0]]
     ks = record.ks
-    bounds = budget.bounds(ks, record.f_gap[0]) if cfg["overlay_bounds"] else [None] * len(ks)
+    bounds = (plan.budget.bounds(ks, record.f_gap[0]) if cfg["overlay_bounds"]
+              else [None] * len(ks))
     wall = record.wall_time if cfg["record_wall_time"] else [0.0] * len(ks)
-    return [[run_id, seed, *cells] for cells in zip(
+    return [[plan.run_id, plan.seed, *cells] for cells in zip(
         ks, record.comm_rounds, record.f_gap, record.consensus_err_x,
         record.consensus_err_y, record.grad_norm_x, record.grad_norm_y, bounds, wall)]
 
@@ -514,16 +519,17 @@ def run(config_or_path, output=None):
     """
     cfg, source = _load(config_or_path)
     out_base = output if output is not None else cfg["output"]
-    problem, model, budget, results = _execute(cfg, source)
+    problem, model, budget, plans = _plans(cfg, source)
     rows, run_meta, failures = [], [], []
-    for run_id, seed, record in results:
-        rows.extend(_trace_rows(cfg, budget, run_id, seed, record))
+    for plan in plans:
+        record = _single_run(plan)
+        rows.extend(_trace_rows(cfg, plan, record))
         if isinstance(record, algorithms.DivergenceError):
-            failures.append((run_id, str(record)))
-            run_meta.append({"run_id": run_id, "seed": seed, "status": f"diverged: {record}"})
+            failures.append((plan.run_id, str(record)))
+            status = {"status": f"diverged: {record}"}
         else:
-            run_meta.append({"run_id": run_id, "seed": seed, "status": "ok",
-                             "total_comm_rounds": record.meta["total_comm_rounds"]})
+            status = {"status": "ok", "total_comm_rounds": record.meta["total_comm_rounds"]}
+        run_meta.append({"run_id": plan.run_id, "seed": plan.seed, **status})
     csv_path = _write_csv(f"{out_base}.csv", CSV_HEADER, rows)
     sidecar_path = f"{out_base}.meta.json"
     sidecar = {
@@ -572,11 +578,11 @@ def sweep(config_or_path, axis, values, output=None):
                for value in values]
     rows, failures = [], []
     for value, cfg in zip(values, configs):
-        _, _, budget, results = _execute(cfg, source)
-        for run_id, seed, record in results:
-            rows.append([axis, str(value), *_trace_rows(cfg, budget, run_id, seed, record)[-1]])
+        for plan in _plans(cfg, source)[3]:
+            record = _single_run(plan)
+            rows.append([axis, str(value), *_trace_rows(cfg, plan, record)[-1]])
             if isinstance(record, algorithms.DivergenceError):
-                failures.append((f"{axis}={value}", run_id, str(record)))
+                failures.append((f"{axis}={value}", plan.run_id, str(record)))
     return _write_csv(f"{out_base}.sweep.csv", ["axis", "value", *CSV_HEADER], rows), failures
 
 
@@ -633,8 +639,9 @@ def validate(config_or_path):
 def theory_report(config_or_path):
     """Evaluate the budget for a config; returns (budget, constants dict).
 
-    The config is prepared as ``run``'s is (:func:`_prepare`), so a config
-    ``run`` refuses gets no budget here either.
+    The base instance is prepared as ``run``'s is (:func:`_prepare`), so a
+    config whose base instance ``run`` refuses gets no budget here either.
+    No seed's re-draw is built.
     """
     cfg, source = _load(config_or_path)
     _require_targets(cfg, source)

@@ -277,13 +277,6 @@ class LeastSquaresProblem:
         r = self._residual(x)
         return self._value_of(r), self._grad_of(r)
 
-    def node_value(self, i, x):
-        r = self.A[i] @ x - self.y0[i]
-        return 0.5 * float(r @ r)
-
-    def node_grad(self, i, x):
-        return self.A[i].T @ (self.A[i] @ x - self.y0[i])
-
     def grad_stacked(self, x_stack):
         if x_stack.shape != (self.n, self.d):
             raise ValueError(f"stacked state must be ({self.n}, {self.d})")
@@ -387,13 +380,6 @@ class RobustLeastSquaresProblem:
         by = np.einsum("nij,...j->...ni", self.B, y)
         return -(np.einsum("nij,...ni->...j", self.B, r)
                  + self.alpha * np.einsum("nij,...ni->...j", self.B, by)) / self.n
-
-    def node_grad_x(self, i, x, y):
-        return self.A[i].T @ (self.A[i] @ x - self.y0[i] - self.B[i] @ y)
-
-    def node_grad_y(self, i, x, y):
-        r = self.A[i] @ x - self.y0[i] - self.B[i] @ y
-        return -self.B[i].T @ r - self.alpha * self.B[i].T @ (self.B[i] @ y)
 
     def _joint_rows(self, x_stack, y_stack):
         """The rows ``[x_i, y_i]`` the stacked-gradient blocks act on."""

@@ -300,7 +300,8 @@ class MixingModel:
     """A mixing-matrix sequence with its contraction parameters.
 
     Wraps a :class:`GraphSequence` and serves the Metropolis weights of any
-    round, as a dense matrix through :meth:`matrix_at` or as edge arrays
+    round ``k >= 0`` (a negative one is refused, as the sequence refuses
+    it), as a dense matrix through :meth:`matrix_at` or as edge arrays
     through :meth:`weights_at`. Each round has one cache entry, keyed by
     ``k % period`` (aperiodic sequences: ``k``, latest round only), that
     holds the weights ``(i, j, w)`` and, built from them on first use, what
@@ -323,6 +324,8 @@ class MixingModel:
 
     def _round(self, k):
         """Round ``k``'s cache entry ``[(i, j, w), matrix or None, {d: index}]``."""
+        if k < 0:
+            raise ValueError("time index must be >= 0")
         period = self.seq.period
         key = k if period is None else k % period
         entry = self._rounds.get(key)
@@ -337,7 +340,7 @@ class MixingModel:
         # where a helper call costs several percent on small graphs
         period = self.seq.period
         entry = self._rounds.get(k if period is None else k % period)
-        if entry is None or entry[1] is None:
+        if entry is None or entry[1] is None or k < 0:
             entry = self._round(k)
             if consensus.edge_gossip(self.n, len(entry[0][2])):
                 return metropolis_matrix(self.seq, k, entry[0])

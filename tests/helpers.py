@@ -50,6 +50,29 @@ def edge_list(edges):
     return list(zip(i.tolist(), j.tolist()))
 
 
+def node_value(problem, i, x):
+    """Node ``i``'s least-squares term ``||A_i x - y0_i||^2 / 2``."""
+    r = problem.A[i] @ x - problem.y0[i]
+    return 0.5 * float(r @ r)
+
+
+def node_grad(problem, i, x):
+    """Gradient of :func:`node_value` in x."""
+    return problem.A[i].T @ (problem.A[i] @ x - problem.y0[i])
+
+
+def node_grad_x(problem, i, x, y):
+    """Gradient in x of node ``i``'s robust least-squares term
+    ``(||A_i x - y0_i - B_i y||^2 - alpha ||B_i y||^2) / 2``."""
+    return problem.A[i].T @ (problem.A[i] @ x - problem.y0[i] - problem.B[i] @ y)
+
+
+def node_grad_y(problem, i, x, y):
+    """Gradient in y of the term of :func:`node_grad_x`."""
+    r = problem.A[i] @ x - problem.y0[i] - problem.B[i] @ y
+    return -problem.B[i].T @ r - problem.alpha * problem.B[i].T @ (problem.B[i] @ y)
+
+
 def centralized_gd(problem, gamma, iterations, record_every=1):
     """Plain gradient descent on the averaged objective from zero (no communication).
 

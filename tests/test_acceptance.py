@@ -35,7 +35,7 @@ from plnet import (
 from plnet.theory import budget_min_deterministic, budget_min_stochastic, \
     iterations_for_target, rounds_for_target
 
-from helpers import central_diff, centralized_gd, rel_err
+from helpers import central_diff, centralized_gd, node_grad, node_value, rel_err
 
 
 class stopwatch:
@@ -103,8 +103,8 @@ def test_criterion_3_gradient_correctness():
             x = 2.0 * rng.standard_normal(3)
             assert rel_err(ls.grad_f(x), central_diff(ls.f, x)) <= 1e-5
             i = int(rng.integers(0, 4))
-            assert rel_err(ls.node_grad(i, x),
-                           central_diff(lambda v: ls.node_value(i, v), x)) <= 1e-5
+            assert rel_err(node_grad(ls, i, x),
+                           central_diff(lambda v: node_value(ls, i, v), x)) <= 1e-5
         saddle, _ = build_robust_ls(3, 3, 2, alpha=2.0, seed=62)
         for _ in range(50):
             x = 2.0 * rng.standard_normal(3)

@@ -926,16 +926,17 @@ def test_alpha_overflow_writes_only_its_error(tmp_path, capfd, recwarn):
     assert out == "" and not recwarn.list
 
 
+@pytest.mark.parametrize("entry", ["run", "theory_report", "validate"])
 @pytest.mark.parametrize("kind", ["least_squares", "robust_ls"])
 def test_problem_and_oracle_seed_at_the_problem_seed_runs_the_base_instance(
-        tmp_path, monkeypatch, kind):
+        tmp_path, monkeypatch, kind, entry):
     builds = []
     for name in ("build_least_squares", "build_robust_ls"):
         def counting(*args, _build=getattr(problems, name), **kwargs):
             builds.append(args)
             return _build(*args, **kwargs)
         monkeypatch.setattr(problems, name, counting)
-    cfg = minimal_config(tmp_path, oracle={"sigma": 0.1}, seeds=[5, 6],
+    cfg = minimal_config(tmp_path, oracle={"sigma": 0.1}, seeds=[5, 6, 7],
                          seed_scope="problem-and-oracle")
     if kind == "robust_ls":
         cfg["problem"] = {"kind": "robust_ls", "n": 3, "d_x": 2, "d_y": 2, "seed": 5}
@@ -943,8 +944,21 @@ def test_problem_and_oracle_seed_at_the_problem_seed_runs_the_base_instance(
                             "outer_iterations": 5, "inner_iterations": 2}
     else:
         cfg["problem"] = {"kind": "least_squares", "n": 3, "d": 2, "seed": 5}
-    csv_path, _, _ = harness.run(write_config(tmp_path, cfg))
-    assert len(builds) == 2  # the base instance, then seed 6's
+    if entry == "theory_report":
+        # a budget refuses these fixed steps; let it set them
+        cfg["algorithm"] = {"kind": cfg["algorithm"]["kind"], "theory_auto": True,
+                            "eps": 0.1, "delta_prime": 1e-6}
+        if kind == "robust_ls":
+            cfg["algorithm"].update(eps_y=0.1, delta_prime_y=1e-6)
+    path = write_config(tmp_path, cfg)
+    if entry != "run":
+        # a budget, or all checks passed
+        assert getattr(harness, entry)(path)[entry == "validate"]
+        # the base instance only: no re-draw can change the budget or a check
+        assert len(builds) == 1
+        return
+    csv_path, _, _ = harness.run(path)
+    assert len(builds) == 3  # the base instance, then seed 6's and seed 7's
     rows = read_rows(csv_path)
     # seed 5 on a base instance drawn at another seed re-draws its own instance
     cfg["problem"]["seed"] = 0

@@ -10,7 +10,7 @@ from plnet import (
 from plnet.consensus import average_projection
 from plnet.oracles import perturb_gradient
 
-from helpers import central_diff, rel_err
+from helpers import central_diff, node_value, rel_err
 
 
 def unit_quadratic(n, d):
@@ -31,7 +31,7 @@ def test_exact_gradient_matches_finite_differences():
     x = rng.standard_normal((3, 4))
     grads = problem.grad_stacked(x)
     for i in range(3):
-        fd = central_diff(lambda v: problem.node_value(i, v), x[i])
+        fd = central_diff(lambda v: node_value(problem, i, v), x[i])
         assert rel_err(grads[i], fd) <= 1e-5
 
 

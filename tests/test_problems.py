@@ -12,7 +12,9 @@ from plnet import (
 )
 from plnet.problems import row_norms
 
-from helpers import central_diff, centralized_gd, centralized_gda, rel_err
+from helpers import (
+    central_diff, centralized_gd, centralized_gda, node_grad, node_grad_x, node_grad_y, rel_err,
+)
 
 
 def test_single_node_identity_instance():
@@ -199,12 +201,12 @@ def test_node_smoothness_constants_sampled():
         for _ in range(20):
             x1, x2 = rng.standard_normal((2, 2))
             y1, y2 = rng.standard_normal((2, 2))
-            dx = np.linalg.norm(problem.node_grad_x(i, x1, y1)
-                                - problem.node_grad_x(i, x2, y2))
+            dx = np.linalg.norm(node_grad_x(problem, i, x1, y1)
+                                - node_grad_x(problem, i, x2, y2))
             assert dx <= lxx * np.linalg.norm(x1 - x2) \
                 + lxy * np.linalg.norm(y1 - y2) + 1e-10
-            dy = np.linalg.norm(problem.node_grad_y(i, x1, y1)
-                                - problem.node_grad_y(i, x2, y2))
+            dy = np.linalg.norm(node_grad_y(problem, i, x1, y1)
+                                - node_grad_y(problem, i, x2, y2))
             assert dy <= lyx * np.linalg.norm(x1 - x2) \
                 + lyy * np.linalg.norm(y1 - y2) + 1e-10
 
@@ -216,7 +218,7 @@ def test_ls_node_smoothness_sampled():
         li = prof.L_per_node[i]
         for _ in range(20):
             x1, x2 = rng.standard_normal((2, 3))
-            diff = np.linalg.norm(problem.node_grad(i, x1) - problem.node_grad(i, x2))
+            diff = np.linalg.norm(node_grad(problem, i, x1) - node_grad(problem, i, x2))
             assert diff <= li * np.linalg.norm(x1 - x2) + 1e-10
 
 

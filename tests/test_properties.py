@@ -31,6 +31,8 @@ from plnet import (
 from plnet.consensus import average_projection, run_consensus
 from plnet.theory import OVERLAY_REL_TOL
 
+from helpers import node_grad, node_grad_x, node_grad_y
+
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                              database=None)
 
@@ -285,12 +287,12 @@ def test_stacked_gradients_match_the_node_definitions(shape, alpha, scale, seed)
 
     ls_scales = _row_scales(A, np.zeros_like(B), y0, x, np.zeros_like(y), alpha)
     _assert_rows_close(ls.grad_stacked(x),
-                       [ls.node_grad(i, x[i]) for i in range(n)], ls_scales)
+                       [node_grad(ls, i, x[i]) for i in range(n)], ls_scales)
     scales = _row_scales(A, B, y0, x, y, alpha)
     _assert_rows_close(saddle.grad_x_stacked(x, y),
-                       [saddle.node_grad_x(i, x[i], y[i]) for i in range(n)], scales)
+                       [node_grad_x(saddle, i, x[i], y[i]) for i in range(n)], scales)
     _assert_rows_close(saddle.grad_y_stacked(x, y),
-                       [saddle.node_grad_y(i, x[i], y[i]) for i in range(n)], scales)
+                       [node_grad_y(saddle, i, x[i], y[i]) for i in range(n)], scales)
 
     # at a consensual state the row mean is the gradient of the average
     xc, yc = np.tile(x[0], (n, 1)), np.tile(y[0], (n, 1))

@@ -16,6 +16,10 @@ distances) and the floor (objective values) as their units say. The DGD
 budgets do. The saddle budget does not; its relations are pinned as they
 stand, so a change to them shows. Budgets are read as the sidecar writes
 them, through the harness's own budget path.
+
+One transformation changes the problem on purpose: a shift of the data
+along the null space of the gradient map keeps x*, the start gap, N and
+the step, and adds only gradient heterogeneity at x*, which only T reads.
 """
 
 import math
@@ -23,7 +27,7 @@ import math
 import numpy as np
 import pytest
 
-from plnet import harness, problems, topology
+from plnet import algorithms, harness, problems, topology
 
 C = S = 10.0
 TARGETS = {"eps": 1e-3, "eps_y": 1e-4, "delta_prime": 1e-6, "delta_prime_y": 1e-6,
@@ -125,3 +129,31 @@ def test_saddle_budget_relations_as_printed(name, sigma):
     measured = tuple(after[key] / before[key] / unit
                      for key, unit in zip(("D_X", "D_Y", "floor_x", "floor_y"), units))
     assert measured == pytest.approx(ratios, rel=1e-5)
+
+
+def test_heterogeneity_moves_only_the_round_count():
+    # every y0_i shifted by s * u_i, with u a unit vector in the null space of
+    # db -> sum_i A_i^T db_i: f moves by a constant, so x* and the start gap
+    # stay, while the node gradients at x* (the drift's heterogeneity term)
+    # grow with s
+    base, _ = problems.build_least_squares(10, 4, 8, seed=42)
+    null = np.linalg.svd(base.A.transpose(2, 0, 1).reshape(4, -1))[2][4:]
+    u = null[0].reshape(base.y0.shape)
+    model = topology.MixingModel(topology.make_graph_sequence(10, "static", topology="ring"))
+    cfg = {"algorithm": {"kind": "dgd", "eps": 1e-6, "delta_prime": 1e-8},
+           "oracle": {"delta": 0.0, "sigma": 0.0}}
+    rows = []
+    for s in (0.0, 1.0, 10.0, 100.0, 1000.0):
+        problem = problems.LeastSquaresProblem(base.A, base.y0 + s * u)
+        budget = harness._theory_budget(cfg, problem, model)
+        rows.append((budget.N, budget.gamma, budget.floor,
+                     problem.f(np.zeros(4)) - problem.f_star, budget.T))
+        config = algorithms.DGDConfig(gamma=budget.gamma, iterations=budget.N,
+                                      rounds_schedule=budget.T)
+        record = algorithms.dgd_run(problem, model, config, np.zeros((10, 4)))[0]
+        assert max(record.consensus_err_x) <= math.sqrt(cfg["algorithm"]["delta_prime"]), s
+    (n0, gamma0, floor0, gap0, _), rounds = rows[0], [row[-1] for row in rows]
+    for n_s, gamma_s, floor_s, gap_s, _ in rows:
+        assert (n_s, gamma_s, floor_s) == (n0, gamma0, floor0)
+        assert gap_s == pytest.approx(gap0, rel=1e-9)
+    assert rounds == sorted(rounds) and rounds[-1] > rounds[0]

@@ -145,6 +145,20 @@ def test_a_negative_round_is_refused():
             call()
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_a_mixing_model_refuses_a_negative_round_of_a_periodic_sequence(warm):
+    # -1 % period is a round the cache may already hold
+    for seq in (make_graph_sequence(4, "tau-connected", tau=2, topology="ring"),
+                make_graph_sequence(4, "static", topology="ring")):
+        model = MixingModel(seq)
+        if warm:
+            model.matrix_at(seq.period - 1)
+            model.weights_at(seq.period - 1)
+        for call in (model.matrix_at, model.weights_at):
+            with pytest.raises(ValueError, match="time index must be >= 0"):
+                call(-1)
+
+
 @pytest.mark.parametrize("kind,graph", [
     ("static", {"topology": "ring"}),
     ("static", {"edges": [(2, 0), (1, 3)]}),
