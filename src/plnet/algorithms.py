@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import _mean_and_error, consensus_error, run_consensus
+from .consensus import consensus_error, run_consensus
 from .oracles import OracleSpec, OracleState, perturb_gradient
 from .problems import row_norms
 
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 CONSENSUS_START_TOL = 1e-12
+_BLOCK_FLOATS = 1 << 12  # a reduction block closes once its states hold this many floats
 
 
 class DivergenceError(RuntimeError):
@@ -99,8 +100,11 @@ class RunRecord:
     Every column holds one entry per recorded iterate. ``xbar``/``ybar``
     hold the averaged iterates (``ybar`` entries are None for minimization
     runs) and ``wall_time`` the seconds from the record's creation to the
-    moment each iterate was recorded. The gap and gradient-norm columns are
-    evaluated once, when the run ends, from the stacked averages.
+    moment each iterate was recorded. During a run the record keeps the
+    stacked states themselves, by reference, in ``spread_x``/``spread_y``
+    (:class:`_Spread`), and the averages and consensus errors follow a block
+    of states at a time; :func:`_evaluate` reduces the rest when the run
+    ends and fills the gap and gradient-norm columns from the averages.
     """
 
     ks: list = field(default_factory=list)
@@ -117,24 +121,68 @@ class RunRecord:
     extras: dict = field(default_factory=dict)
     started: float = field(default_factory=time.perf_counter, repr=False, compare=False)
 
+    def __post_init__(self):
+        self.spread_x = _Spread(self.xbar, self.consensus_err_x)
+        self.spread_y = _Spread(self.ybar, self.consensus_err_y)
+
+
+class _Spread:
+    """Row means and consensus errors of one variable's stacked states.
+
+    :meth:`add` keeps a state by reference, so it must not change afterwards.
+    Once the pending states hold ``_BLOCK_FLOATS`` floats or more (52 states
+    of a (20, 4) run, 205 of a (10, 2) one, every state of a (1000, 8) one),
+    and on :meth:`flush`, one batched pass over their stacked copy reduces
+    them: each mean is ``np.add.reduce`` over the rows divided by the row
+    count (summed down the rows of one ``(n, m*d)`` copy of m states, whose
+    long rows add faster than an ``(m, n, d)`` block's, in the same order),
+    and each error the root of one BLAS dot of the state's raveled
+    difference from its mean (:func:`~plnet.problems.row_norms`). These are
+    the sums ``xs.mean(axis=0)`` and :func:`~plnet.consensus.consensus_error`
+    make, so a C-contiguous state gets the same bits from either. The means
+    and errors of recorded states are appended to ``means`` and ``errors``;
+    ``worst`` is the largest error of every state reduced so far. A flush
+    reports no floating-point overflow: the error of a state too large to
+    square is inf.
+    """
+
+    def __init__(self, means, errors):
+        self.means, self.errors, self.worst, self.pending = means, errors, 0.0, []
+
+    def add(self, stack, recorded):
+        self.pending.append((stack, recorded))
+        if len(self.pending) * stack.size >= _BLOCK_FLOATS:
+            self.flush()
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def flush(self):
+        if self.pending:
+            states, recorded = zip(*self.pending)
+            block = np.array(states)
+            m, n, d = block.shape
+            means = np.add.reduce(block.transpose(1, 0, 2).reshape(n, -1), axis=0).reshape(m, d) / n
+            errors = row_norms((block - means[:, None, :]).reshape(m, -1)).tolist()
+            self.worst = max(self.worst, *errors)
+            self.means.extend(mean for mean, keep in zip(means, recorded) if keep)
+            self.errors.extend(error for error, keep in zip(errors, recorded) if keep)
+            self.pending = []
+
 
 def _record(record, k, xs, ys=None, comm_rounds=0):
-    """Append the averaged iterate of the stacked state ``xs`` (and ``ys``).
+    """Record the stacked state ``xs`` (and ``ys``) as iterate ``k``.
 
-    Records the round index, the row averages and the consensus errors
-    ``||xs - xbar||`` (and ``||ys - ybar||``); :func:`_evaluate` fills the
-    remaining columns when the run ends. A one-row stack records its row
-    as the average and a consensus error of 0.
+    Appends the round index, the round clock and the wall time, and hands
+    the states to the record's reducers (:class:`_Spread`), which append
+    the row averages and the consensus errors ``||xs - xbar||`` (and
+    ``||ys - ybar||``) once their block is reduced; :func:`_evaluate` fills
+    the remaining columns when the run ends. A one-row stack records its
+    row as the average and a consensus error of 0.
     """
     record.ks.append(k)
     record.comm_rounds.append(comm_rounds)
-    xbar, err = _mean_and_error(xs)
-    record.xbar.append(xbar)
-    record.consensus_err_x.append(err)
+    record.spread_x.add(xs, True)
     if ys is not None:
-        ybar, err = _mean_and_error(ys)
-        record.ybar.append(ybar)
-        record.consensus_err_y.append(err)
+        record.spread_y.add(ys, True)
     record.wall_time.append(time.perf_counter() - record.started)
 
 
@@ -146,8 +194,11 @@ def _evaluate(record, problem):
     saddle run ``f`` is the max-function). Minimization runs take the gaps
     and gradients from one ``value_and_grad`` call, and get NaN saddle
     columns and None ``ybar`` entries; saddle runs get one call per column,
-    the partial gradients at ``(xbar, ybar)``.
+    the partial gradients at ``(xbar, ybar)``. States still pending in the
+    record's reducers are reduced first.
     """
+    record.spread_x.flush()
+    record.spread_y.flush()
     xbars = np.array(record.xbar)
     if record.ybar:
         ybars = np.array(record.ybar)
@@ -164,15 +215,19 @@ def _evaluate(record, problem):
 
 
 def _check_finite(x, k, what):
-    if not np.isfinite(x).all():
+    """Raise unless every entry of ``x`` is finite. A dot product of the
+    raveled state (``np.vdot``) below inf settles it; only one that is inf
+    or NaN (an entry that is not finite, or squares that overflow) takes the
+    elementwise test."""
+    if not np.vdot(x, x) < np.inf and not np.isfinite(x).all():
         raise DivergenceError(
             f"non-finite {what} at iteration {k}; "
             "step size is too large for this instance")
 
 
 def _check_start(x0, name):
-    """The stacked start as a float array, refused if its rows differ."""
-    x0 = np.asarray(x0, dtype=float)
+    """The stacked start as a C-contiguous float array, refused if its rows differ."""
+    x0 = np.ascontiguousarray(x0, dtype=float)
     if consensus_error(x0) > CONSENSUS_START_TOL * (1.0 + float(np.linalg.norm(x0))):
         raise ValueError(f"{name}: rows of the stacked start differ; every node must "
                          f"start from one point, e.g. average_projection({name})")
@@ -239,8 +294,13 @@ def _run(problem, model, config, x0, descent, y0=None, ascent=None, budget=None)
     """The loop of both runners; returns ``(record, x, y)``. ``descent`` is
     the x-block's ``(outer iterations, gamma, rounds, grad(x, y))``; with
     ``y0``, ``ascent`` is the inner y-block's ``(iterations, gamma, rounds)``.
-    ``max_consensus_err_x`` comes from the recorded errors plus one
-    ``consensus_error`` call per unrecorded outer iteration."""
+    Every x-state, recorded or not, goes to the record's x-reducer, whose
+    worst error is ``max_consensus_err_x``; under a budget every y-state
+    goes to the y-reducer alike (a recorded one twice, which leaves the
+    maximum as it is). The loop's own arithmetic and the reducers report no
+    floating-point overflow, since a non-finite iterate raises
+    DivergenceError; the problem's evaluations (the inner tracking and
+    :func:`_evaluate`) report it as numpy is set to."""
     x = _check_start(x0, "x0")
     y = None if y0 is None else _check_start(y0, "y0")
     outer, gamma_x, rounds_x, grad_x = descent
@@ -249,37 +309,37 @@ def _run(problem, model, config, x0, descent, y0=None, ascent=None, budget=None)
     t = 0  # global index of the next gossip round; a Python int, as JSON needs
     state_x = OracleState(config.oracle, x.shape, stream=0)
     state_y = None if y is None else OracleState(config.oracle, y.shape, stream=1)
-    skipped_x = max_cons_y = 0.0  # worst error of unrecorded x-states, of tracked y-states
-    drift, misses = [], []
-    for k in range(outer):
-        if k % config.record_every == 0:
-            _record(record, k, x, y, comm_rounds=t)
-        else:
-            skipped_x = max(skipped_x, consensus_error(x))
-        if y is not None:
-            ys = [y]
-            for _ in range(inner):
-                grad_y = perturb_gradient(problem.grad_y_stacked(x, ys[-1]), state_y)
-                ys.append(run_consensus(ys[-1] + gamma_y * grad_y, rounds_y, model, t))
-                t += rounds_y
-            _check_finite(ys[-1], k, "inner iterate")
-            if budget is not None:
-                constant, gap = _inner_tracking(problem, x, y, ys[-1], budget)
-                drift.append(constant)
-                if gap > budget.inner_target:
-                    misses.append(k)
-                # the states entering this outer iteration; the final y is added last
-                max_cons_y = max([max_cons_y, *map(consensus_error, ys[:-1])])
-            y = ys[-1]
-        grad = perturb_gradient(grad_x(x, y), state_x)
-        x = run_consensus(x - gamma_x * grad, rounds_x, model, t)
-        t += rounds_x
-        _check_finite(x, k + 1, "iterate")
+    drift, misses, caller = [], [], np.geterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(outer):
+            if k % config.record_every == 0:
+                _record(record, k, x, y, comm_rounds=t)
+            else:
+                record.spread_x.add(x, False)
+            if y is not None:
+                y_in = y
+                for _ in range(inner):
+                    if budget is not None:  # every y-state; a recorded one twice
+                        record.spread_y.add(y, False)
+                    grad_y = perturb_gradient(problem.grad_y_stacked(x, y), state_y)
+                    y = run_consensus(y + gamma_y * grad_y, rounds_y, model, t)
+                    t += rounds_y
+                _check_finite(y, k, "inner iterate")
+                if budget is not None:
+                    with np.errstate(**caller):
+                        constant, gap = _inner_tracking(problem, x, y_in, y, budget)
+                    drift.append(constant)
+                    if gap > budget.inner_target:
+                        misses.append(k)
+            grad = perturb_gradient(grad_x(x, y), state_x)
+            x = run_consensus(x - gamma_x * grad, rounds_x, model, t)
+            t += rounds_x
+            _check_finite(x, k + 1, "iterate")
     _record(record, outer, x, y, comm_rounds=t)
     _evaluate(record, problem)
-    record.extras["max_consensus_err_x"] = max(skipped_x, *record.consensus_err_x)
+    record.extras["max_consensus_err_x"] = record.spread_x.worst
     if budget is not None:
-        record.extras.update(max_consensus_err_y=max(max_cons_y, consensus_error(y)),
+        record.extras.update(max_consensus_err_y=record.spread_y.worst,
                              inner_drift_constants=drift,
                              inner_drift_max=max(drift, default=None))
         if misses:

@@ -67,21 +67,16 @@ def average_projection(x):
 
 
 def consensus_error(x):
-    """Frobenius distance between a stacked state and its row average."""
-    return _mean_and_error(np.asarray(x, dtype=float))[1]
+    """Frobenius distance between a stacked state and its row average.
 
-
-def _mean_and_error(stack):
-    """Row mean of a float stack and its consensus error ``||stack - mean||``.
-
-    The same bits as ``stack.mean(axis=0)`` and ``np.linalg.norm`` of the
-    difference, which compute exactly this (a sum divided by the row count,
-    and the square root of the raveled difference's dot product), in fewer
-    numpy calls. The recorder takes both from here in one pass.
+    The same bits as ``np.linalg.norm(x - x.mean(axis=0))``, which computes
+    exactly this (the mean as a sum divided by the row count, the norm as
+    the square root of the raveled difference's dot product), in fewer
+    numpy calls.
     """
-    mean = np.add.reduce(stack, axis=0) / len(stack)
-    r = (stack - mean).ravel("K")
-    return mean, math.sqrt(r.dot(r))
+    x = np.asarray(x, dtype=float)
+    r = (x - np.add.reduce(x, axis=0) / len(x)).ravel("K")
+    return math.sqrt(r.dot(r))
 
 
 def _edge_round(z, i, j, w, index):

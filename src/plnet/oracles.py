@@ -85,13 +85,14 @@ def perturb_gradient(grad, state):
         return grad
     if state.shape != grad.shape:
         raise ValueError(f"oracle state shape {state.shape} != gradient shape {grad.shape}")
-    out = grad.copy()
-    if state.bias is not None:
-        out += state.bias
-    elif spec.delta > 0:  # gradient-aligned
+    bias = state.bias
+    if bias is None and spec.delta > 0:  # gradient-aligned
         norm = np.linalg.norm(grad)
         if norm > 0:
-            out += (spec.delta / norm) * grad
+            bias = (spec.delta / norm) * grad
+    out = grad.copy() if bias is None else grad + bias
     if state.noise_scale is not None:
-        out += state.noise_scale * state.rng.standard_normal(grad.shape)
+        noise = state.rng.standard_normal(grad.shape)
+        noise *= state.noise_scale
+        out += noise
     return out

@@ -159,11 +159,13 @@ class SmoothnessProfile:
 class SaddleSmoothness:
     """Block smoothness constants and two-sided PL constants.
 
-    Per-node constants come from operator norms of the data blocks; ``_l``
-    values are maxima over nodes and ``_g`` values means. ``mu_x`` and
-    ``mu_y`` are smallest nonzero eigenvalues of the averaged curvature
-    blocks (``mu_y`` includes the ``alpha - 1`` concavity factor). ``mu_y``
-    is ``None`` for the degenerate case of vanishing coupling blocks.
+    Per-node constants come from operator norms of the data blocks. For
+    each block ``ab`` of ``xx``, ``xy``, ``yx`` and ``yy``, ``L_ab_l`` is the
+    maximum of ``L_ab_per_node`` over nodes and ``L_ab_g`` its mean, set
+    when the profile is made. ``mu_x`` and ``mu_y`` are smallest nonzero
+    eigenvalues of the averaged curvature blocks (``mu_y`` includes the
+    ``alpha - 1`` concavity factor). ``mu_y`` is ``None`` for the
+    degenerate case of vanishing coupling blocks.
     ``SIDECAR`` names the constants a run's sidecar lists, the PL constant
     ``mu_x`` of the max-function first.
     """
@@ -178,48 +180,15 @@ class SaddleSmoothness:
     mu_x: float
     mu_y: float | None
 
+    def __post_init__(self):
+        for ab in ("xx", "xy", "yx", "yy"):
+            vals = getattr(self, f"L_{ab}_per_node")
+            object.__setattr__(self, f"L_{ab}_l", max(vals))
+            object.__setattr__(self, f"L_{ab}_g", sum(vals) / len(vals))
+
     @property
     def n(self):
         return len(self.L_xx_per_node)
-
-    def local(self, ab):
-        return max(getattr(self, f"L_{ab}_per_node"))
-
-    def mean(self, ab):
-        vals = getattr(self, f"L_{ab}_per_node")
-        return sum(vals) / len(vals)
-
-    @property
-    def L_xx_l(self):
-        return self.local("xx")
-
-    @property
-    def L_xy_l(self):
-        return self.local("xy")
-
-    @property
-    def L_yx_l(self):
-        return self.local("yx")
-
-    @property
-    def L_yy_l(self):
-        return self.local("yy")
-
-    @property
-    def L_xx_g(self):
-        return self.mean("xx")
-
-    @property
-    def L_xy_g(self):
-        return self.mean("xy")
-
-    @property
-    def L_yx_g(self):
-        return self.mean("yx")
-
-    @property
-    def L_yy_g(self):
-        return self.mean("yy")
 
     @property
     def L_x(self):

@@ -223,13 +223,14 @@ def test_mgda_zero_coupling_reduces_to_dgd():
 
 def test_mgda_without_budget_skips_per_inner_step_consensus_errors(monkeypatch):
     # the invariant bookkeeping runs only under a budget, so the number of
-    # consensus_error calls does not grow with the inner iteration count
+    # states the record's reducers see does not grow with the inner
+    # iteration count
     problem, _ = build_robust_ls(4, 2, 2, alpha=2.0, seed=9)
     model = MixingModel(make_graph_sequence(4, "static", topology="ring"))
     calls = []
-    original = algorithms.consensus_error
-    monkeypatch.setattr(algorithms, "consensus_error",
-                        lambda x: calls.append(1) or original(x))
+    original = algorithms._Spread.add
+    monkeypatch.setattr(algorithms._Spread, "add",
+                        lambda self, *args: calls.append(1) or original(self, *args))
     counts = []
     for inner in (1, 10):
         calls.clear()
@@ -459,6 +460,83 @@ def test_mgda_trace_equals_per_row_evaluation(monkeypatch, with_budget):
             if with_budget else not y_side)
 
 
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("block_states", [None, 5])
+def test_dgd_trace_straddling_reduction_blocks_equals_per_row_evaluation(
+        monkeypatch, record_every, block_states):
+    # the record reduces its states a block at a time; rows on both sides of
+    # every block boundary, and the worst error over all of them, must be
+    # those of the per-row reference (None: the default block, 32 states
+    # of this (16, 8) run; 5: blocks of five states)
+    problem, prof = build_least_squares(16, 8, d_i=10, seed=12)
+    model = MixingModel(make_graph_sequence(16, "static", topology="ring"))
+    iterations = 100 if block_states is None else 23
+    if block_states is not None:
+        monkeypatch.setattr(algorithms, "_BLOCK_FLOATS", block_states * 16 * 8)
+    assert iterations + 1 > 2 * (algorithms._BLOCK_FLOATS // (16 * 8))
+    config = DGDConfig(gamma=0.5 / prof.L_g, iterations=iterations, rounds_schedule=1,
+                       oracle=OracleSpec(delta=0.05, sigma=0.05, seed=3),
+                       record_every=record_every)
+    x0 = np.zeros((16, 8))
+
+    def run():
+        return dgd_run(problem, model, config, x0)[0]
+
+    record = _assert_trace_matches_per_row_reference(monkeypatch, problem, run)
+    assert record.ks == [*range(0, iterations, record_every), iterations]
+    iterates = _gossip_outputs(monkeypatch)
+    blocks = []
+    flush = algorithms._Spread.flush
+    monkeypatch.setattr(algorithms._Spread, "flush",
+                        lambda self: blocks.append(len(self.pending)) or flush(self))
+    record = run()
+    assert len(iterates) == iterations
+    assert record.extras["max_consensus_err_x"] == max(
+        consensus_error(x) for x in [x0, *iterates])
+    # every full block closes at the bound; the last one when the run ends
+    block = -(-algorithms._BLOCK_FLOATS // (16 * 8))
+    assert sum(blocks) == iterations + 1 and max(blocks) == block
+    assert blocks.count(block) == (iterations + 1) // block
+
+
+def test_budgeted_mgda_trace_straddling_reduction_blocks_equals_per_row_evaluation(
+        monkeypatch):
+    # blocks of four x-states and six y-states; under a budget every y-state
+    # of the inner loops is reduced, and the two worst errors are the maxima
+    # over every state the run's gossip calls returned
+    from plnet import budget_saddle
+    problem, prof = build_robust_ls(5, 3, 2, d_i=4, alpha=2.0, seed=23)
+    model = MixingModel(make_graph_sequence(5, "static", topology="ring"))
+    monkeypatch.setattr(algorithms, "_BLOCK_FLOATS", 60)
+    x0 = np.zeros(3)
+    budget = budget_saddle(
+        prof, model, eps_x=1e-3, eps_y=1e-3, delta_prime_x=1e-6, delta_prime_y=1e-6,
+        F_gap0=problem.n * (problem.f(x0) - problem.f_star),
+        G_gap0=problem.n * (problem.phi(x0, problem.y_star_of(x0))
+                            - problem.phi(x0, np.zeros(2))),
+        grad_F_at_opt=float(np.linalg.norm(problem.grad_stacked_at_opt())),
+        grad_G_at_opt=float(np.linalg.norm(problem.grad_y_stacked_at_inner_opt(x0))))
+    config = MGDAConfig(gamma_x=0.02, gamma_y=0.05, outer_iterations=17,
+                        inner_iterations=3, rounds_x=1, rounds_y=1,
+                        oracle=OracleSpec(delta=0.05, sigma=0.05, seed=6),
+                        record_every=3)
+
+    def run():
+        return mgda_run(problem, model, config, np.zeros((5, 3)),
+                        np.zeros((5, 2)), budget=budget)[0]
+
+    record = _assert_trace_matches_per_row_reference(monkeypatch, problem, run)
+    assert record.ks == [0, 3, 6, 9, 12, 15, 17]
+    states = _gossip_outputs(monkeypatch)
+    record = run()
+    xs = [np.zeros((5, 3)), *(x for x in states if x.shape == (5, 3))]
+    ys = [np.zeros((5, 2)), *(y for y in states if y.shape == (5, 2))]
+    assert (len(xs), len(ys)) == (18, 1 + 17 * 3)
+    assert record.extras["max_consensus_err_x"] == max(map(consensus_error, xs))
+    assert record.extras["max_consensus_err_y"] == max(map(consensus_error, ys))
+    assert record.extras["max_consensus_err_y"] > 0.0
+
+
 def test_centralized_traces_equal_per_row_evaluation(monkeypatch):
     ls, prof = build_least_squares(4, 3, seed=5)
     _assert_trace_matches_per_row_reference(
@@ -480,17 +558,65 @@ def test_bad_round_schedule_is_rejected_before_the_run(schedule, iterations):
 
 @pytest.mark.parametrize("rows", [1, 2, 9])
 def test_record_averages_equal_mean_and_consensus_error(rows):
-    # _record forms the mean and the spread with fewer numpy calls; they
-    # must equal xs.mean(axis=0) and consensus_error(xs) bit for bit
+    # the record's block reduction forms the mean and the spread with fewer
+    # numpy calls; they must equal xs.mean(axis=0) and consensus_error(xs)
+    # bit for bit
     rng = np.random.default_rng(rows)
     xs = rng.standard_normal((rows, 4)) * np.exp(rng.uniform(-20, 20, (rows, 1)))
     ys = np.asfortranarray(rng.standard_normal((rows, 3)) + 1e8)
     record = algorithms.RunRecord()
     algorithms._record(record, 0, xs, ys)
+    record.spread_x.flush()
+    record.spread_y.flush()
     assert (record.xbar[0] == xs.mean(axis=0)).all()
     assert (record.ybar[0] == ys.mean(axis=0)).all()
     assert record.consensus_err_x == [consensus_error(xs)]
     assert record.consensus_err_y == [consensus_error(ys)]
+
+
+@pytest.mark.parametrize("entry, raises", [(1e200, False), (-1.7e308, False), (np.inf, True),
+                                           (-np.inf, True), (np.nan, True)])
+def test_finite_check_raises_only_on_a_non_finite_entry(entry, raises):
+    # the dot product that settles most states overflows here; the
+    # elementwise test behind it must still pass a finite state
+    x = np.full((4, 3), 1e150)
+    x[2, 1] = entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        if raises:
+            with pytest.raises(algorithms.DivergenceError,
+                               match="non-finite iterate at iteration 5"):
+                algorithms._check_finite(x, 5, "iterate")
+        else:
+            algorithms._check_finite(x, 5, "iterate")
+
+
+def test_an_overflowing_final_evaluation_of_a_finite_run_still_warns():
+    # the runner silences overflow in its own loop only: iterates near 1e153
+    # stay finite, but with A_i = 1e10 I their gaps overflow, and that warns
+    # as numpy is set to
+    problem = LeastSquaresProblem(np.tile(1e10 * np.eye(3), (4, 1, 1)), np.zeros((4, 3)))
+    model = MixingModel(make_graph_sequence(4, "static", topology="ring"))
+    with pytest.warns(RuntimeWarning) as caught:
+        record, _ = dgd_run(problem, model, DGDConfig(gamma=1e-300, iterations=3),
+                            np.full((4, 3), 1e153))
+    assert any("overflow" in str(w.message) for w in caught)
+    assert record.f_gap[-1] == np.inf
+
+
+def test_an_overflowing_inner_tracking_of_a_finite_run_still_warns(monkeypatch):
+    # the budget's inner tracking evaluates the problem inside the loop; at
+    # finite iterates near 1e153 with A_i scaled by 1e10 its overflow warns
+    # (the final evaluation, which would warn too, is patched out)
+    base, _ = build_robust_ls(4, 3, 2, alpha=2.0, seed=9)
+    problem = RobustLeastSquaresProblem(1e10 * base.A, base.B, base.y0, 2.0)
+    model = MixingModel(make_graph_sequence(4, "static", topology="ring"))
+    monkeypatch.setattr(algorithms, "_evaluate", lambda record, problem: None)
+    budget = type("Budget", (), {"inner_target": np.inf,
+                                 "inner_drift": staticmethod(lambda grad_norm, gap: 0.0)})
+    config = MGDAConfig(gamma_x=1e-300, gamma_y=1e-300, outer_iterations=2, inner_iterations=1)
+    with pytest.warns(RuntimeWarning) as caught:
+        mgda_run(problem, model, config, np.full((4, 3), 1e153), np.zeros((4, 2)), budget=budget)
+    assert any("overflow" in str(w.message) for w in caught)
 
 
 def test_budget_tracking_solves_the_inner_maximizer_once_per_outer_iteration(monkeypatch):

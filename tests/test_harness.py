@@ -707,6 +707,55 @@ def test_column_csv_writer_matches_the_per_cell_writer(tmp_path):
         assert len(read_rows(tmp_path / "new.csv")) == len(cases)
 
 
+def _column_block_csv(path, header, rows):
+    """The column writer that formatted each cell on its own, as the reference:
+    ``csv.writer`` over the columns of 128-row blocks."""
+    with open(path, "wt", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for start in range(0, len(rows), 128):
+            columns = (["" if v is None else str(v) if not isinstance(v, float)
+                        else "" if v != v else format(v, ".17g") for v in column]
+                       for column in zip(*rows[start:start + 128]))
+            writer.writerows(zip(*columns))
+
+
+@pytest.mark.parametrize("sweep", [False, True])
+def test_csv_writer_matches_the_column_block_writer(tmp_path, sweep):
+    # trace and sweep rows, with every kind of cell the runs write: floats
+    # in whole columns (Python and numpy), blanks for NaN and None, the
+    # extreme floats, and str cells that csv.writer has to quote
+    rng = np.random.default_rng(7)
+    floats = [0.1, -0.0, 0.0, float("inf"), -float("inf"), float("nan"), 5e-324,
+              1.7976931348623157e308, 1e16, 1e17, 123456789012345678.0, 1e-5, 2.5e-300]
+    rows = []
+    for i in range(300):
+        gaps = [floats[(i + j) % len(floats)] * (1.0 + rng.random()) for j in range(5)]
+        bound = np.float64(floats[i % len(floats)]) if i % 3 else np.float64(rng.random())
+        rows.append([f"dgd-{i % 7:03d}", i % 5, i - 1, 2 * i, *gaps,
+                     None if i > 250 else bound, 0.0 if i % 2 else rng.random()])
+    rows.append(["dgd-007", 7, -1, 0, *[float("nan")] * 5, None, 0.0])
+    odd = [["a,b", 3, -0.0, None, 5e-324, float("inf"), 1, 2, 3, None, 0.0],
+           ['say "hi"', 2**70, 0.1, np.float64(-0.0), -float("inf"), True, 1, 2, 3, 4.0, 0.5],
+           ["line\nbreak", 0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
+           ["carriage\rreturn", 0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
+           ["", -1, float("nan"), np.float64("nan"), None, "x", 1, 2, 3, 4, 5]]
+    header = harness.CSV_HEADER
+    if sweep:
+        header = ["axis", "value", *header]
+        rows = [["n", str(4 + i % 3), *row] for row in rows]
+        odd = [["delta", "0.5", *row] for row in odd]
+    cases = [rows, rows[:1], rows + odd, rows[:129], *([*rows[:5], row] for row in odd)]
+    for case in cases:
+        harness._write_csv(str(tmp_path / "new.csv"), header, case)
+        _column_block_csv(str(tmp_path / "old.csv"), header, case)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    for one in ([[""]], [["x"], [""]], [[1.5], [float("nan")]]):
+        harness._write_csv(str(tmp_path / "new.csv"), ["only"], one)
+        _column_block_csv(str(tmp_path / "old.csv"), ["only"], one)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_cli_theory_makes_the_step_check_of_run(tmp_path, capsys):
     # `plnet theory` used to print a budget for a step that run refuses
     cfg = minimal_config(tmp_path, problem={"kind": "least_squares", "n": 4},
@@ -924,6 +973,35 @@ def test_alpha_overflow_writes_only_its_error(tmp_path, capfd, recwarn):
     assert err.splitlines() == [f"error: {path}: problem: alpha=1e+308 overflows its "
                                 "products with B_i^T B_i"]
     assert out == "" and not recwarn.list
+
+
+def _diverging_dgd(cfg):
+    # least squares n = 10 on the path graph: overflows by iteration 35
+    cfg["algorithm"] = {"kind": "dgd", "gamma": 1e8, "iterations": 50}
+    cfg["overlay_bounds"] = False
+
+
+def _diverging_mgda(cfg):
+    cfg["problem"] = {"kind": "robust_ls", "n": 10, "d_x": 2, "d_y": 2, "seed": 0}
+    cfg["graph"] = {"kind": "static", "topology": "ring"}
+    cfg["algorithm"] = {"kind": "mgda", "gamma_x": 1e3, "gamma_y": 1e3,
+                        "outer_iterations": 50, "inner_iterations": 3}
+    cfg["overlay_bounds"] = False
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "n", "--values", "4,6"]])
+@pytest.mark.parametrize("edit", [_diverging_dgd, _diverging_mgda])
+def test_a_diverging_run_writes_only_its_failures(tmp_path, capfd, recwarn, command, edit):
+    # numpy used to print overflow and invalid-value RuntimeWarnings from the
+    # gossip product, the step and the consensus error ahead of these lines
+    cfg = _demo_path_config(tmp_path)
+    edit(cfg)
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command[0], path, *command[1:]]) == 1
+    err = capfd.readouterr().err.splitlines()
+    assert err and all(line.startswith("FAILED ") for line in err)
+    assert all("non-finite" in line for line in err)
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("entry", ["run", "theory_report", "validate"])
